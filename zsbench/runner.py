@@ -68,8 +68,10 @@ class Tally:
     op ``i`` (untraced runs only).
 
     ``crashes`` are ops that raised an error other than ``ZerosepError``;
-    ``wrong`` are ops whose output failed its check.  Both count as failed
-    ops; only a wrong output makes the run incorrect.
+    ``wrong`` are ops whose output failed its check; ``shortfalls`` are ops
+    whose output passed its check but fell short of what the workload
+    expects of its verdict.  All three count as failed ops; only a wrong
+    output makes the run incorrect.
     """
 
     def __init__(self):
@@ -79,6 +81,7 @@ class Tally:
         self.solved = 0
         self.crashes: list[str] = []
         self.wrong: list[str] = []
+        self.shortfalls: list[str] = []
 
     @property
     def attempted(self) -> int:
@@ -86,7 +89,7 @@ class Tally:
 
     @property
     def failed(self) -> int:
-        return len(self.crashes) + len(self.wrong)
+        return len(self.crashes) + len(self.wrong) + len(self.shortfalls)
 
     def merge(self, other: "Tally") -> None:
         self.times += other.times
@@ -94,6 +97,7 @@ class Tally:
         self.solved += other.solved
         self.crashes += other.crashes
         self.wrong += other.wrong
+        self.shortfalls += other.shortfalls
 
 
 def timed_op(workload, inp, tally: Tally, tracer: Tracer | None = None,
@@ -114,11 +118,13 @@ def timed_op(workload, inp, tally: Tally, tracer: Tracer | None = None,
         traceback.print_exc(file=sys.stderr)
         return dt
     tally.times.append(dt)
-    tally.verdicts[out.verdict] += 1
     err = workload.check(out)
     workload.cleanup(out)
+    tally.verdicts[out.verdict] += 1
     if err is not None:
         tally.wrong.append(f"{out.verdict}: {err}")
+    elif out.shortfall is not None:
+        tally.shortfalls.append(f"{out.verdict}: {out.shortfall}")
     elif out.solved:
         tally.solved += 1
     return dt
@@ -297,6 +303,8 @@ def _measure(workload, args, root, run_py, thread_vars, out_dir) -> int:
         print(f"op failed: {crash}", file=sys.stderr)
     for wrong in tally.wrong:
         print(f"check failed: {wrong}", file=sys.stderr)
+    for shortfall in tally.shortfalls:
+        print(f"op fell short: {shortfall}", file=sys.stderr)
     print("environment " + json.dumps(env, sort_keys=True))
     print("verdicts " + json.dumps(dict(sorted(tally.verdicts.items()))))
     for name, unit, _ in units:

@@ -23,8 +23,8 @@ from zerosep.locate import ZeroCertificate  # noqa: E402
 
 from zsbench import layers, run, runner  # noqa: E402
 from zsbench.spans import Instrumentation, Tracer, self_times  # noqa: E402
-from zsbench.workloads import (WORKLOADS, Outcome, Workload,  # noqa: E402
-                               check_approx_locate, check_separate)
+from zsbench.workloads import (WORKLOADS, Outcome, ToySeparate,  # noqa: E402
+                               Workload, check_approx_locate, check_separate)
 
 
 def _span(i, name, start, end, parent=None, op=0, **attrs):
@@ -116,10 +116,35 @@ def test_check_separate(tmp_path):
     # a certified status whose boundary margin does not clear the tail
     doctored = _certificate(boundary_min=0.001)
     assert "not consistent" in check_separate(0, _separate_dir(tmp_path, doctored))
-    assert "numeric-only" in check_separate(
+    # a numeric-only status whose margins would certify it
+    assert "against its own margins" in check_separate(
         0, _separate_dir(tmp_path, _certificate(status="numeric-only")))
+    assert check_separate(0, _separate_dir(tmp_path, _numeric_only())) is None
     assert "left 1 certificate" in check_separate(24, str(tmp_path))
     assert check_separate(24, str(tmp_path / "missing")) is None
+
+
+def _numeric_only() -> ZeroCertificate:
+    # as toy-finite-pair seed 769888 leaves it: winding 1, margin below the tail
+    return _certificate(boundary_min=-6.3e-5, tail_budget=0.0,
+                        status="numeric-only")
+
+
+def test_numeric_only_exit_0_fails_the_op_but_not_the_run(tmp_path):
+    (tmp_path / "sep").mkdir()
+    out_dir = _separate_dir(tmp_path / "sep", _numeric_only())
+
+    class _Fixed(ToySeparate):
+        def op(self, inp):
+            return Outcome("exit 0", True, {"rc": 0, "out_dir": out_dir})
+
+    tally = runner.Tally()
+    runner.timed_op(_Fixed(0, str(tmp_path)), None, tally)
+    assert tally.wrong == []
+    assert tally.shortfalls == ["exit 0 numeric-only: exit 0 without a certified zero"]
+    assert tally.failed == 1
+    assert tally.solved == 0
+    assert tally.verdicts == {"exit 0 numeric-only": 1}
 
 
 def test_check_approx_locate():
