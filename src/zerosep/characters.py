@@ -18,28 +18,13 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from .primes import factorize
 
 
 def _primitive_root_prime_power(p: int, e: int) -> int:
     """Primitive root of (Z/p^e Z)* for odd prime p."""
     phi_p = p - 1
-    factors = [f for f, _ in _factorize(phi_p)]
+    factors = list(factorize(phi_p))
     g = 2
     while True:
         if all(pow(g, phi_p // f, p) != 1 for f in factors):
@@ -75,7 +60,7 @@ def unit_group(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         raise DomainError("modulus must be positive")
     gens: list[int] = []
     orders: list[int] = []
-    for p, e in _factorize(q):
+    for p, e in factorize(q).items():
         pe = p ** e
         if p == 2:
             if e == 1:
@@ -97,7 +82,7 @@ def unit_group(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def euler_phi(q: int) -> int:
     phi = 1
-    for p, e in _factorize(q):
+    for p, e in factorize(q).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -145,10 +130,6 @@ class Character:
     def label(self) -> str:
         exps = ",".join(str(m) for m in self.exponents)
         return f"L(q={self.modulus};chi=[{exps}])"
-
-    @property
-    def is_real(self) -> bool:
-        return all((2 * m) % d == 0 for m, d in zip(self.exponents, self.orders))
 
     def _table(self) -> np.ndarray:
         tbl = object.__getattribute__(self, "_values")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -141,18 +142,26 @@ def _config_from_args(args) -> PipelineConfig:
     return config
 
 
-def cmd_separate(args) -> int:
-    import os
-    config = _config_from_args(args)
-    record = run_separation_pipeline(config)
+def _write_record(record: RunRecord) -> None:
     for st in record.stages:
-        line = f"[{st.status:>7}] {st.name:<20} {st.seconds:8.2f}s"
-        print(line)
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "run_record.json")
+        print(f"[{st.status:>7}] {st.name:<20} {st.seconds:8.2f}s")
+    os.makedirs(record.config.out_dir, exist_ok=True)
+    path = os.path.join(record.config.out_dir, "run_record.json")
     with open(path, "w") as fh:
         fh.write(record.to_json())
     print(f"wrote {path}")
+
+
+def cmd_separate(args) -> int:
+    """Run the pipeline and write its run record, also when a stage fails;
+    certificates are exported only from a completed run."""
+    config = _config_from_args(args)
+    try:
+        record = run_separation_pipeline(config)
+    except StageError as exc:
+        _write_record(exc.record)
+        raise
+    _write_record(record)
     paths = export_certificate(record, "text")
     paths += export_certificate(record, "csv")
     for p in paths:

@@ -1,21 +1,26 @@
 """Polynomial combinations of Euler products over prime-finite coefficients,
 and the auxiliary rewrite that folds small-prime local factors into the
-coefficients so the remaining variables stand for tail products."""
+coefficients so the remaining variables stand for tail products.
+
+:func:`combine` is the one monomial combine with its telescoping error
+majorant; every combination evaluator (:func:`comb_eval` here, the twisted,
+pointwise and anchored evaluators in :mod:`zerosep.locate`) feeds it per-spec
+results from :func:`zerosep.euler.truncated_exp`.
+"""
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, DomainError, SearchFailure
-from .euler import (EulerProductSpec, EvalResult, default_depth,
-                    eval_partial_euler, local_logs)
+from .euler import EulerProductSpec, EvalResult, eval_partial_euler, local_logs
 from .pfinite import PFiniteSeries
 from .polyzero import ComplexPolynomial, univariate_roots
+from .precision import phases_for_ints
 from .primes import primes_up_to
 
 
@@ -38,12 +43,6 @@ class CombPolynomial:
             if exps in seen:
                 raise DomainError(f"duplicate exponent vector {exps}")
             seen.add(exps)
-
-    @staticmethod
-    def from_constant_coeffs(num_vars: int, coeffs: dict) -> "CombPolynomial":
-        mono = tuple((PFiniteSeries.constant(c), tuple(e))
-                     for e, c in sorted(coeffs.items()) if complex(c) != 0)
-        return CombPolynomial(num_vars, mono)
 
     @property
     def is_monomial(self) -> bool:
@@ -76,35 +75,28 @@ def support_prime(f: CombPolynomial, g: CombPolynomial) -> int:
     return max(union) if union else 1
 
 
-def comb_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec], s: complex,
-              P: int, K: Optional[int] = None,
-              N_coeff: Optional[int] = None) -> EvalResult:
-    """Evaluate f(F_1(s), ..., F_N(s)) from partial Euler products.
+def combine(f: CombPolynomial, spec_evals: Sequence[EvalResult],
+            coeff_value: Callable[[PFiniteSeries], complex],
+            params: dict) -> EvalResult:
+    """f at the point where variable j takes ``spec_evals[j]`` and each
+    coefficient series evaluates through ``coeff_value``.
 
-    Coefficients are prime-finite and evaluate in closed form (``N_coeff`` is
-    accepted for interface symmetry; finite coefficients need no cutoff).
     Error bounds propagate through powers and products by a first-order
     telescoping majorant.
     """
-    if len(specs) != f.num_vars:
-        raise ArityMismatch(f"{f.num_vars} variables but {len(specs)} specs")
-    s = complex(s)
-    if s.real <= 1:
-        raise DomainError("combination evaluation requires Re(s) > 1")
-    evals = [eval_partial_euler(F, s, P, K) for F in specs]
-    vals = [e.value for e in evals]
-    errs = [e.abs_error_bound for e in evals]
+    vals = np.array([e.value for e in spec_evals], dtype=np.complex128)
+    errs = np.array([e.abs_error_bound for e in spec_evals], dtype=np.float64)
     total = 0.0 + 0.0j
     bound = 0.0
     for coeff, exps in f.monomials:
-        cval = coeff.value(s)
+        cval = coeff_value(coeff)
         prod = 1.0 + 0.0j
-        for v, a in zip(vals, exps):
-            if a:
-                prod *= v ** a
+        perr = 0.0
+        for k, a_k in enumerate(exps):
+            if a_k:
+                prod *= vals[k] ** a_k
         # telescoping product bound: each factor swap costs
         # a_k e_k (|v_k|+e_k)^(a_k-1) * prod_{j != k} (|v_j|+e_j)^(a_j)
-        perr = 0.0
         for k, a_k in enumerate(exps):
             if a_k == 0:
                 continue
@@ -115,8 +107,23 @@ def comb_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec], s: complex,
             perr += term
         total += cval * prod
         bound += abs(cval) * perr
-    return EvalResult(total, bound, {"sigma": s.real, "t": s.imag, "P": int(P),
-                                     "K": K, "N_coeff": N_coeff})
+    return EvalResult(total, bound, params)
+
+
+def comb_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec], s: complex,
+              P: int, K: Optional[int] = None) -> EvalResult:
+    """Evaluate f(F_1(s), ..., F_N(s)) from partial Euler products.
+
+    Coefficients are prime-finite and evaluate in closed form.
+    """
+    if len(specs) != f.num_vars:
+        raise ArityMismatch(f"{f.num_vars} variables but {len(specs)} specs")
+    s = complex(s)
+    if s.real <= 1:
+        raise DomainError("combination evaluation requires Re(s) > 1")
+    evals = [eval_partial_euler(F, s, P, K) for F in specs]
+    return combine(f, evals, lambda c: c.value(s),
+                   {"sigma": s.real, "t": s.imag, "P": int(P), "K": K})
 
 
 @dataclass(frozen=True)
@@ -140,21 +147,15 @@ class SeparationProblem:
         if len(self.specs_g) != self.g.num_vars:
             raise ArityMismatch("g arity does not match specs_g")
         for specs in (self.specs_f, self.specs_g):
-            labels = [F.label for F in specs]
-            if len(set(labels)) != len(labels):
-                raise DomainError("spec labels within one combination must be distinct")
+            if len(set(specs)) != len(specs):
+                raise DomainError("specs within one combination must be distinct")
         if self.f.is_monomial or self.g.is_monomial:
             raise DomainError("monomial combinations are excluded: every zero "
                               "of a monomial has a vanishing coordinate")
 
     @property
-    def shared_labels(self) -> tuple[str, ...]:
-        gl = {F.label for F in self.specs_g}
-        return tuple(F.label for F in self.specs_f if F.label in gl)
-
-    @property
     def shared_count(self) -> int:
-        return len(self.shared_labels)
+        return sum(1 for F in self.specs_f if F in self.specs_g)
 
     @property
     def total_vars(self) -> int:
@@ -162,18 +163,16 @@ class SeparationProblem:
 
     @property
     def variable_order(self) -> tuple[EulerProductSpec, ...]:
-        shared = self.shared_labels
-        by_label_f = {F.label: F for F in self.specs_f}
-        out = [by_label_f[lb] for lb in shared]
-        out += [F for F in self.specs_f if F.label not in shared]
-        out += [G for G in self.specs_g if G.label not in shared]
+        shared = [F for F in self.specs_f if F in self.specs_g]
+        out = shared + [F for F in self.specs_f if F not in shared]
+        out += [G for G in self.specs_g if G not in shared]
         return tuple(out)
 
     def _slot_maps(self) -> tuple[list[int], list[int]]:
         """Positions of f's and g's own variables inside the canonical order."""
-        order = [F.label for F in self.variable_order]
-        f_slots = [order.index(F.label) for F in self.specs_f]
-        g_slots = [order.index(G.label) for G in self.specs_g]
+        order = self.variable_order
+        f_slots = [order.index(F) for F in self.specs_f]
+        g_slots = [order.index(G) for G in self.specs_g]
         return f_slots, g_slots
 
     def f_on_full_vars(self) -> CombPolynomial:
@@ -213,11 +212,8 @@ class MonomialEvaluator:
             for spec, power in self.local:
                 if power == 0:
                     continue
-                sub = ps if spec.support is None else \
-                    ps[np.isin(ps, np.array(sorted(spec.support), dtype=np.int64))]
-                if len(sub) == 0:
-                    continue
-                thetas = np.mod(s.imag * np.log(sub.astype(np.float64)), 2 * math.pi)
+                sub = ps[spec.support_mask(ps)]
+                thetas = phases_for_ints(s.imag, sub)
                 logs = local_logs(spec, sub, s.real, thetas, self.depth)
                 v *= cmath.exp(power * complex(np.sum(logs)))
         return v

@@ -140,12 +140,14 @@ class EmptyRecord(ZerosepError):
 
 
 class StageError(ZerosepError):
-    """Pipeline stage failure wrapper; ``stage`` names the failing stage."""
+    """Pipeline stage failure wrapper; ``stage`` names the failing stage and
+    ``record`` holds the run record up to and including that stage."""
 
-    def __init__(self, stage: str, cause: Exception):
+    def __init__(self, stage: str, cause: Exception, record=None):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+        self.record = record
 
 
 class ParseError(ZerosepError):

@@ -3,6 +3,13 @@
 Specs describe one multiplicative object through its local log coefficients
 b(p^k); everything else (Dirichlet coefficients, partial products, tail
 budgets) is derived from that data plus the declared growth constants.
+
+This module holds the per-spec half of the evaluation kernel shared by every
+evaluator: the support filter (:meth:`EulerProductSpec.support_mask`), the
+local logs (:func:`local_logs`) and the conversion of a truncated log sum
+into a value with its truncation bound (:func:`truncated_exp`).  Phases come
+from :func:`zerosep.precision.phases_for_ints`; the monomial combine lives in
+:func:`zerosep.combalg.combine`.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from .errors import DomainError, ValidationFailure
 from .precision import FLOAT_SAFE_T, phases_for_ints
 from .primes import prime_indices, prime_tail_bound, primes_up_to
 
-_COEFF_CACHE: dict[str, tuple[int, np.ndarray]] = {}
+_COEFF_CACHE: dict[tuple, tuple[int, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,9 @@ class EulerProductSpec:
     ``linear_factor`` marks local factors of the shape (1 - a(p) p^-s)^(-1),
     which are evaluated in closed form with no depth truncation.
 
-    Identity is by ``label``: two specs with equal labels are the same member.
+    Identity is by ``key``, the spec's kind plus its parameters, which every
+    constructor below sets; ``label`` is only a display name.  A spec built
+    without a key equals only itself.
     """
 
     label: str
@@ -56,6 +65,7 @@ class EulerProductSpec:
     linear_factor: bool = False
     a_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: Optional[frozenset] = None
+    key: Optional[tuple] = None
 
     def a_values(self, ps: np.ndarray) -> np.ndarray:
         """Vectorized a(p) over an array of primes."""
@@ -63,11 +73,20 @@ class EulerProductSpec:
             return np.asarray(self.a_vec(ps), dtype=np.complex128)
         return np.array([self.a_p(int(p)) for p in ps], dtype=np.complex128)
 
+    def support_mask(self, ps: np.ndarray):
+        """Index into ``ps`` selecting the primes that carry a local factor."""
+        if self.support is None:
+            return slice(None)
+        return np.isin(ps, np.array(sorted(self.support), dtype=np.int64))
+
     def __eq__(self, other):
-        return isinstance(other, EulerProductSpec) and self.label == other.label
+        if self is other:
+            return True
+        return (isinstance(other, EulerProductSpec) and self.key is not None
+                and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.label)
+        return hash(self.key) if self.key is not None else object.__hash__(self)
 
 
 def default_depth(sigma: float) -> int:
@@ -85,6 +104,7 @@ def zeta_spec() -> EulerProductSpec:
         K_F=1.0,
         linear_factor=True,
         a_vec=lambda ps: np.ones(len(ps), dtype=np.complex128),
+        key=("riemann_zeta",),
     )
 
 
@@ -98,6 +118,7 @@ def lfunction_spec(chi: Character) -> EulerProductSpec:
         K_F=1.0,
         linear_factor=True,
         a_vec=lambda ps: chi.values(ps),
+        key=("dirichlet_L", chi.modulus, chi.exponents),
     )
 
 
@@ -119,6 +140,7 @@ def sparse_zeta_spec() -> EulerProductSpec:
         K_F=1.0,
         linear_factor=True,
         a_vec=a_vec,
+        key=("sparse_Z",),
     )
 
 
@@ -143,6 +165,7 @@ def finite_euler_spec(label: str, ap: dict[int, complex]) -> EulerProductSpec:
         linear_factor=True,
         a_vec=a_vec,
         support=frozenset(table),
+        key=("finite_euler", tuple(sorted(table.items()))),
     )
 
 
@@ -153,18 +176,8 @@ def _check_sigma(s: complex) -> float:
     return sigma
 
 
-def _phase_array(t: float, ps: np.ndarray) -> np.ndarray:
-    """t * log(p) reduced mod 2*pi, switching to extended precision for large t."""
-    if abs(float(t)) <= FLOAT_SAFE_T:
-        return np.mod(float(t) * np.log(ps.astype(np.float64)), 2.0 * math.pi)
-    return phases_for_ints(t, ps)
-
-
-def _support_filter(F: EulerProductSpec, ps: np.ndarray) -> np.ndarray:
-    if F.support is None:
-        return ps
-    keep = np.isin(ps, np.array(sorted(F.support), dtype=np.int64))
-    return ps[keep]
+def _depth(F: EulerProductSpec, sigma: float, K: Optional[int]) -> int:
+    return K if K is not None else max(F.depth_default, default_depth(sigma))
 
 
 def log_tail_bound(F: EulerProductSpec, P: float, sigma: float) -> float:
@@ -203,7 +216,7 @@ def local_logs(F: EulerProductSpec, ps: np.ndarray, sigma: float,
     if F.linear_factor:
         x = F.a_values(ps) * pf ** (-sigma) * np.exp(-1j * thetas)
         return -np.log1p(-x)
-    K = K if K is not None else max(F.depth_default, default_depth(sigma))
+    K = _depth(F, sigma, K)
     out = np.zeros(len(ps), dtype=np.complex128)
     for k in range(1, K + 1):
         b = np.array([F.log_coeffs(int(p), k) for p in ps], dtype=np.complex128)
@@ -218,7 +231,7 @@ def local_log_derivs(F: EulerProductSpec, ps: np.ndarray, sigma: float,
     if F.linear_factor:
         x = F.a_values(ps) * pf ** (-sigma) * np.exp(-1j * thetas)
         return -1j * x / (1.0 - x)
-    K = K if K is not None else max(F.depth_default, default_depth(sigma))
+    K = _depth(F, sigma, K)
     out = np.zeros(len(ps), dtype=np.complex128)
     for k in range(1, K + 1):
         b = np.array([F.log_coeffs(int(p), k) for p in ps], dtype=np.complex128)
@@ -226,36 +239,41 @@ def local_log_derivs(F: EulerProductSpec, ps: np.ndarray, sigma: float,
     return out
 
 
-def eval_partial_euler(F: EulerProductSpec, s: complex, P: int,
-                       K: Optional[int] = None) -> EvalResult:
-    """exp of the truncated local-log sum over p <= P, with a value-domain bound.
+def truncated_exp(F: EulerProductSpec, ps: np.ndarray, logs: np.ndarray,
+                  sigma: float, P: int, K: Optional[int] = None) -> EvalResult:
+    """exp of the summed local logs over ``ps``, the spec's primes up to P,
+    with a value-domain bound for what the truncation dropped.
 
     The log-domain truncation (prime tail plus, for non-closed-form factors,
     the depth tail) is converted through |exp(w) - exp(w')| <=
-    |exp(w')| (exp|w - w'| - 1).
+    |exp(w')| (exp|w - w'| - 1); a log-domain bound of 700 or more gives an
+    infinite bound instead of overflowing.
     """
+    e_log = log_tail_bound(F, P, sigma)
+    if not F.linear_factor:
+        e_log += depth_tail_bound(F, ps, sigma, _depth(F, sigma, K))
+    value = complex(np.exp(complex(np.sum(logs))))
+    bound = abs(value) * math.expm1(e_log) if e_log < 700 else math.inf
+    return EvalResult(value, bound)
+
+
+def eval_partial_euler(F: EulerProductSpec, s: complex, P: int,
+                       K: Optional[int] = None) -> EvalResult:
+    """exp of the truncated local-log sum over p <= P, with a value-domain bound."""
     s = complex(s)
     sigma = _check_sigma(s)
     if P < 2:
         raise DomainError("prime cutoff must be at least 2")
     if F.K_F * 2.0 ** (-sigma) >= 1.0:
         raise DomainError("prime coefficient bound reaches the local-factor radius")
-    ps = _support_filter(F, primes_up_to(P))
+    ps = primes_up_to(P)
+    ps = ps[F.support_mask(ps)]
     t = s.imag
-    if len(ps) > 0:
-        thetas = _phase_array(t, ps)
-        logs = local_logs(F, ps, sigma, thetas, K)
-        logv = complex(np.sum(logs))
-    else:
-        logv = 0.0 + 0.0j
-    e_log = log_tail_bound(F, P, sigma)
-    if not F.linear_factor:
-        Keff = K if K is not None else max(F.depth_default, default_depth(sigma))
-        e_log += depth_tail_bound(F, ps, sigma, Keff)
-    value = complex(np.exp(logv))
-    bound = abs(value) * math.expm1(e_log) if e_log < 700 else math.inf
-    return EvalResult(value, bound, {"sigma": sigma, "t": t, "P": int(P),
-                                     "K": K if K is not None else "closed-form"})
+    logs = local_logs(F, ps, sigma, phases_for_ints(t, ps), K)
+    res = truncated_exp(F, ps, logs, sigma, P, K)
+    return EvalResult(res.value, res.abs_error_bound,
+                      {"sigma": sigma, "t": t, "P": int(P),
+                       "K": K if K is not None else "closed-form"})
 
 
 def dirichlet_coefficients(F: EulerProductSpec, N: int) -> np.ndarray:
@@ -263,10 +281,10 @@ def dirichlet_coefficients(F: EulerProductSpec, N: int) -> np.ndarray:
 
     Prime-power values come from exponentiating the truncated local log
     series; composite values from multiplicativity via a smallest-prime-factor
-    sieve.  Cached per label.
+    sieve.  Cached per spec key; specs without a key are not cached.
     """
     N = int(N)
-    hit = _COEFF_CACHE.get(F.label)
+    hit = _COEFF_CACHE.get(F.key)
     if hit is not None and hit[0] >= N:
         return hit[1][: N + 1]
     spf = np.zeros(N + 1, dtype=np.int64)
@@ -301,7 +319,8 @@ def dirichlet_coefficients(F: EulerProductSpec, N: int) -> np.ndarray:
             m //= p
             e += 1
         a[n] = a[m] * pow_table[p][e]
-    _COEFF_CACHE[F.label] = (N, a)
+    if F.key is not None:
+        _COEFF_CACHE[F.key] = (N, a)
     return a
 
 
@@ -332,7 +351,7 @@ def eval_dirichlet_sum(F: EulerProductSpec, s: complex, N: int) -> EvalResult:
         terms = a[1:] * np.exp(-s * np.log(n))
     else:
         nz = np.flatnonzero(np.abs(a[1:])) + 1
-        phases = phases_for_ints(t, nz.tolist())
+        phases = phases_for_ints(t, nz)
         terms = a[nz] * nz.astype(np.float64) ** (-sigma) * np.exp(-1j * phases)
     value = complex(np.sum(terms))
     return EvalResult(value, dirichlet_tail_bound(F, N, sigma),

@@ -1,6 +1,13 @@
 """Certified zero location for combinations of Euler products: twisted
 evaluation, Newton polishing with winding certification, non-coincidence
-margins, and vertical replication windows."""
+margins, and vertical replication windows.
+
+The twisted, pointwise and anchored evaluators differ only in how they reduce
+the per-prime phases; all three then run :meth:`CombEvaluator._evaluate`,
+which applies the shared kernel: :func:`zerosep.euler.local_logs` and
+:func:`zerosep.euler.truncated_exp` per spec, then
+:func:`zerosep.combalg.combine`.
+"""
 
 from __future__ import annotations
 
@@ -12,15 +19,14 @@ from typing import Callable, Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .combalg import CombPolynomial
+from .combalg import CombPolynomial, combine
 from .errors import (ContourTooClose, DomainError, MarginFailure,
                      MissingPhase, NoZeroFound, RefinementExhausted)
-from .euler import (EulerProductSpec, EvalResult, local_logs, log_tail_bound)
-from .precision import (FLOAT_SAFE_T, mpf_from_text, mpf_to_text, needed_bits,
-                        phases_for_ints)
-from .pfinite import _prime_factors
+from .euler import (EulerProductSpec, EvalResult, local_logs, log_tail_bound,
+                    truncated_exp)
+from .precision import mpf_from_text, mpf_to_text, needed_bits, phases_for_ints
 from .steering import PhaseAssignment
-from .primes import primes_up_to
+from .primes import factorize, primes_up_to
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,44 +52,15 @@ def twisted_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec],
     """
     if sigma <= 1:
         raise DomainError("twisted evaluation requires sigma > 1")
-    if len(specs) != f.num_vars:
-        raise DomainError("one spec per variable")
+    ev = CombEvaluator(f, specs, P, K)
     y = y if y is not None else assignment.y
     ps = primes_up_to(P)
     shifts = np.array([assignment.shift_for(int(p), y) for p in ps])
     thetas = np.mod(shifts * np.log(ps.astype(np.float64)), TWO_PI)
-    vals = np.empty(len(specs), dtype=np.complex128)
-    errs = np.empty(len(specs))
-    for j, F in enumerate(specs):
-        if F.support is not None:
-            keep = np.isin(ps, np.array(sorted(F.support), dtype=np.int64))
-            logs = local_logs(F, ps[keep], sigma, thetas[keep], K)
-        else:
-            logs = local_logs(F, ps, sigma, thetas, K)
-        vals[j] = np.exp(complex(np.sum(logs)))
-        errs[j] = abs(vals[j]) * math.expm1(log_tail_bound(F, P, sigma))
     s0 = complex(sigma, assignment.fill_value)
-    total = 0.0 + 0.0j
-    bound = 0.0
-    for coeff, exps in f.monomials:
-        cval = coeff.value(s0)
-        prod = 1.0 + 0.0j
-        perr = 0.0
-        for k, a_k in enumerate(exps):
-            if a_k:
-                prod *= vals[k] ** a_k
-        for k, a_k in enumerate(exps):
-            if a_k == 0:
-                continue
-            term = a_k * errs[k] * (abs(vals[k]) + errs[k]) ** (a_k - 1)
-            for j2, a_j in enumerate(exps):
-                if j2 != k and a_j:
-                    term *= (abs(vals[j2]) + errs[j2]) ** a_j
-            perr += term
-        total += cval * prod
-        bound += abs(cval) * perr
-    return EvalResult(total, bound, {"sigma": sigma, "P": int(P), "K": K,
-                                     "fill": assignment.fill_value, "y": y})
+    return ev._evaluate(sigma, [thetas[F.support_mask(ps)] for F in ev.specs],
+                        lambda c: c.value(s0),
+                        {"fill": assignment.fill_value, "y": y})
 
 
 # --- pointwise combination evaluator with optional anchored height -----------
@@ -106,67 +83,23 @@ class CombEvaluator:
         self.P = int(P)
         self.K = K
         ps = primes_up_to(P)
-        self._spec_primes = []
-        self._spec_avals = []
-        for F in self.specs:
-            if F.support is not None:
-                sub = ps[np.isin(ps, np.array(sorted(F.support), dtype=np.int64))]
-            else:
-                sub = ps
-            self._spec_primes.append(sub)
-            self._spec_avals.append(None)
-        coeff_primes: set[int] = set()
-        for coeff, _ in f.monomials:
-            coeff_primes |= set(coeff.support_primes)
-        self._coeff_primes = sorted(coeff_primes)
-        parts = [p for p in self._spec_primes if len(p)]
-        parts.append(np.array(self._coeff_primes, dtype=np.int64))
-        self._all_primes = np.unique(np.concatenate(parts)) if parts \
-            else np.array([], dtype=np.int64)
+        self._spec_primes = [ps[F.support_mask(ps)] for F in self.specs]
 
-    def _combine(self, sigma: float, coeff_value, spec_logs) -> EvalResult:
-        vals = np.empty(len(self.specs), dtype=np.complex128)
-        errs = np.empty(len(self.specs))
-        for j, F in enumerate(self.specs):
-            vals[j] = cmath.exp(spec_logs[j])
-            errs[j] = abs(vals[j]) * math.expm1(log_tail_bound(F, self.P, sigma))
-        total = 0.0 + 0.0j
-        bound = 0.0
-        for coeff, exps in self.f.monomials:
-            cval = coeff_value(coeff)
-            prod = 1.0 + 0.0j
-            perr = 0.0
-            for k, a_k in enumerate(exps):
-                if a_k:
-                    prod *= vals[k] ** a_k
-            for k, a_k in enumerate(exps):
-                if a_k == 0:
-                    continue
-                term = a_k * errs[k] * (abs(vals[k]) + errs[k]) ** (a_k - 1)
-                for j2, a_j in enumerate(exps):
-                    if j2 != k and a_j:
-                        term *= (abs(vals[j2]) + errs[j2]) ** a_j
-                perr += term
-            total += cval * prod
-            bound += abs(cval) * perr
-        return EvalResult(total, bound, {"sigma": sigma, "P": self.P, "K": self.K})
+    def _evaluate(self, sigma: float, spec_thetas, coeff_value,
+                  params: dict) -> EvalResult:
+        """The combination with spec j's phases ``spec_thetas[j]`` on its primes."""
+        evals = [truncated_exp(F, ps, local_logs(F, ps, sigma, thetas, self.K),
+                               sigma, self.P, self.K)
+                 for F, ps, thetas in zip(self.specs, self._spec_primes, spec_thetas)]
+        return combine(self.f, evals, coeff_value,
+                       dict({"sigma": sigma, "P": self.P, "K": self.K}, **params))
 
     def at(self, s: complex) -> EvalResult:
         s = complex(s)
         if s.real <= 1:
             raise DomainError("evaluation requires Re(s) > 1")
-        logs = []
-        for j, F in enumerate(self.specs):
-            sub = self._spec_primes[j]
-            if len(sub) == 0:
-                logs.append(0.0 + 0.0j)
-                continue
-            thetas = np.mod(s.imag * np.log(sub.astype(np.float64)), TWO_PI) \
-                if abs(s.imag) <= FLOAT_SAFE_T else phases_for_ints(s.imag, sub.tolist())
-            logs.append(complex(np.sum(local_logs(F, sub, s.real, thetas, self.K))))
-        res = self._combine(s.real, lambda c: c.value(s), logs)
-        return EvalResult(res.value, res.abs_error_bound,
-                          dict(res.params, t=s.imag))
+        thetas = [phases_for_ints(s.imag, ps) for ps in self._spec_primes]
+        return self._evaluate(s.real, thetas, lambda c: c.value(s), {"t": s.imag})
 
     def anchored(self, t_anchor, bits: Optional[int] = None) -> "AnchoredCombEvaluator":
         return AnchoredCombEvaluator(self, t_anchor, bits)
@@ -185,13 +118,23 @@ class AnchoredCombEvaluator:
         self.bits = bits or needed_bits(t_anchor)
         with mp.workprec(self.bits):
             self.t_anchor = mp.mpf(t_anchor)
-        allp = ev._all_primes
-        base = phases_for_ints(self.t_anchor, allp.tolist(), bits=self.bits) \
-            if len(allp) else np.array([])
-        self._base = {int(p): float(b) for p, b in zip(allp, base)}
-        self._logs = {int(p): math.log(int(p)) for p in allp}
+        self._anchor_text = mpf_to_text(self.t_anchor)
+        coeff_primes = sorted(set().union(*(c.support_primes for c, _ in ev.f.monomials)))
+        allp = np.unique(np.concatenate(
+            ev._spec_primes + [np.array(coeff_primes, dtype=np.int64)]))
+        base = phases_for_ints(self.t_anchor, allp, bits=self.bits)
+        # math.log, not np.log: the vectorized log may differ in the last bit,
+        # which would move every anchored value and certificate
+        logs = np.array([math.log(p) for p in allp.tolist()])
+        spec_idx = [np.searchsorted(allp, ps) for ps in ev._spec_primes]
+        self._spec_base = [base[i] for i in spec_idx]
+        self._spec_logs = [logs[i] for i in spec_idx]
+        coeff_idx = np.searchsorted(allp, coeff_primes)
+        self._base = dict(zip(coeff_primes, base[coeff_idx].tolist()))
+        self._logs = dict(zip(coeff_primes, logs[coeff_idx].tolist()))
 
     def phase_of(self, p: int, dt: float) -> float:
+        """Phase of a coefficient prime at offset height dt from the anchor."""
         return self._base[int(p)] + dt * self._logs[int(p)]
 
     def __call__(self, offset: complex) -> EvalResult:
@@ -202,22 +145,12 @@ class AnchoredCombEvaluator:
             raise DomainError("evaluation requires Re(s) > 1")
         if abs(dt) > 10.0:
             raise DomainError("anchored window is limited to |offset| <= 10")
-        logs = []
-        for j, F in enumerate(self.ev.specs):
-            sub = self.ev._spec_primes[j]
-            if len(sub) == 0:
-                logs.append(0.0 + 0.0j)
-                continue
-            base = np.array([self._base[int(p)] for p in sub])
-            lg = np.array([self._logs[int(p)] for p in sub])
-            thetas = np.mod(base + dt * lg, TWO_PI)
-            logs.append(complex(np.sum(local_logs(F, sub, sigma, thetas, self.ev.K))))
-        res = self.ev._combine(
-            sigma, lambda c: c.value_anchored(sigma, lambda p: self.phase_of(p, dt)),
-            logs)
-        return EvalResult(res.value, res.abs_error_bound,
-                          dict(res.params, anchor=mpf_to_text(self.t_anchor),
-                               offset_t=dt))
+        thetas = [np.mod(base + dt * lg, TWO_PI)
+                  for base, lg in zip(self._spec_base, self._spec_logs)]
+        return self.ev._evaluate(
+            sigma, thetas,
+            lambda c: c.value_anchored(sigma, lambda p: self.phase_of(p, dt)),
+            {"anchor": self._anchor_text, "offset_t": dt})
 
 
 # --- zero certificates --------------------------------------------------------
@@ -480,8 +413,7 @@ def vertical_drift_log_bound(F: EulerProductSpec, sigma: float, accuracy: float,
     """Bound for |log F(s + i tau) - log F(s)| when tau*log(p) sits within
     ``accuracy`` of 0 mod 2*pi for every prime p <= P_align."""
     ps = primes_up_to(P_align)
-    if F.support is not None:
-        ps = ps[np.isin(ps, np.array(sorted(F.support), dtype=np.int64))]
+    ps = ps[F.support_mask(ps)]
     total = 0.0
     if len(ps):
         pf = ps.astype(np.float64)
@@ -513,7 +445,7 @@ def combination_drift_bound(f: CombPolynomial, specs: Sequence[EulerProductSpec]
         coeff_drift = 0.0
         for n, a in (coeff.terms or ((1, 0.0),)):
             if n > 1:
-                omega = sum(_prime_factors(n).values())
+                omega = sum(factorize(n).values())
                 coeff_drift += abs(a) * n ** (-sigma) * min(omega * accuracy, 2.0)
         for p, _ in coeff.inverse_factors:
             # inverse factors are zero-free on the closed half-plane, so their

@@ -15,19 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-
-
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from .primes import factorize
 
 
 @dataclass(frozen=True)
@@ -41,7 +29,7 @@ class PFiniteSeries:
 
     terms: tuple[tuple[int, complex], ...] = ()
     inverse_factors: tuple[tuple[int, tuple[complex, ...]], ...] = ()
-    description: str = ""
+    description: str = field(default="", compare=False)
 
     def __post_init__(self):
         for n, _ in self.terms:
@@ -93,7 +81,7 @@ class PFiniteSeries:
     def support_primes(self) -> frozenset:
         ps: set[int] = set()
         for n, _ in self.terms:
-            ps.update(_prime_factors(n))
+            ps.update(factorize(n))
         for p, _ in self.inverse_factors:
             ps.add(p)
         return frozenset(ps)
@@ -139,7 +127,7 @@ class PFiniteSeries:
                 total += a
                 continue
             phase = 0.0
-            for p, e in _prime_factors(n).items():
+            for p, e in factorize(n).items():
                 phase += e * phase_of(p)
             total += a * n ** (-sigma) * cmath.exp(-1j * phase)
         for p, coeffs in self.inverse_factors:

@@ -175,8 +175,8 @@ def _toy_finite_pair() -> CombinationFile:
 
 
 def _charpair_mod5() -> CombinationFile:
-    decls = (SpecDecl("L(q=5;chi=[1])", "dirichlet_L", (5, 1)),
-             SpecDecl("L(q=5;chi=[3])", "dirichlet_L", (5, 3)))
+    decls = (SpecDecl("chi1_mod5", "dirichlet_L", (5, 1)),
+             SpecDecl("chi3_mod5", "dirichlet_L", (5, 3)))
     names = tuple(d.name for d in decls)
     f = CombPolynomial(2, ((PFiniteSeries.constant(1.0), (1, 1)),
                            (PFiniteSeries.constant(1.0), (1, 0)),
@@ -257,7 +257,8 @@ def _load_problem(config: PipelineConfig) -> tuple[SeparationProblem, Combinatio
 
 def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     """Execute the full separation pipeline; see the module docstring for the
-    stage order.  Failures raise StageError carrying the stage name."""
+    stage order.  Failures raise StageError carrying the stage name and the
+    partial run record."""
     config.validate()
     record = RunRecord(config=config, stages=[], certificates=[])
 
@@ -268,7 +269,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         except ZerosepError as exc:
             record.stages.append(StageOutcome(name, "failed", time.time() - t0,
                                               {"error": str(exc)}))
-            raise StageError(name, exc) from exc
+            raise StageError(name, exc, record) from exc
         record.stages.append(StageOutcome(name, "ok", time.time() - t0,
                                           _json_safe(data)))
         return data

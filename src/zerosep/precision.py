@@ -8,7 +8,7 @@ log2|t|, so shifts as large as 1e30 and far beyond stay exact.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Sequence
 
 import mpmath as mp
 import numpy as np
@@ -26,67 +26,29 @@ def needed_bits(t) -> int:
     return max(DEFAULT_BITS, int(math.ceil(math.log2(at))) + 96)
 
 
-def as_mpf(t, bits: int | None = None) -> mp.mpf:
-    if bits is None:
-        bits = needed_bits(t)
-    with mp.workprec(bits):
-        return mp.mpf(t)
+def phases_for_ints(t, ns: np.ndarray | Sequence[int],
+                    bits: int | None = None) -> np.ndarray:
+    """Reduced phases t*log(n) mod 2*pi for integers n.
 
-
-def phase_mod_2pi(t, x: float, bits: int | None = None) -> float:
-    """t*x reduced into [0, 2*pi) as a float.
-
-    ``x`` is re-derived at working precision when it matches log(n) of an
-    integer only approximately; pass ``log_arg`` style exact inputs through
-    :func:`phases_for_logs` instead when there are many of them.
+    Heights up to FLOAT_SAFE_T reduce in float64 straight from the integer
+    array.  Beyond that log(n) is computed at working precision, so the
+    product does not inherit float64 error in the logarithm.
     """
-    tf = float(t) if isinstance(t, (int, float)) else None
-    if tf is not None and abs(tf) <= FLOAT_SAFE_T:
-        return math.fmod(tf * x, TWO_PI) % TWO_PI
-    if bits is None:
-        bits = needed_bits(t)
-    with mp.workprec(bits):
-        r = mp.fmod(mp.mpf(t) * mp.mpf(x), 2 * mp.pi)
-        if r < 0:
-            r += 2 * mp.pi
-        return float(r)
-
-
-def phases_for_ints(t, ns: Iterable[int], bits: int | None = None) -> np.ndarray:
-    """Reduced phases t*log(n) mod 2*pi for integers n, extended precision.
-
-    log(n) is computed at working precision so the product does not inherit
-    float64 error in the logarithm.
-    """
-    ns = list(int(n) for n in ns)
-    tf = None
-    if isinstance(t, (int, float)):
-        tf = float(t)
-    elif isinstance(t, mp.mpf) and abs(t) <= FLOAT_SAFE_T:
-        tf = float(t)
-    if tf is not None and abs(tf) <= FLOAT_SAFE_T:
-        logs = np.log(np.asarray(ns, dtype=np.float64))
-        return np.mod(tf * logs, TWO_PI)
+    ns = np.asarray(ns)
+    if isinstance(t, (int, float, mp.mpf)) and abs(t) <= FLOAT_SAFE_T:
+        return np.mod(float(t) * np.log(ns.astype(np.float64)), TWO_PI)
     if bits is None:
         bits = needed_bits(t)
     out = np.empty(len(ns), dtype=np.float64)
     with mp.workprec(bits):
         tm = mp.mpf(t)
         two_pi = 2 * mp.pi
-        for i, n in enumerate(ns):
+        for i, n in enumerate(ns.tolist()):
             r = mp.fmod(tm * mp.log(n), two_pi)
             if r < 0:
                 r += two_pi
             out[i] = float(r)
     return out
-
-
-def circle_distance(a: float, b: float = 0.0) -> float:
-    """Distance between phases a and b on the circle of circumference 2*pi."""
-    d = math.fmod(a - b, TWO_PI)
-    if d < 0:
-        d += TWO_PI
-    return min(d, TWO_PI - d)
 
 
 def circle_distances(a: np.ndarray, b: np.ndarray | float = 0.0) -> np.ndarray:

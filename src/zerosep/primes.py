@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -90,9 +89,18 @@ def nth_prime(k: int) -> int:
     return int(ps[k - 1])
 
 
-def cache_dir() -> str | None:
-    """Optional on-disk cache directory (ZEROSEP_CACHE_DIR)."""
-    return os.environ.get("ZEROSEP_CACHE_DIR")
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer as {p: e}, primes ascending."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def save_prime_table(path: str, limit: int) -> None:

@@ -191,9 +191,8 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
     N = len(specs)
     if N != len(target.targets):
         raise DomainError("one target per spec")
-    labels = {F.label for F in specs}
-    if len(labels) != N:
-        raise DomainError("specs must carry pairwise distinct labels")
+    if len(set(specs)) != N:
+        raise DomainError("specs must be pairwise distinct")
     sigma = target.sigma
     ps_all = primes_up_to(target.P)
     ps = ps_all[ps_all > target.y]

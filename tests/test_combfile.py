@@ -95,3 +95,24 @@ def test_builtin_hurwitz_aliases():
     a = builtin_problem("hurwitz 1/3 vs 2/3")
     b = builtin_problem("hurwitz-1-3-vs-2-3")
     assert a == b
+
+
+def test_specs_with_colliding_labels_build():
+    # the finite spec's label reads "zeta", as does the zeta function's
+    text = "\n".join([
+        "# zerosep combination file v1",
+        "[specs]",
+        "zeta = finite_euler primes=2:1.0:0.0",
+        "z = riemann_zeta",
+        "[poly f]",
+        "vars = zeta z",
+        "mono exps=1,0 coeff=1:1.0:0.0",
+        "mono exps=0,1 coeff=1:-1.0:0.0",
+        "[poly g]",
+        "vars = zeta z",
+        "mono exps=1,0 coeff=1:1.0:0.0",
+        "mono exps=0,1 coeff=1:1.0:0.0",
+    ]) + "\n"
+    prob = parse_combination(text).build_problem()
+    assert prob.shared_count == 2
+    assert prob.total_vars == 2

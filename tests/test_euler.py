@@ -187,3 +187,33 @@ def test_local_logs_match_series():
 def test_default_depth():
     assert default_depth(2.0) == 30
     assert default_depth(1.005) == 200
+
+
+def test_specs_are_identified_by_content_not_label():
+    s = 2.0 + 0.5j
+
+    def check(F):
+        d = eval_dirichlet_sum(F, s, 2000)
+        e = eval_partial_euler(F, s, 2000)
+        assert abs(d.value - e.value) <= d.abs_error_bound + e.abs_error_bound
+
+    for order in ((2, 3), (3, 2)):
+        specs = [finite_euler_spec("T", {p: 0.5}) for p in order]
+        assert specs[0] != specs[1]
+        for F in specs:
+            check(F)
+    assert finite_euler_spec("A", {2: 0.5}) == finite_euler_spec("B", {2: 0.5})
+
+
+def test_spec_without_key_compares_by_identity_and_is_not_cached():
+    def direct(ap):
+        return EulerProductSpec(label="D", kind="custom", a_p=lambda p: ap,
+                                log_coeffs=lambda p, k: ap ** k / k, K_F=0.5,
+                                linear_factor=True)
+
+    F, G = direct(0.5), direct(-0.5)
+    assert F != G and F == F
+    assert len({F, G}) == 2
+    a_f = dirichlet_coefficients(F, 20)
+    a_g = dirichlet_coefficients(G, 20)
+    assert a_f[2] == 0.5 and a_g[2] == -0.5

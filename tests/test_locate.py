@@ -183,3 +183,25 @@ def test_vertical_drift_bound_dominates():
     v2 = eval_partial_euler(z, complex(sigma, 5.0 + float(taus[0])), 50).value
     drift = abs(cmath.log(v2 / v1))
     assert drift <= bound
+
+
+def test_evaluators_near_the_boundary_give_an_infinite_bound():
+    # at Re(s) = 1.0001 the prime tail beyond P = 5000 exceeds the overflow
+    # guard: every evaluator returns a finite value with an infinite bound
+    from zerosep.combalg import comb_eval
+    from zerosep.pipeline import builtin_problem
+    problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
+    f, order = problem.f_on_full_vars(), problem.variable_order
+    sigma, t, P = 1.0001, 3.0, 5000
+    ps = primes_up_to(P)
+    asg = PhaseAssignment({int(p): t for p in ps}, fill_value=t, y=0)
+    ev = CombEvaluator(f, order, P=P)
+    results = [comb_eval(f, order, complex(sigma, t), P),
+               ev.at(complex(sigma, t)),
+               ev.anchored(t)(complex(sigma, 0.0)),
+               twisted_eval(f, order, sigma, asg, P)]
+    for r in results:
+        assert cmath.isfinite(r.value)
+        assert r.abs_error_bound == math.inf
+    for r in results[1:]:
+        assert abs(r.value - results[0].value) < 1e-9 * abs(results[0].value)
