@@ -9,26 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
 from .characters import dirichlet_characters, export_character_table
-from .combalg import support_prime
+from .combalg import comb_eval
 from .errors import StageError, ZerosepError
-from .euler import (estimate_orthogonality, eval_dirichlet_sum,
-                    eval_partial_euler, lfunction_spec, sparse_zeta_spec,
-                    validate_axioms, zeta_spec)
+from .euler import lfunction_spec, sparse_zeta_spec, validate_axioms, zeta_spec
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
-from .lattice import almost_periods, simultaneous_approx
+from .lattice import simultaneous_approx
 from .locate import CombEvaluator, count_zeros_in_strip
 from .pipeline import (STAGE_EXIT_CODES, PipelineConfig, RunRecord,
                        builtin_config, export_certificate,
                        run_separation_pipeline, _load_problem)
 from .steering import SteerOptions, SteeringTarget, solve_phases
-from .combalg import comb_eval
 
 
 def _spec_from_name(name: str):
@@ -184,7 +178,7 @@ def cmd_count(args) -> int:
     config = _config_from_args(args)
     problem, _ = _load_problem(config)
     ev = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
-                       P=config.locate_P or min(config.P, 200_000))
+                       P=config.locate_cutoff)
     s_lo, s_hi = (float(x) for x in args.sigma_range.split(":"))
     t_lo, t_hi = (float(x) for x in args.t_range.split(":"))
     result = count_zeros_in_strip(ev.at, (s_lo, s_hi), (t_lo, t_hi),

@@ -96,7 +96,8 @@ class Infeasible(ZerosepError):
 
 
 class NonConvergence(ZerosepError):
-    """Phase solver stalled; ``result`` holds the best attempt."""
+    """An iteration stalled (phase solver, LLL); ``result`` holds the best
+    attempt when there is one."""
 
     def __init__(self, message: str, result=None):
         super().__init__(message)
@@ -125,9 +126,9 @@ class NoZeroFound(ZerosepError):
 
 
 class MarginFailure(ZerosepError):
-    """Non-coincidence margin came out non-positive.
+    """A certificate margin did not clear its threshold.
 
-    ``margin`` is the achieved (possibly negative) value.
+    ``margin`` is the achieved value, or its shortfall against the threshold.
     """
 
     def __init__(self, message: str, margin: float = 0.0):

@@ -36,6 +36,9 @@ class EvalResult:
     abs_error_bound: float
     params: dict = field(default_factory=dict)
 
+    def __complex__(self) -> complex:
+        return complex(self.value)
+
 
 @dataclass(frozen=True, eq=False)
 class EulerProductSpec:

@@ -4,6 +4,11 @@ Finds a single real t with t*log(p) close to a prescribed phase mod 2*pi for
 every prime in a finite set: brute candidate scans for up to three primes,
 integer lattice reduction (LLL plus a nearest-plane decode and a continuum
 polish) beyond that.  Every returned t is re-verified in extended precision.
+
+One lattice builder serves both :func:`simultaneous_approx` and
+:func:`almost_periods`: :func:`_approximation_lattice` builds and reduces the
+lattice for one step of the weight sweep, and :func:`_polished_height` turns
+an integer height into a polished t with its verified phase error.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional, Sequence
 import mpmath as mp
 import numpy as np
 
-from .errors import ApproxFailure, DomainError
+from .errors import ApproxFailure, DomainError, NonConvergence
 from .precision import circle_distances, needed_bits, phases_for_ints
 
 TWO_PI = 2.0 * math.pi
@@ -38,6 +43,10 @@ def _gram_schmidt(F: np.ndarray):
     return Q, mu
 
 
+# lll_reduce raises NonConvergence after this many loop steps times n^2
+LLL_OPS_PER_DIM_SQUARED = 20000
+
+
 def lll_reduce(rows: Sequence[Sequence[int]], delta: float = 0.99) -> list[list[int]]:
     """LLL reduction of integer basis rows (exact integer row operations)."""
     b = [[int(x) for x in row] for row in rows]
@@ -47,12 +56,13 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: float = 0.99) -> list[list[
     F = np.array(b, dtype=np.float64)
     Q, mu = _gram_schmidt(F)
     k = 1
-    guard = 0
-    max_ops = 20000 * n * n
+    ops = 0
+    max_ops = LLL_OPS_PER_DIM_SQUARED * n * n
     while k < n:
-        guard += 1
-        if guard > max_ops:
-            break
+        ops += 1
+        if ops > max_ops:
+            raise NonConvergence(
+                f"LLL did not finish a {n}-dimensional basis in {max_ops} ops")
         for j in range(k - 1, -1, -1):
             q = int(round(mu[k, j]))
             if q != 0:
@@ -187,15 +197,11 @@ def simultaneous_approx(phases: dict, accuracy: float,
                         for p in primes], dtype=np.float64)
     n = len(primes)
 
-    if n == 1:
-        t = targets[0] / math.log(float(primes[0]))
-        bits = needed_bits(t)
-        err = float(np.max(exact_phase_errors(t, primes, targets, bits)))
-        return ApproximationResult(mp.mpf(t), err, "brute", tuple(map(int, primes)),
-                                   tuple(map(float, targets)), bits)
-
     if n <= 3:
-        t, err = _brute_candidates(primes, targets, t_max_brute)
+        if n == 1:
+            t = targets[0] / math.log(float(primes[0]))
+        else:
+            t, _ = _brute_candidates(primes, targets, t_max_brute)
         bits = needed_bits(t)
         err = float(np.max(exact_phase_errors(t, primes, targets, bits)))
         if err > accuracy:
@@ -207,14 +213,10 @@ def simultaneous_approx(phases: dict, accuracy: float,
 
     # lattice route
     best_err, best_t, best_bits = math.inf, mp.mpf(0), needed_bits(1)
+    logs = np.log(primes.astype(np.float64))
     for q in _lattice_generator_candidates(primes, targets, weight_sweep, accuracy):
         bits = needed_bits(q)
-        base = phases_for_ints(q, [int(p) for p in primes], bits=bits)
-        logs_f = np.log(primes.astype(np.float64))
-        tau = _polish(float(q), logs_f, base, targets, halfwidth=0.5)
-        with mp.workprec(bits):
-            t_cand = mp.mpf(q) + mp.mpf(tau)
-        err = float(np.max(exact_phase_errors(t_cand, primes, targets, bits)))
+        t_cand, err = _polished_height(q, primes, logs, targets, bits)
         if err < best_err:
             best_err, best_t, best_bits = err, t_cand, bits
         if best_err <= accuracy:
@@ -226,38 +228,50 @@ def simultaneous_approx(phases: dict, accuracy: float,
         best_error=best_err, best_t=best_t)
 
 
-def _high_precision_log_ints(primes, S: int) -> list[int]:
-    """round(log(p) * S) with working precision matching the scale of S."""
-    bits = S.bit_length() + 16
-    out = []
+def _approximation_lattice(primes: np.ndarray, accuracy: float, k: int):
+    """Step k of the weight sweep: the scale S, the generator weight, the
+    basis rows (one generator row of round(log(p) * S), one 2*pi*S row per
+    prime) and their LLL reduction.
+
+    The generator budget |q| < 2^(8 + 7k) sets S = 2^16 * budget, so the
+    rounding of log(p) never eats the phase accuracy.
+    """
+    n = len(primes)
+    q_budget = 1 << (8 + 7 * k)
+    S = q_budget << 16
+    with mp.workprec(S.bit_length() + 16):
+        two_pi_s = int(mp.nint(2 * mp.pi * S))
+        log_s = [int(mp.nint(mp.log(int(p)) * S)) for p in primes]
+    w_scaled = max(int(accuracy * S / (4 * q_budget)), 1)
+    rows = [log_s + [w_scaled]]
+    for i in range(n):
+        rows.append([two_pi_s if j == i else 0 for j in range(n)] + [0])
+    return S, w_scaled, rows, lll_reduce(rows)
+
+
+def _polished_height(q: int, primes: np.ndarray, logs: np.ndarray,
+                     targets: np.ndarray, bits: int):
+    """Integer height q plus its continuum polish, and that height's worst
+    phase error re-verified at ``bits`` of precision."""
+    base = phases_for_ints(q, primes, bits=bits)
+    tau = _polish(float(q), logs, base, targets, halfwidth=0.5)
     with mp.workprec(bits):
-        for p in primes:
-            out.append(int(mp.nint(mp.log(int(p)) * S)))
-    return out
+        t = mp.mpf(q) + mp.mpf(tau)
+    return t, float(np.max(exact_phase_errors(t, primes, targets, bits)))
 
 
 def _lattice_generator_candidates(primes: np.ndarray, targets: np.ndarray,
                                   weight_sweep: int, accuracy: float = 0.05):
     """Integer generator multiples q decoded from the approximation lattice.
 
-    Sweeps a growing budget for |q|; the integerization scale S grows with the
-    budget so the rounding of log(p) never eats the phase accuracy.  Yields
-    nearest-plane and embedding decodes plus small perturbations of the
-    nearest-plane coefficients.
+    Sweeps a growing budget for |q| (see :func:`_approximation_lattice`).
+    Yields nearest-plane and embedding decodes plus small perturbations of
+    the nearest-plane coefficients.
     """
     n = len(primes)
     seen: set[int] = set()
     for k in range(weight_sweep):
-        q_budget = 1 << (8 + 7 * k)
-        S = q_budget << 16
-        with mp.workprec(S.bit_length() + 16):
-            two_pi_s = int(mp.nint(2 * mp.pi * S))
-        log_s = _high_precision_log_ints(primes, S)
-        w_scaled = max(int(accuracy * S / (4 * q_budget)), 1)
-        rows = [log_s + [w_scaled]]
-        for i in range(n):
-            rows.append([two_pi_s if j == i else 0 for j in range(n)] + [0])
-        red = lll_reduce(rows)
+        S, w_scaled, rows, red = _approximation_lattice(primes, accuracy, k)
 
         def q_of(coeffs) -> int:
             v_last = sum(c * r[-1] for c, r in zip(coeffs, red))
@@ -307,39 +321,21 @@ def almost_periods(t_star, P: int, accuracy: float, count: int = 3,
     if len(primes) == 0:
         raise DomainError("no primes below the cutoff")
     targets = np.zeros(len(primes))
-    logs_f = np.log(primes.astype(np.float64))
-    n = len(primes)
+    logs = np.log(primes.astype(np.float64))
+    t_star_abs = abs(float(mp.mpf(t_star)))
 
     found: dict = {}
     for k in range(24):
-        q_budget = 1 << (8 + 7 * k)
-        S = q_budget << 16
-        with mp.workprec(S.bit_length() + 16):
-            two_pi_s = int(mp.nint(2 * mp.pi * S))
-        log_s = _high_precision_log_ints(primes, S)
-        w_scaled = max(int(accuracy * S / (4 * q_budget)), 1)
-        rows = [log_s + [w_scaled]]
-        for i in range(n):
-            rows.append([two_pi_s if j == i else 0 for j in range(n)] + [0])
-        red = lll_reduce(rows)
-        qs = []
-        for row in red:
-            q = abs(int(row[-1])) // w_scaled
-            if q > 0:
-                qs.append(q)
-        for q in sorted(set(qs)):
+        _, w_scaled, _, red = _approximation_lattice(primes, accuracy, k)
+        qs = {abs(int(row[-1])) // w_scaled for row in red} - {0}
+        for q in sorted(qs):
             for mult in range(1, max(2, count + 2)):
                 qq = q * mult
                 if qq in found:
                     continue
-                b = max(bits or 0, needed_bits(max(qq, abs(float(mp.mpf(t_star))) + qq)))
-                base = phases_for_ints(qq, [int(p) for p in primes], bits=b)
-                tau_off = _polish(float(qq), logs_f, base, targets, halfwidth=0.5)
-                with mp.workprec(b):
-                    tau = mp.mpf(qq) + mp.mpf(tau_off)
-                if tau <= 0:
-                    continue
-                err = float(np.max(exact_phase_errors(tau, primes, targets, b)))
+                b = max(bits or 0, needed_bits(max(qq, t_star_abs + qq)))
+                # qq >= 1 and the polish moves it by at most 1/2, so tau > 0
+                tau, err = _polished_height(qq, primes, logs, targets, b)
                 if err <= accuracy:
                     found[qq] = (tau, err)
         if len(found) >= count:

@@ -7,6 +7,12 @@ the per-prime phases; all three then run :meth:`CombEvaluator._evaluate`,
 which applies the shared kernel: :func:`zerosep.euler.local_logs` and
 :func:`zerosep.euler.truncated_exp` per spec, then
 :func:`zerosep.combalg.combine`.
+
+Zero certificates and strip counts both run on
+:func:`zerosep.polyzero.winding_scan`, the one argument-principle routine:
+``refine_zero`` scans circles and adds only the boundary minimum and the
+evaluation budget over the scan's samples; ``count_zeros_in_strip`` scans
+rectangles.
 """
 
 from __future__ import annotations
@@ -20,11 +26,12 @@ import mpmath as mp
 import numpy as np
 
 from .combalg import CombPolynomial, combine
-from .errors import (ContourTooClose, DomainError, MarginFailure,
-                     MissingPhase, NoZeroFound, RefinementExhausted)
+from .errors import ContourTooClose, DomainError, MarginFailure, NoZeroFound
 from .euler import (EulerProductSpec, EvalResult, local_logs, log_tail_bound,
                     truncated_exp)
-from .precision import mpf_from_text, mpf_to_text, needed_bits, phases_for_ints
+from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
+                       winding_scan)
+from .precision import mpf_to_text, needed_bits, phases_for_ints
 from .steering import PhaseAssignment
 from .primes import factorize, primes_up_to
 
@@ -242,47 +249,14 @@ class RefineParams:
     shrink: tuple = (1.0, 0.6, 0.35, 0.2, 0.1)
 
 
-def _circle_scan(H: Callable, center: complex, radius: float,
-                 initial_samples: int, max_samples: int):
-    """Adaptive circle sampling: winding count, certified boundary minimum net
-    of evaluation error, and the largest evaluation budget on the circle."""
-    cache: dict[float, EvalResult] = {}
-
-    def val(t: float) -> EvalResult:
-        r = cache.get(t)
-        if r is None:
-            s = center + radius * cmath.exp(2j * math.pi * t)
-            r = _as_eval(H(s))
-            if r.value == 0:
-                raise ContourTooClose("exact zero sampled on the contour")
-            cache[t] = r
-        return r
-
-    m0 = max(initial_samples, 8)
-    params = [i / m0 for i in range(m0)] + [1.0]
-    for t in params:
-        val(t)
-    work = [(params[i], params[i + 1]) for i in range(len(params) - 1)]
-    safe = []
-    while work:
-        a, b = work.pop()
-        ratio = val(b).value / val(a).value
-        if abs(cmath.phase(ratio)) < math.pi / 2:
-            safe.append((a, b))
-            continue
-        if len(cache) >= max_samples:
-            raise RefinementExhausted("phase refinement exhausted on circle")
-        mid = 0.5 * (a + b)
-        val(mid)
-        work.append((a, mid))
-        work.append((mid, b))
-    total = sum(cmath.phase(val(b).value / val(a).value) for a, b in safe)
-    winding = round(total / TWO_PI)
-    if abs(total / TWO_PI - winding) > 0.25:
-        raise RefinementExhausted("argument sum not close to an integer")
-
-    ts = sorted(cache)
-    vs = [cache[t] for t in ts]
+def _circle_scan(H: Callable, circle: Circle, refinement: WindingParams):
+    """Winding count from :func:`winding_scan`, then, over its samples, the
+    certified boundary minimum net of evaluation error and the largest
+    evaluation budget on the circle."""
+    winding, samples = winding_scan(H, circle, refinement)
+    radius = circle.radius
+    ts = sorted(samples)
+    vs = [_as_eval(samples[t]) for t in ts]
     tail_max = max(v.abs_error_bound for v in vs)
     # slope estimate between neighbors gives a Lipschitz margin for the gaps
     slopes = []
@@ -333,40 +307,38 @@ def refine_zero(H: Callable, s0: complex, r0: float,
     if abs(v.value) < best_abs:
         best_s, best_abs = s, abs(v.value)
     center = best_s
-    tail_center = _as_eval(H(center)).abs_error_bound
+    at_center = _as_eval(H(center))
 
     found = None
-    windings = []
     for frac in params.shrink:
         r = r0 * frac
         if center.real - r <= 1.0:
             continue
         try:
-            w, bmin, tmax = _circle_scan(H, center, r, params.initial_samples,
-                                         params.max_samples)
+            w, bmin, tmax = _circle_scan(H, Circle(center, r), WindingParams(
+                params.initial_samples, params.max_samples))
         except ContourTooClose:
             continue
-        windings.append(w)
         if w >= 1:
             found = (r, w, bmin, tmax)
             if bmin > tmax:
                 break
     numeric_ok = best_abs <= params.numeric_tol * scale0 or best_abs <= params.numeric_tol
     if found is None:
-        if not numeric_ok and not any(w >= 1 for w in windings):
+        if not numeric_ok:
             raise NoZeroFound(
                 f"Newton stalled at |H| = {best_abs:.3e} and no circle wound")
         return ZeroCertificate(center=center, radius=r0 * params.shrink[-1],
                                winding=0, boundary_min=0.0,
-                               tail_budget=tail_center, g_min_on_disk=None,
-                               status="numeric-only", value_at_center=v.value)
+                               tail_budget=at_center.abs_error_bound,
+                               g_min_on_disk=None, status="numeric-only",
+                               value_at_center=at_center.value)
     r, w, bmin, tmax = found
-    certified = bmin > tmax and w >= 1
     return ZeroCertificate(center=center, radius=r, winding=w,
                            boundary_min=bmin, tail_budget=tmax,
                            g_min_on_disk=None,
-                           status="certified" if certified else "numeric-only",
-                           value_at_center=_as_eval(H(center)).value)
+                           status="certified" if bmin > tmax else "numeric-only",
+                           value_at_center=at_center.value)
 
 
 def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable,
@@ -490,50 +462,6 @@ def count_zeros_in_strip(H: Callable, sigma_range: tuple, t_range: tuple,
     else:
         n_s, n_t = subdivision
 
-    def rect_winding(a, b, c, d):
-        # boundary of [a,b] x [c,d] traversed counterclockwise
-        cache: dict[complex, complex] = {}
-
-        def val(z: complex) -> complex:
-            v = cache.get(z)
-            if v is None:
-                v = _as_eval(H(z)).value
-                if v == 0:
-                    raise ContourTooClose("zero on the cell boundary")
-                cache[z] = v
-            return v
-
-        corners = [complex(a, c), complex(b, c), complex(b, d), complex(a, d)]
-        pts: list[complex] = []
-        m = max(initial_samples // 4, 4)
-        for i in range(4):
-            z0, z1 = corners[i], corners[(i + 1) % 4]
-            for k in range(m):
-                pts.append(z0 + (z1 - z0) * (k / m))
-        pts.append(pts[0])
-        # adaptive refinement on segments
-        segs = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-        total = 0.0
-        count = [0]
-
-        def phase_step(z0, z1, depth=0):
-            ratio = val(z1) / val(z0)
-            ph = cmath.phase(ratio)
-            if abs(ph) < math.pi / 2:
-                return ph
-            if count[0] >= max_samples:
-                raise RefinementExhausted("cell boundary refinement exhausted")
-            count[0] += 1
-            zm = 0.5 * (z0 + z1)
-            return phase_step(z0, zm) + phase_step(zm, z1)
-
-        for z0, z1 in segs:
-            total += phase_step(z0, z1)
-        w = round(total / TWO_PI)
-        if abs(total / TWO_PI - w) > 0.25:
-            raise RefinementExhausted("cell argument sum not integral")
-        return int(w)
-
     total = 0
     flagged = []
     cells = 0
@@ -548,7 +476,8 @@ def count_zeros_in_strip(H: Callable, sigma_range: tuple, t_range: tuple,
         a, b, c, d, depth = work.pop()
         cells += 1
         try:
-            total += rect_winding(a, b, c, d)
+            total += winding_number(H, Rectangle(a, b, c, d),
+                                    WindingParams(initial_samples, max_samples))
         except ContourTooClose as exc:
             if depth < max_depth:
                 am, cm = 0.5 * (a + b), 0.5 * (c + d)

@@ -19,24 +19,22 @@ import mpmath as mp
 import numpy as np
 
 from . import __version__
-from .combalg import (AuxiliaryCombination, CombPolynomial, SeparationProblem,
-                      T0Search, build_auxiliary, coprimality_sanity,
-                      find_nonvanishing_t0, support_prime)
+from .combalg import (CombPolynomial, SeparationProblem, T0Search,
+                      build_auxiliary, coprimality_sanity, find_nonvanishing_t0,
+                      support_prime)
 from .combfile import CombinationFile, SpecDecl, load_combination
-from .errors import (ApproxFailure, DomainError, EmptyRecord, Infeasible,
-                     MarginFailure, NoZeroFound, NonConvergence, ParseError,
-                     StageError, ZerosepError)
+from .errors import (DomainError, EmptyRecord, MarginFailure, NoZeroFound,
+                     NonConvergence, ParseError, StageError, ZerosepError)
 from .hurwitz import hurwitz_as_combination
 from .lattice import almost_periods, simultaneous_approx
-from .locate import (CombEvaluator, RefineParams, ZeroCertificate,
+from .locate import (CombEvaluator, ZeroCertificate,
                      combination_drift_bound, certify_noncoincidence,
                      refine_zero, twisted_eval)
 from .pfinite import PFiniteSeries
 from .polyzero import SeparatingZero, find_separating_zero
 from .precision import mpf_to_text, needed_bits
-from .primes import primes_up_to
-from .steering import (PhaseAssignment, SteerOptions, SteeringTarget,
-                       solve_phases, track_zero_in_sigma)
+from .steering import (SteerOptions, SteeringTarget, solve_phases,
+                       track_zero_in_sigma)
 
 TWO_PI = 2.0 * math.pi
 
@@ -78,6 +76,11 @@ class PipelineConfig:
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
         return PipelineConfig(**json.loads(text))
+
+    @property
+    def locate_cutoff(self) -> int:
+        """Prime cutoff of locate and the stages after it."""
+        return self.locate_P or min(self.P, 200_000)
 
     def validate(self) -> None:
         if self.sigma <= 1:
@@ -408,19 +411,24 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
 
     def stage_locate():
         problem = state["problem"]
-        order = problem.variable_order
         res = state["approx"]
-        locate_P = config.locate_P or min(config.P, 200_000)
-        ev_f = CombEvaluator(problem.f_on_full_vars(), order, P=locate_P,
-                             K=config.K)
+        ev_f = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
+                             P=config.locate_cutoff, K=config.K)
         anchored = ev_f.anchored(res.t, bits=max(config.precision_bits,
                                                  needed_bits(res.t)))
         state["ev_f_anchored"] = anchored
         r0 = config.refine_radius or min(0.02, (config.sigma - 1.0) / 2.0)
         cert = refine_zero(anchored, complex(config.sigma, 0.0), r0)
+        if cert.status != "certified":
+            gap = (f"no circle wound (best |H| = {abs(cert.value_at_center):.3e})"
+                   if cert.winding < 1 else
+                   f"boundary minimum {cert.boundary_min:.3e} does not exceed "
+                   f"tail budget {cert.tail_budget:.3e}")
+            raise MarginFailure(f"no certified zero: {gap}",
+                                margin=cert.boundary_min - cert.tail_budget)
         cert = replace(cert, anchor=mpf_to_text(anchored.t_anchor),
                        precision_bits=anchored.bits,
-                       meta={"problem": config.problem, "P": locate_P,
+                       meta={"problem": config.problem, "P": config.locate_cutoff,
                              "sigma": config.sigma, "seed": config.seed})
         state["certificate"] = cert
         record.certificates.append(cert)
@@ -432,36 +440,34 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
 
     def stage_noncoincidence():
         problem = state["problem"]
-        order = problem.variable_order
         cert = state["certificate"]
         res = state["approx"]
-        locate_P = config.locate_P or min(config.P, 200_000)
-        ev_g = CombEvaluator(problem.g_on_full_vars(), order, P=locate_P,
-                             K=config.K)
-        anchored_g = ev_g.anchored(res.t, bits=max(config.precision_bits,
-                                                   needed_bits(res.t)))
+        ev_g = CombEvaluator(problem.g_on_full_vars(), problem.variable_order,
+                             P=config.locate_cutoff, K=config.K)
+        anchored_g = ev_g.anchored(res.t, bits=state["ev_f_anchored"].bits)
         upgraded = certify_noncoincidence(cert, anchored_g)
+        if upgraded.status != "certified":
+            gmin = upgraded.g_min_on_disk
+            raise MarginFailure(
+                f"partner minimum on the disk {gmin:.3e} does not exceed tail "
+                f"budget {cert.tail_budget:.3e}", margin=gmin - cert.tail_budget)
         upgraded = replace(upgraded, meta=dict(cert.meta, partner="g"))
         record.certificates[-1] = upgraded
         state["certificate"] = upgraded
         return {"status": upgraded.status, "g_min_on_disk": upgraded.g_min_on_disk}
 
     def stage_replicate():
-        problem = state["problem"]
-        order = problem.variable_order
         cert = state["certificate"]
         res = state["approx"]
         taus = almost_periods(res.t, max(state["approx_primes"]),
                               config.replicate_accuracy,
                               count=config.replicate_count)
-        locate_P = config.locate_P or min(config.P, 200_000)
-        ev_f = CombEvaluator(problem.f_on_full_vars(), order, P=locate_P,
-                             K=config.K)
+        ev_f = state["ev_f_anchored"].ev
         # safe magnitude caps from the per-target reachability budgets
         spec_mags = [math.exp(min(b, 5.0))
                      for b in state["steer"].budgets_per_target]
         drift = combination_drift_bound(
-            problem.f_on_full_vars(), order, spec_mags, config.sigma,
+            ev_f.f, ev_f.specs, spec_mags, config.sigma,
             config.replicate_accuracy, max(state["approx_primes"]))
         # the re-search window grows by the drift bound but must stay in Re > 1
         r_rep = min(cert.radius + drift, 0.8 * (cert.center.real - 1.0))
@@ -494,11 +500,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     run_stage("twisted", stage_twisted)
     run_stage("approx", stage_approx)
     run_stage("locate", stage_locate)
-    if state.get("certificate") is not None and state["certificate"].winding >= 1:
-        run_stage("noncoincidence", stage_noncoincidence)
-    else:
-        record.stages.append(StageOutcome("noncoincidence", "skipped", 0.0,
-                                          {"reason": "numeric-only result"}))
+    run_stage("noncoincidence", stage_noncoincidence)
     if config.replicate_count > 0:
         run_stage("replicate", stage_replicate)
     else:
@@ -521,10 +523,8 @@ def export_certificate(record: RunRecord, fmt: str = "text",
                        out_dir: Optional[str] = None) -> list[str]:
     """Write certificates (structured text) or a CSV summary; deterministic
     bytes for identical records."""
-    has_numeric = any(st.name == "locate" and st.status == "ok"
-                      for st in record.stages)
-    if not record.certificates and not has_numeric:
-        raise EmptyRecord("record holds no certificate or numeric result")
+    if not record.certificates:
+        raise EmptyRecord("record holds no certificate")
     out_dir = out_dir or record.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = []

@@ -1,12 +1,17 @@
 """Complex multivariate polynomial machinery: witness zeros off the coordinate
-hyperplanes, coefficient-stability radii, and winding-number counts."""
+hyperplanes, coefficient-stability radii, and winding-number counts.
+
+:func:`winding_scan` is the package's one argument-principle routine:
+``locate`` certifies zeros on its circle samples and counts zeros in strips
+with it on rectangles.
+"""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -517,27 +522,29 @@ class WindingParams:
     min_edge_modulus: float = 0.0
 
 
-def winding_number(h: Callable[[complex], complex], contour,
-                   refinement: WindingParams = WindingParams()) -> int:
-    """Total argument change of h around the contour, divided by 2*pi.
+def winding_scan(h: Callable, contour,
+                 refinement: WindingParams = WindingParams()) -> tuple[int, dict]:
+    """Winding number of h around the contour, with every sample it took as
+    ``{t: h(contour.point(t))}`` (h may return anything ``complex()`` accepts).
 
-    Samples adaptively until every successive phase step is under pi/2, so the
-    integer count is unambiguous; raises if the modulus dips below the edge
-    threshold or the sample cap is hit first.
+    The one adaptive argument-principle scan: it bisects until every
+    successive phase step is under pi/2, so the integer count is
+    unambiguous, and raises if the modulus dips below the edge threshold or
+    the sample cap is hit first.
     """
     m0 = max(refinement.initial_samples, 8)
     params = [i / m0 for i in range(m0)] + [1.0]
-    vals = {}
+    samples = {}
 
     def val(t: float) -> complex:
-        v = vals.get(t)
-        if v is None:
-            v = complex(h(contour.point(t)))
-            if abs(v) <= refinement.min_edge_modulus or v == 0:
-                raise ContourTooClose(
-                    f"|h| = {abs(v):.3e} at contour parameter {t:.6f} is below "
-                    f"the edge threshold {refinement.min_edge_modulus:.3e}")
-            vals[t] = v
+        if t in samples:
+            return complex(samples[t])
+        samples[t] = h(contour.point(t))
+        v = complex(samples[t])
+        if abs(v) <= refinement.min_edge_modulus or v == 0:
+            raise ContourTooClose(
+                f"|h| = {abs(v):.3e} at contour parameter {t:.6f} is at or below "
+                f"the edge threshold {refinement.min_edge_modulus:.3e}")
         return v
 
     for t in params:
@@ -551,7 +558,7 @@ def winding_number(h: Callable[[complex], complex], contour,
         if abs(cmath.phase(ratio)) < math.pi / 2:
             safe.append((a, b))
             continue
-        if len(vals) >= refinement.max_samples:
+        if len(samples) >= refinement.max_samples:
             raise RefinementExhausted(
                 f"phase step at [{a:.6f},{b:.6f}] unresolved at "
                 f"{refinement.max_samples} samples")
@@ -564,4 +571,11 @@ def winding_number(h: Callable[[complex], complex], contour,
     k = round(n)
     if abs(n - k) > 0.25:
         raise RefinementExhausted(f"argument sum {n:.4f} is not close to an integer")
-    return int(k)
+    return int(k), samples
+
+
+def winding_number(h: Callable, contour,
+                   refinement: WindingParams = WindingParams()) -> int:
+    """Total argument change of h around the contour, divided by 2*pi
+    (see :func:`winding_scan`)."""
+    return winding_scan(h, contour, refinement)[0]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .combalg import AuxiliaryCombination
 from .errors import (CertificateFailure, DomainError, DriftTooLarge,
                      Infeasible, MissingPhase, NonConvergence)
-from .euler import EulerProductSpec, local_log_derivs, local_logs
+from .euler import EulerProductSpec, local_logs
 from .polyzero import SeparatingZero, RoucheCertificate, rouche_delta, univariate_roots
 from .primes import primes_up_to
 
@@ -176,6 +176,16 @@ def _branch_candidates(n: int, tries: int):
     return cands[:tries]
 
 
+def _assignment(ps: np.ndarray, active: np.ndarray, theta: np.ndarray,
+                y: int) -> PhaseAssignment:
+    """Shifts (theta_p mod 2*pi) / log(p) on the active primes of ps, zero on
+    the others."""
+    shifts = {int(p): float(th / math.log(p))
+              for p, th in zip(ps[active], np.mod(theta, TWO_PI))}
+    shifts.update((int(p), 0.0) for p in ps[~active])
+    return PhaseAssignment(shifts, y=y)
+
+
 def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
                  K: Optional[int] = None,
                  options: SteerOptions = SteerOptions()) -> SteeringResult:
@@ -228,7 +238,7 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
     achieved0 = np.exp(logs0.sum(axis=1))
     res0 = np.abs(achieved0 / z - 1.0)
     if float(np.max(res0)) <= min(options.tol, 1e-9):
-        assignment = PhaseAssignment({int(p): 0.0 for p in ps}, y=target.y)
+        assignment = _assignment(ps, active, zero_theta, target.y)
         return SteeringResult(assignment, tuple(achieved0), tuple(map(float, res0)),
                               0, True, (0,) * N, budget, budgets, options.seed)
 
@@ -263,23 +273,14 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
             if best is None or mres < best[0]:
                 best = (mres, theta_b, it_a + it_b, branch, achieved, resid)
             if mres <= options.tol:
-                theta_mod = np.mod(theta_b, TWO_PI)
-                shifts = {int(p): float(th / math.log(p))
-                          for p, th in zip(psa, theta_mod)}
-                for p in ps[~active]:
-                    shifts[int(p)] = 0.0
-                assignment = PhaseAssignment(shifts, y=target.y)
+                assignment = _assignment(ps, active, theta_b, target.y)
                 return SteeringResult(assignment, tuple(achieved),
                                       tuple(map(float, resid)), it_a + it_b, True,
                                       tuple(branch), budget, budgets, options.seed)
     mres, theta_b, iters, branch, achieved, resid = best
-    theta_mod = np.mod(theta_b, TWO_PI)
-    shifts = {int(p): float(th / math.log(p)) for p, th in zip(psa, theta_mod)}
-    for p in ps[~active]:
-        shifts[int(p)] = 0.0
-    result = SteeringResult(PhaseAssignment(shifts, y=target.y), tuple(achieved),
-                            tuple(map(float, resid)), iters, False,
-                            tuple(branch), budget, budgets, options.seed)
+    result = SteeringResult(_assignment(ps, active, theta_b, target.y),
+                            tuple(achieved), tuple(map(float, resid)), iters,
+                            False, tuple(branch), budget, budgets, options.seed)
     raise NonConvergence(
         f"steering stalled at max residual {mres:.3e} (tol {options.tol:.1e})",
         result=result)

@@ -2,12 +2,25 @@ import glob
 import json
 import os
 
+import pytest
+
 from zerosep import cli
 
 
 def _separate(seed, out_dir):
     return cli.main(["separate", "--builtin", "toy-finite-pair", "--replicate", "3",
                      "--seed", str(seed), "--out-dir", str(out_dir)])
+
+
+def _failed_stage(out_dir):
+    """The last stage of the run record, after checking it failed and that
+    no certificate was written."""
+    with open(os.path.join(out_dir, "run_record.json")) as fh:
+        record = json.load(fh)
+    assert glob.glob(os.path.join(out_dir, "*.cert")) == []
+    last = record["stages"][-1]
+    assert last["status"] == "failed"
+    return last
 
 
 def test_separate_certifies_toy_pair(tmp_path):
@@ -18,9 +31,28 @@ def test_separate_certifies_toy_pair(tmp_path):
 
 def test_failed_separate_writes_its_run_record(tmp_path):
     assert _separate(6, tmp_path) == 24
-    with open(tmp_path / "run_record.json") as fh:
-        record = json.load(fh)
-    last = record["stages"][-1]
-    assert last["name"] == "stability-steering" and last["status"] == "failed"
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "stability-steering"
     assert last["data"]["error"]
-    assert glob.glob(os.path.join(tmp_path, "*.cert")) == []
+
+
+def test_uncertified_zero_is_refused_at_locate(tmp_path):
+    # this seed finds a winding circle whose boundary minimum (-6.3e-5) does
+    # not clear the tail budget (0): a numeric-only zero is not a result
+    assert _separate(769888, tmp_path) == 27
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "locate"
+    assert "boundary minimum -6.338e-05 does not exceed tail budget" \
+        in last["data"]["error"]
+
+
+@pytest.mark.parametrize("builtin, reason", [
+    ("charpair-mod5", "exceeds stability radius"),
+    ("zeta-vs-sparse", "reachability budget"),
+])
+def test_builtin_refuses_at_stability_steering(tmp_path, builtin, reason):
+    assert cli.main(["separate", "--builtin", builtin,
+                     "--out-dir", str(tmp_path)]) == 24
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "stability-steering"
+    assert reason in last["data"]["error"]

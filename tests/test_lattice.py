@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zerosep.errors import ApproxFailure, DomainError
+from zerosep import lattice
+from zerosep.errors import ApproxFailure, DomainError, NonConvergence
 from zerosep.lattice import (almost_periods, babai_nearest_plane,
                              exact_phase_errors, lll_reduce,
                              simultaneous_approx)
@@ -13,10 +14,14 @@ from zerosep.precision import circle_distances, phases_for_ints
 TWO_PI = 2.0 * math.pi
 
 
-def test_lll_reduces_norms():
+def _basis_5x5():
     rng = np.random.default_rng(0)
-    basis = (rng.integers(-50, 50, size=(5, 5)) +
-             np.diag(rng.integers(500, 900, size=5))).tolist()
+    return (rng.integers(-50, 50, size=(5, 5)) +
+            np.diag(rng.integers(500, 900, size=5))).tolist()
+
+
+def test_lll_reduces_norms():
+    basis = _basis_5x5()
     red = lll_reduce(basis)
     n0 = sorted(float(np.linalg.norm(r)) for r in basis)
     n1 = sorted(float(np.linalg.norm(r)) for r in red)
@@ -25,6 +30,13 @@ def test_lll_reduces_norms():
     d0 = abs(round(np.linalg.det(np.array(basis, dtype=float))))
     d1 = abs(round(np.linalg.det(np.array(red, dtype=float))))
     assert d0 == d1
+
+
+def test_lll_raises_when_its_op_cap_is_hit(monkeypatch):
+    # the cap used to end the loop and return the unreduced basis
+    monkeypatch.setattr(lattice, "LLL_OPS_PER_DIM_SQUARED", 0)
+    with pytest.raises(NonConvergence, match="5-dimensional basis in 0 ops"):
+        lll_reduce(_basis_5x5())
 
 
 def test_babai_decodes_near_point():

@@ -166,6 +166,27 @@ def test_count_zeros_additive_under_subdivision():
     assert r1.total == r2.total == 2
 
 
+def test_zero_on_a_strip_corner_is_flagged():
+    # the strip's corner stays a corner of one cell at every split, so that
+    # cell is split max_depth times and then flagged; the count goes on
+    H = lambda s: s - (1.05 + 4.0j)
+    result = count_zeros_in_strip(H, (1.05, 1.6), (4.0, 8.0), subdivision=2,
+                                  max_depth=2)
+    assert result.total == 0
+    assert result.cells == 4 + 4 + 4
+    assert len(result.flagged) == 1
+    (a, b, c, d), reason = result.flagged[0]
+    assert (a, c) == (1.05, 4.0) and b - a < 0.1 and d - c < 1.0
+    assert "edge threshold" in reason
+
+
+def test_elongated_cell_counts_both_zeros():
+    H = lambda s: (s - (1.07 + 5.0j)) * (s - (1.08 + 13.0j))
+    result = count_zeros_in_strip(H, (1.05, 1.1), (0.0, 20.0), subdivision=1)
+    assert result.flagged == ()
+    assert result.total == 2
+
+
 def test_strip_domain():
     with pytest.raises(DomainError):
         count_zeros_in_strip(lambda s: s, (0.9, 2.0), (0.0, 1.0))

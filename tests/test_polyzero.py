@@ -6,9 +6,11 @@ import pytest
 
 from zerosep.errors import (ContourTooClose, DegenerateInput,
                             MonomialDegenerate, SearchExhausted)
+from zerosep.euler import EvalResult
 from zerosep.polyzero import (Circle, ComplexPolynomial, Rectangle,
                               WindingParams, find_separating_zero,
-                              rouche_delta, univariate_roots, winding_number)
+                              rouche_delta, univariate_roots, winding_number,
+                              winding_scan)
 
 
 # --- univariate roots ---------------------------------------------------------
@@ -233,6 +235,17 @@ def test_winding_refinement_invariance():
     w2 = winding_number(h, Circle(0, 1), WindingParams(initial_samples=32))
     w3 = winding_number(h, Circle(0, 1), WindingParams(initial_samples=512))
     assert w1 == w2 == w3 == 3
+
+
+def test_winding_scan_returns_its_samples():
+    # values that convert with complex(), such as EvalResult, come back as is
+    circle = Circle(0.1j, 1.0)
+    w, samples = winding_scan(lambda z: EvalResult(z * z, 0.5), circle,
+                              WindingParams(initial_samples=16))
+    assert w == 2
+    assert len(samples) >= 17 and 0.0 in samples and 1.0 in samples
+    for t, v in samples.items():
+        assert v.value == circle.point(t) ** 2 and v.abs_error_bound == 0.5
 
 
 def test_winding_too_close():
