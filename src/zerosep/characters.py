@@ -8,7 +8,6 @@ exp(2*pi*i*k/e) call.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass, field

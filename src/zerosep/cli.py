@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .characters import dirichlet_characters, export_character_table
 from .combalg import comb_eval
@@ -126,14 +127,12 @@ def _config_from_args(args) -> PipelineConfig:
     else:
         raise ZerosepError("pass --builtin, --file, or --config")
     overrides = {}
-    for name in ("sigma", "P", "K", "seed", "out_dir", "replicate_count",
+    for name in ("sigma", "P", "seed", "out_dir", "replicate_count",
                  "approx_accuracy", "steer_tol"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
-    if overrides:
-        config = PipelineConfig(**{**json.loads(config.to_json()), **overrides})
-    return config
+    return replace(config, **overrides)
 
 
 def _write_record(record: RunRecord) -> None:
@@ -166,8 +165,7 @@ def cmd_separate(args) -> int:
 def cmd_replicate(args) -> int:
     with open(args.record) as fh:
         record = RunRecord.from_json(fh.read())
-    config = PipelineConfig(**{**json.loads(record.config.to_json()),
-                               "replicate_count": args.count})
+    config = replace(record.config, replicate_count=args.count)
     new_record = run_separation_pipeline(config)
     rep = new_record.stage("replicate")
     print(json.dumps(rep.data, indent=2, default=str))
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline config JSON")
         p.add_argument("--sigma", type=float)
         p.add_argument("--P", type=int)
-        p.add_argument("--K", type=int)
         p.add_argument("--seed", type=int)
 
     p = sub.add_parser("steer", help="steer tail products onto targets")

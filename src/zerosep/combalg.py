@@ -76,8 +76,7 @@ def support_prime(f: CombPolynomial, g: CombPolynomial) -> int:
 
 
 def combine(f: CombPolynomial, spec_evals: Sequence[EvalResult],
-            coeff_value: Callable[[PFiniteSeries], complex],
-            params: dict) -> EvalResult:
+            coeff_value: Callable[[PFiniteSeries], complex]) -> EvalResult:
     """f at the point where variable j takes ``spec_evals[j]`` and each
     coefficient series evaluates through ``coeff_value``.
 
@@ -107,11 +106,11 @@ def combine(f: CombPolynomial, spec_evals: Sequence[EvalResult],
             perr += term
         total += cval * prod
         bound += abs(cval) * perr
-    return EvalResult(total, bound, params)
+    return EvalResult(total, bound)
 
 
 def comb_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec], s: complex,
-              P: int, K: Optional[int] = None) -> EvalResult:
+              P: int) -> EvalResult:
     """Evaluate f(F_1(s), ..., F_N(s)) from partial Euler products.
 
     Coefficients are prime-finite and evaluate in closed form.
@@ -121,9 +120,8 @@ def comb_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec], s: complex,
     s = complex(s)
     if s.real <= 1:
         raise DomainError("combination evaluation requires Re(s) > 1")
-    evals = [eval_partial_euler(F, s, P, K) for F in specs]
-    return combine(f, evals, lambda c: c.value(s),
-                   {"sigma": s.real, "t": s.imag, "P": int(P), "K": K})
+    evals = [eval_partial_euler(F, s, P) for F in specs]
+    return combine(f, evals, lambda c: c.value(s))
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,6 @@ class MonomialEvaluator:
     exponents: tuple[int, ...]
     local: tuple[tuple[EulerProductSpec, int], ...]  # (spec, power) per variable
     cutoff_prime: int
-    depth: int
 
     def value(self, s: complex) -> complex:
         v = self.series.value(s)
@@ -214,7 +211,7 @@ class MonomialEvaluator:
                     continue
                 sub = ps[spec.support_mask(ps)]
                 thetas = phases_for_ints(s.imag, sub)
-                logs = local_logs(spec, sub, s.real, thetas, self.depth)
+                logs = local_logs(spec, sub, s.real, thetas)
                 v *= cmath.exp(power * complex(np.sum(logs)))
         return v
 
@@ -262,7 +259,7 @@ def _local_spec_powers(order: Sequence[EulerProductSpec],
     return tuple((spec, e) for spec, e in zip(order, exps))
 
 
-def build_auxiliary(problem: SeparationProblem, depth: Optional[int] = None,
+def build_auxiliary(problem: SeparationProblem,
                     cutoff: Optional[int] = None) -> AuxiliaryCombination:
     """Absorb the local factors at primes up to the coefficient support cutoff
     into each monomial's coefficient and pad variables onto the shared order.
@@ -275,15 +272,14 @@ def build_auxiliary(problem: SeparationProblem, depth: Optional[int] = None,
         if cutoff < p_fg:
             raise DomainError(f"cutoff {cutoff} below coefficient support {p_fg}")
         p_fg = cutoff
-    depth = depth if depth is not None else 40
     order = problem.variable_order
     f_full = problem.f_on_full_vars()
     g_full = problem.g_on_full_vars()
     f_monos = tuple(
-        MonomialEvaluator(coeff, exps, _local_spec_powers(order, exps), p_fg, depth)
+        MonomialEvaluator(coeff, exps, _local_spec_powers(order, exps), p_fg)
         for coeff, exps in f_full.monomials)
     g_monos = tuple(
-        MonomialEvaluator(coeff, exps, _local_spec_powers(order, exps), p_fg, depth)
+        MonomialEvaluator(coeff, exps, _local_spec_powers(order, exps), p_fg)
         for coeff, exps in g_full.monomials)
     return AuxiliaryCombination(problem, p_fg, None, f_monos, g_monos)
 

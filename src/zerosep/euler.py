@@ -1,8 +1,10 @@
 """Euler products and their Dirichlet series, evaluated with rigorous truncation bounds.
 
-Specs describe one multiplicative object through its local log coefficients
-b(p^k); everything else (Dirichlet coefficients, partial products, tail
-budgets) is derived from that data plus the declared growth constants.
+Every spec has the closed-form local factor (1 - a(p) p^-s)^(-1), so it is
+described by its prime coefficients a(p) alone: the local logs are
+b(p^k) = a(p)^k / k and the Dirichlet coefficients are a(p^k) = a(p)^k.
+Partial products and tail budgets are derived from a(p) and the bound K_F on
+|a(p)|.
 
 This module holds the per-spec half of the evaluation kernel shared by every
 evaluator: the support filter (:meth:`EulerProductSpec.support_mask`), the
@@ -15,7 +17,7 @@ from :func:`zerosep.precision.phases_for_ints`; the monomial combine lives in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +36,6 @@ class EvalResult:
 
     value: complex
     abs_error_bound: float
-    params: dict = field(default_factory=dict)
 
     def __complex__(self) -> complex:
         return complex(self.value)
@@ -44,13 +45,11 @@ class EvalResult:
 class EulerProductSpec:
     """One member of the working class of Euler products.
 
-    ``log_coeffs(p, k)`` returns b(p^k); ``a_p(p)`` is the prime Dirichlet
-    coefficient (equal to b(p)).  ``K_F`` bounds |a(p)| on all primes, and
-    the growth pair (coeff_scale, coeff_base) = (C, B) encodes the declared
-    envelope |b(p^k)| <= C * B^k / k used by every tail bound.
-
-    ``linear_factor`` marks local factors of the shape (1 - a(p) p^-s)^(-1),
-    which are evaluated in closed form with no depth truncation.
+    The local factor at p is (1 - a(p) p^-s)^(-1), evaluated in closed form:
+    its log has coefficients b(p^k) = a(p)^k / k, and the Dirichlet
+    coefficients are a(p^k) = a(p)^k.  ``a_vec`` maps an array of primes to
+    a(p); ``K_F`` bounds |a(p)| on all primes, which makes
+    |b(p^k)| <= K_F^k / k the envelope behind every tail bound.
 
     Identity is by ``key``, the spec's kind plus its parameters, which every
     constructor below sets; ``label`` is only a display name.  A spec built
@@ -58,23 +57,14 @@ class EulerProductSpec:
     """
 
     label: str
-    kind: str  # dirichlet_L | riemann_zeta | sparse_Z | custom
-    a_p: Callable[[int], complex]
-    log_coeffs: Callable[[int, int], complex]
+    a_vec: Callable[[np.ndarray], np.ndarray]
     K_F: float
-    depth_default: int = 30
-    coeff_scale: float = 1.0
-    coeff_base: float = 1.0
-    linear_factor: bool = False
-    a_vec: Optional[Callable[[np.ndarray], np.ndarray]] = None
     support: Optional[frozenset] = None
     key: Optional[tuple] = None
 
     def a_values(self, ps: np.ndarray) -> np.ndarray:
         """Vectorized a(p) over an array of primes."""
-        if self.a_vec is not None:
-            return np.asarray(self.a_vec(ps), dtype=np.complex128)
-        return np.array([self.a_p(int(p)) for p in ps], dtype=np.complex128)
+        return np.asarray(self.a_vec(ps), dtype=np.complex128)
 
     def support_mask(self, ps: np.ndarray):
         """Index into ``ps`` selecting the primes that carry a local factor."""
@@ -92,57 +82,36 @@ class EulerProductSpec:
         return hash(self.key) if self.key is not None else object.__hash__(self)
 
 
-def default_depth(sigma: float) -> int:
-    """Local-factor depth making the depth tail negligible next to the prime tail."""
-    return min(200, max(30, math.ceil(2.0 / (sigma - 1.0)))) if sigma > 1 else 200
-
-
 def zeta_spec() -> EulerProductSpec:
     """The Euler product with every local factor (1 - p^-s)^(-1)."""
     return EulerProductSpec(
         label="zeta",
-        kind="riemann_zeta",
-        a_p=lambda p: 1.0 + 0.0j,
-        log_coeffs=lambda p, k: 1.0 / k,
-        K_F=1.0,
-        linear_factor=True,
         a_vec=lambda ps: np.ones(len(ps), dtype=np.complex128),
+        K_F=1.0,
         key=("riemann_zeta",),
     )
 
 
 def lfunction_spec(chi: Character) -> EulerProductSpec:
-    """Euler product attached to a Dirichlet character: b(p^k) = chi(p)^k / k."""
+    """Euler product attached to a Dirichlet character: a(p) = chi(p)."""
     return EulerProductSpec(
         label=chi.label,
-        kind="dirichlet_L",
-        a_p=lambda p: chi.value(p),
-        log_coeffs=lambda p, k: chi.value(p) ** k / k,
-        K_F=1.0,
-        linear_factor=True,
         a_vec=lambda ps: chi.values(ps),
+        K_F=1.0,
         key=("dirichlet_L", chi.modulus, chi.exponents),
     )
 
 
 def sparse_zeta_spec() -> EulerProductSpec:
     """Euler product over every second prime: local factor at p_2, p_4, p_6, ..."""
-    def a_one(p: int) -> complex:
-        from .primes import prime_index
-        return 1.0 + 0.0j if prime_index(p) % 2 == 0 else 0.0j
-
     def a_vec(ps: np.ndarray) -> np.ndarray:
         idx = prime_indices(np.asarray(ps, dtype=np.int64))
         return np.where(idx % 2 == 0, 1.0, 0.0).astype(np.complex128)
 
     return EulerProductSpec(
         label="sparse_Z",
-        kind="sparse_Z",
-        a_p=a_one,
-        log_coeffs=lambda p, k: a_one(p) ** k / k,
-        K_F=1.0,
-        linear_factor=True,
         a_vec=a_vec,
+        K_F=1.0,
         key=("sparse_Z",),
     )
 
@@ -152,21 +121,13 @@ def finite_euler_spec(label: str, ap: dict[int, complex]) -> EulerProductSpec:
     table = {int(p): complex(v) for p, v in ap.items()}
     kmax = max(abs(v) for v in table.values()) if table else 0.0
 
-    def a_one(p: int) -> complex:
-        return table.get(int(p), 0.0 + 0.0j)
-
     def a_vec(ps: np.ndarray) -> np.ndarray:
         return np.array([table.get(int(p), 0.0) for p in ps], dtype=np.complex128)
 
     return EulerProductSpec(
         label=label,
-        kind="custom",
-        a_p=a_one,
-        log_coeffs=lambda p, k: a_one(p) ** k / k,
-        K_F=max(kmax, 1e-30),
-        coeff_base=max(kmax, 1e-30),
-        linear_factor=True,
         a_vec=a_vec,
+        K_F=max(kmax, 1e-30),
         support=frozenset(table),
         key=("finite_euler", tuple(sorted(table.items()))),
     )
@@ -179,89 +140,46 @@ def _check_sigma(s: complex) -> float:
     return sigma
 
 
-def _depth(F: EulerProductSpec, sigma: float, K: Optional[int]) -> int:
-    return K if K is not None else max(F.depth_default, default_depth(sigma))
-
-
 def log_tail_bound(F: EulerProductSpec, P: float, sigma: float) -> float:
     """Bound for the log-domain truncation |sum over p > P of the local logs|.
 
-    Splits into the k = 1 terms, bounded through K_F, and the k >= 2 terms,
-    bounded through the (C, B) envelope.  Identically zero for finite-support
+    Splits into the k = 1 terms and the k >= 2 terms, both bounded through
+    the envelope |b(p^k)| <= K_F^k / k.  Identically zero for finite-support
     specs once P covers the support.
     """
     if F.support is not None and (not F.support or max(F.support) <= P):
         return 0.0
-    C, B = F.coeff_scale, F.coeff_base
     t1 = F.K_F * prime_tail_bound(P, sigma)
-    x_edge = B * float(P + 1) ** (-sigma)
+    x_edge = F.K_F * float(P + 1) ** (-sigma)
     if x_edge >= 1.0:
-        raise DomainError("coefficient base too large for a rigorous tail at this sigma")
-    t2 = C * B * B / (2.0 * (1.0 - x_edge)) * prime_tail_bound(P, 2.0 * sigma)
+        raise DomainError("coefficient bound K_F too large for a rigorous tail at this sigma")
+    t2 = F.K_F * F.K_F / (2.0 * (1.0 - x_edge)) * prime_tail_bound(P, 2.0 * sigma)
     return t1 + t2
 
 
-def depth_tail_bound(F: EulerProductSpec, ps: np.ndarray, sigma: float, K: int) -> float:
-    """Bound for dropping local-log terms of order k > K on the listed primes."""
-    if len(ps) == 0 or F.linear_factor:
-        return 0.0
-    C, B = F.coeff_scale, F.coeff_base
-    x = B * ps.astype(np.float64) ** (-sigma)
-    if np.any(x >= 1.0):
-        raise DomainError("coefficient base too large for a rigorous depth tail")
-    return float(C * np.sum(x ** (K + 1) / ((K + 1) * (1.0 - x))))
-
-
 def local_logs(F: EulerProductSpec, ps: np.ndarray, sigma: float,
-               thetas: np.ndarray, K: Optional[int] = None) -> np.ndarray:
+               thetas: np.ndarray) -> np.ndarray:
     """log of each local factor at sigma with per-prime phase theta_p = t_p log p."""
-    pf = ps.astype(np.float64)
-    if F.linear_factor:
-        x = F.a_values(ps) * pf ** (-sigma) * np.exp(-1j * thetas)
-        return -np.log1p(-x)
-    K = _depth(F, sigma, K)
-    out = np.zeros(len(ps), dtype=np.complex128)
-    for k in range(1, K + 1):
-        b = np.array([F.log_coeffs(int(p), k) for p in ps], dtype=np.complex128)
-        out += b * pf ** (-k * sigma) * np.exp(-1j * k * thetas)
-    return out
+    x = F.a_values(ps) * ps.astype(np.float64) ** (-sigma) * np.exp(-1j * thetas)
+    return -np.log1p(-x)
 
 
-def local_log_derivs(F: EulerProductSpec, ps: np.ndarray, sigma: float,
-                     thetas: np.ndarray, K: Optional[int] = None) -> np.ndarray:
-    """d/d theta of the local log at each prime (for phase optimization)."""
-    pf = ps.astype(np.float64)
-    if F.linear_factor:
-        x = F.a_values(ps) * pf ** (-sigma) * np.exp(-1j * thetas)
-        return -1j * x / (1.0 - x)
-    K = _depth(F, sigma, K)
-    out = np.zeros(len(ps), dtype=np.complex128)
-    for k in range(1, K + 1):
-        b = np.array([F.log_coeffs(int(p), k) for p in ps], dtype=np.complex128)
-        out += -1j * k * b * pf ** (-k * sigma) * np.exp(-1j * k * thetas)
-    return out
+def truncated_exp(F: EulerProductSpec, logs: np.ndarray, sigma: float,
+                  P: int) -> EvalResult:
+    """exp of the summed local logs of the spec's primes up to P, with a
+    value-domain bound for the primes beyond P.
 
-
-def truncated_exp(F: EulerProductSpec, ps: np.ndarray, logs: np.ndarray,
-                  sigma: float, P: int, K: Optional[int] = None) -> EvalResult:
-    """exp of the summed local logs over ``ps``, the spec's primes up to P,
-    with a value-domain bound for what the truncation dropped.
-
-    The log-domain truncation (prime tail plus, for non-closed-form factors,
-    the depth tail) is converted through |exp(w) - exp(w')| <=
+    The log-domain prime tail is converted through |exp(w) - exp(w')| <=
     |exp(w')| (exp|w - w'| - 1); a log-domain bound of 700 or more gives an
     infinite bound instead of overflowing.
     """
     e_log = log_tail_bound(F, P, sigma)
-    if not F.linear_factor:
-        e_log += depth_tail_bound(F, ps, sigma, _depth(F, sigma, K))
     value = complex(np.exp(complex(np.sum(logs))))
     bound = abs(value) * math.expm1(e_log) if e_log < 700 else math.inf
     return EvalResult(value, bound)
 
 
-def eval_partial_euler(F: EulerProductSpec, s: complex, P: int,
-                       K: Optional[int] = None) -> EvalResult:
+def eval_partial_euler(F: EulerProductSpec, s: complex, P: int) -> EvalResult:
     """exp of the truncated local-log sum over p <= P, with a value-domain bound."""
     s = complex(s)
     sigma = _check_sigma(s)
@@ -271,19 +189,14 @@ def eval_partial_euler(F: EulerProductSpec, s: complex, P: int,
         raise DomainError("prime coefficient bound reaches the local-factor radius")
     ps = primes_up_to(P)
     ps = ps[F.support_mask(ps)]
-    t = s.imag
-    logs = local_logs(F, ps, sigma, phases_for_ints(t, ps), K)
-    res = truncated_exp(F, ps, logs, sigma, P, K)
-    return EvalResult(res.value, res.abs_error_bound,
-                      {"sigma": sigma, "t": t, "P": int(P),
-                       "K": K if K is not None else "closed-form"})
+    logs = local_logs(F, ps, sigma, phases_for_ints(s.imag, ps))
+    return truncated_exp(F, logs, sigma, P)
 
 
 def dirichlet_coefficients(F: EulerProductSpec, N: int) -> np.ndarray:
-    """a(n) for n <= N, built multiplicatively from the local log data.
+    """a(n) for n <= N, built multiplicatively from a(p^k) = a(p)^k.
 
-    Prime-power values come from exponentiating the truncated local log
-    series; composite values from multiplicativity via a smallest-prime-factor
+    Composite values come from multiplicativity via a smallest-prime-factor
     sieve.  Cached per spec key; specs without a key are not cached.
     """
     N = int(N)
@@ -299,22 +212,10 @@ def dirichlet_coefficients(F: EulerProductSpec, N: int) -> np.ndarray:
     if N >= 1:
         a[1] = 1.0
     pow_table: dict[int, np.ndarray] = {}
-    for p in primes_up_to(N):
-        p = int(p)
+    ps = primes_up_to(N)
+    for p, ap in zip(ps.tolist(), F.a_values(ps).tolist()):
         emax = int(math.floor(math.log(N) / math.log(p) + 1e-12))
-        if F.linear_factor:
-            ap = F.a_p(p)
-            vals = np.array([ap ** k for k in range(emax + 1)], dtype=np.complex128)
-        else:
-            b = [0.0] + [F.log_coeffs(p, k) for k in range(1, emax + 1)]
-            vals = np.zeros(emax + 1, dtype=np.complex128)
-            vals[0] = 1.0
-            for k in range(1, emax + 1):
-                acc = 0.0 + 0.0j
-                for j in range(1, k + 1):
-                    acc += j * b[j] * vals[k - j]
-                vals[k] = acc / k
-        pow_table[p] = vals
+        pow_table[p] = np.array([ap ** k for k in range(emax + 1)], dtype=np.complex128)
     for n in range(2, N + 1):
         p = int(spf[n])
         m, e = n, 0
@@ -330,12 +231,11 @@ def dirichlet_coefficients(F: EulerProductSpec, N: int) -> np.ndarray:
 def dirichlet_tail_bound(F: EulerProductSpec, N: int, sigma: float) -> float:
     """Bound for |sum over n > N of a(n) n^-s| on Re(s) = sigma.
 
-    With the declared envelope, |a(p^k)| <= (k+1)^(C-1) B^k <= p^(k theta)
-    where theta = log2(B) + (C - 1), so |a(n)| <= n^theta and the tail is at
-    most N^(1 + theta - sigma) / (sigma - theta - 1).
+    |a(p^k)| <= K_F^k <= p^(k theta) with theta = max(log2(K_F), 0), so
+    |a(n)| <= n^theta and the tail is at most
+    N^(1 + theta - sigma) / (sigma - theta - 1).
     """
-    C, B = F.coeff_scale, max(F.coeff_base, F.K_F)
-    theta = max(math.log2(B) if B > 1 else 0.0, 0.0) + max(C - 1.0, 0.0)
+    theta = math.log2(F.K_F) if F.K_F > 1 else 0.0
     if sigma - theta <= 1.0:
         raise DomainError("sigma too small for a rigorous coefficient tail")
     return float(N) ** (1.0 + theta - sigma) / (sigma - theta - 1.0)
@@ -357,8 +257,7 @@ def eval_dirichlet_sum(F: EulerProductSpec, s: complex, N: int) -> EvalResult:
         phases = phases_for_ints(t, nz)
         terms = a[nz] * nz.astype(np.float64) ** (-sigma) * np.exp(-1j * phases)
     value = complex(np.sum(terms))
-    return EvalResult(value, dirichlet_tail_bound(F, N, sigma),
-                      {"sigma": sigma, "t": t, "N": int(N)})
+    return EvalResult(value, dirichlet_tail_bound(F, N, sigma))
 
 
 @dataclass(frozen=True)
@@ -425,7 +324,8 @@ class AxiomReport:
 
 def validate_axioms(F: EulerProductSpec, prime_limit: int = 100_000,
                     depth: int = 12) -> AxiomReport:
-    """Scan |a(p)| against K_F and track sum_p sum_{k>=2} |b(p^k)|/p^k checkpoints."""
+    """Scan |a(p)| against K_F and track sum_p sum_{2<=k<=depth} |b(p^k)|/p^k
+    at checkpoints."""
     if prime_limit < 2:
         raise DomainError("prime limit must be at least 2")
     ps = primes_up_to(prime_limit)
@@ -441,14 +341,8 @@ def validate_axioms(F: EulerProductSpec, prime_limit: int = 100_000,
                           for j in range(1, n_checks + 1)})
     contrib = np.zeros(len(ps), dtype=np.float64)
     pf = ps.astype(np.float64)
-    if F.linear_factor:
-        absa = av
-        for k in range(2, depth + 1):
-            contrib += (absa ** k / k) * pf ** (-float(k))
-    else:
-        for k in range(2, depth + 1):
-            b = np.array([abs(F.log_coeffs(int(p), k)) for p in ps])
-            contrib += b * pf ** (-float(k))
+    for k in range(2, depth + 1):
+        contrib += (av ** k / k) * pf ** (-float(k))
     cum = np.cumsum(contrib)
     sums = []
     for cx in checkpoints:

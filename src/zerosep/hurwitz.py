@@ -36,8 +36,7 @@ def hurwitz_eval(a: int, q: int, s: complex, N: int = 100_000) -> EvalResult:
         n = np.arange(start, min(start + _CHUNK, N + 1), dtype=np.float64)
         total += complex(np.sum(np.exp(-s * np.log(n + alpha))))
     tail = (N + alpha) ** (1.0 - sigma) / (sigma - 1.0)
-    return EvalResult(total, tail, {"sigma": sigma, "t": s.imag, "N": N,
-                                    "a": a, "q": q})
+    return EvalResult(total, tail)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .euler import (EulerProductSpec, EvalResult, local_logs, log_tail_bound,
                     truncated_exp)
 from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
                        winding_scan)
-from .precision import mpf_to_text, needed_bits, phases_for_ints
+from .precision import needed_bits, phases_for_ints
 from .steering import PhaseAssignment
 from .primes import factorize, primes_up_to
 
@@ -49,7 +49,7 @@ def _as_eval(v) -> EvalResult:
 
 def twisted_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec],
                  sigma: float, assignment: PhaseAssignment, P: int,
-                 K: Optional[int] = None, y: Optional[int] = None) -> EvalResult:
+                 y: Optional[int] = None) -> EvalResult:
     """Combination value with an independent vertical shift at every prime.
 
     Primes at or below the fill boundary use the fill shift (which also fixes
@@ -59,15 +59,14 @@ def twisted_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec],
     """
     if sigma <= 1:
         raise DomainError("twisted evaluation requires sigma > 1")
-    ev = CombEvaluator(f, specs, P, K)
+    ev = CombEvaluator(f, specs, P)
     y = y if y is not None else assignment.y
     ps = primes_up_to(P)
     shifts = np.array([assignment.shift_for(int(p), y) for p in ps])
     thetas = np.mod(shifts * np.log(ps.astype(np.float64)), TWO_PI)
     s0 = complex(sigma, assignment.fill_value)
     return ev._evaluate(sigma, [thetas[F.support_mask(ps)] for F in ev.specs],
-                        lambda c: c.value(s0),
-                        {"fill": assignment.fill_value, "y": y})
+                        lambda c: c.value(s0))
 
 
 # --- pointwise combination evaluator with optional anchored height -----------
@@ -81,32 +80,27 @@ class CombEvaluator:
     all prime phases reduced once in extended precision.
     """
 
-    def __init__(self, f: CombPolynomial, specs: Sequence[EulerProductSpec],
-                 P: int, K: Optional[int] = None):
+    def __init__(self, f: CombPolynomial, specs: Sequence[EulerProductSpec], P: int):
         if len(specs) != f.num_vars:
             raise DomainError("one spec per variable")
         self.f = f
         self.specs = list(specs)
         self.P = int(P)
-        self.K = K
         ps = primes_up_to(P)
         self._spec_primes = [ps[F.support_mask(ps)] for F in self.specs]
 
-    def _evaluate(self, sigma: float, spec_thetas, coeff_value,
-                  params: dict) -> EvalResult:
+    def _evaluate(self, sigma: float, spec_thetas, coeff_value) -> EvalResult:
         """The combination with spec j's phases ``spec_thetas[j]`` on its primes."""
-        evals = [truncated_exp(F, ps, local_logs(F, ps, sigma, thetas, self.K),
-                               sigma, self.P, self.K)
+        evals = [truncated_exp(F, local_logs(F, ps, sigma, thetas), sigma, self.P)
                  for F, ps, thetas in zip(self.specs, self._spec_primes, spec_thetas)]
-        return combine(self.f, evals, coeff_value,
-                       dict({"sigma": sigma, "P": self.P, "K": self.K}, **params))
+        return combine(self.f, evals, coeff_value)
 
     def at(self, s: complex) -> EvalResult:
         s = complex(s)
         if s.real <= 1:
             raise DomainError("evaluation requires Re(s) > 1")
         thetas = [phases_for_ints(s.imag, ps) for ps in self._spec_primes]
-        return self._evaluate(s.real, thetas, lambda c: c.value(s), {"t": s.imag})
+        return self._evaluate(s.real, thetas, lambda c: c.value(s))
 
     def anchored(self, t_anchor, bits: Optional[int] = None) -> "AnchoredCombEvaluator":
         return AnchoredCombEvaluator(self, t_anchor, bits)
@@ -125,7 +119,6 @@ class AnchoredCombEvaluator:
         self.bits = bits or needed_bits(t_anchor)
         with mp.workprec(self.bits):
             self.t_anchor = mp.mpf(t_anchor)
-        self._anchor_text = mpf_to_text(self.t_anchor)
         coeff_primes = sorted(set().union(*(c.support_primes for c, _ in ev.f.monomials)))
         allp = np.unique(np.concatenate(
             ev._spec_primes + [np.array(coeff_primes, dtype=np.int64)]))
@@ -156,8 +149,7 @@ class AnchoredCombEvaluator:
                   for base, lg in zip(self._spec_base, self._spec_logs)]
         return self.ev._evaluate(
             sigma, thetas,
-            lambda c: c.value_anchored(sigma, lambda p: self.phase_of(p, dt)),
-            {"anchor": self._anchor_text, "offset_t": dt})
+            lambda c: c.value_anchored(sigma, lambda p: self.phase_of(p, dt)))
 
 
 # --- zero certificates --------------------------------------------------------
@@ -391,9 +383,7 @@ def vertical_drift_log_bound(F: EulerProductSpec, sigma: float, accuracy: float,
         pf = ps.astype(np.float64)
         absa = np.abs(F.a_values(ps))
         for k in range(1, depth + 1):
-            bk = (absa ** k / k) if F.linear_factor else \
-                np.array([abs(F.log_coeffs(int(p), k)) for p in ps])
-            total += float(np.sum(bk * pf ** (-k * sigma)
+            total += float(np.sum((absa ** k / k) * pf ** (-k * sigma)
                                   * np.minimum(k * accuracy, 2.0)))
     total += 2.0 * log_tail_bound(F, P_align, sigma)
     return total

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import mpmath as mp
@@ -48,7 +48,6 @@ class PipelineConfig:
     R: float = 0.0            # 0 = choose from the witness
     y: int = 0                # 0 = coefficient support cutoff
     P: int = 1000
-    K: Optional[int] = None
     t0_min: float = 0.0
     t0_max: float = 40.0
     t0_grid: int = 400
@@ -75,7 +74,17 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
-        return PipelineConfig(**json.loads(text))
+        return PipelineConfig.from_dict(_json_object(text, "config"))
+
+    @staticmethod
+    def from_dict(obj) -> "PipelineConfig":
+        """Config from its JSON object; unknown keys raise ``ParseError``."""
+        if not isinstance(obj, dict):
+            raise ParseError("config is not a JSON object")
+        unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
+        if unknown:
+            raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+        return PipelineConfig(**obj)
 
     @property
     def locate_cutoff(self) -> int:
@@ -125,8 +134,8 @@ class RunRecord:
 
     @staticmethod
     def from_json(text: str) -> "RunRecord":
-        obj = json.loads(text)
-        rec = RunRecord(config=PipelineConfig(**obj["config"]), stages=[],
+        obj = _json_object(text, "run record")
+        rec = RunRecord(config=PipelineConfig.from_dict(obj.get("config")), stages=[],
                         certificates=[ZeroCertificate.from_text(t)
                                       for t in obj["certificates"]],
                         version=obj.get("version", "unknown"))
@@ -134,6 +143,16 @@ class RunRecord:
             rec.stages.append(StageOutcome(s["name"], s["status"], s["seconds"],
                                            s["data"]))
         return rec
+
+
+def _json_object(text: str, what: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} is not a JSON object")
+    return obj
 
 
 def _json_safe(x):
@@ -343,7 +362,6 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
                                         eta=config.sigma - 1.0,
                                         y=aux.cutoff_prime, P=config.P)
                 steer = solve_phases(problem.variable_order, target,
-                                     K=config.K,
                                      options=SteerOptions(
                                          tol=config.steer_tol,
                                          max_iter=config.steer_iters,
@@ -370,10 +388,8 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         f_full = problem.f_on_full_vars()
         g_full = problem.g_on_full_vars()
         order = problem.variable_order
-        tf = twisted_eval(f_full, order, config.sigma, assignment, config.P,
-                          K=config.K)
-        tg = twisted_eval(g_full, order, config.sigma, assignment, config.P,
-                          K=config.K)
+        tf = twisted_eval(f_full, order, config.sigma, assignment, config.P)
+        tg = twisted_eval(g_full, order, config.sigma, assignment, config.P)
         state["twisted"] = (tf, tg)
         if abs(tg.value) == 0.0:
             raise MarginFailure("second combination vanished at the twisted point",
@@ -413,7 +429,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         problem = state["problem"]
         res = state["approx"]
         ev_f = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
-                             P=config.locate_cutoff, K=config.K)
+                             P=config.locate_cutoff)
         anchored = ev_f.anchored(res.t, bits=max(config.precision_bits,
                                                  needed_bits(res.t)))
         state["ev_f_anchored"] = anchored
@@ -443,7 +459,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         cert = state["certificate"]
         res = state["approx"]
         ev_g = CombEvaluator(problem.g_on_full_vars(), problem.variable_order,
-                             P=config.locate_cutoff, K=config.K)
+                             P=config.locate_cutoff)
         anchored_g = ev_g.anchored(res.t, bits=state["ev_f_anchored"].bits)
         upgraded = certify_noncoincidence(cert, anchored_g)
         if upgraded.status != "certified":
@@ -537,7 +553,7 @@ def export_certificate(record: RunRecord, fmt: str = "text",
                      "and re-run the winding scan at the stated radius\n")
             body += f"problem {record.config.problem}\n"
             body += f"seed {record.config.seed}\n"
-            body += f"cutoff_P {record.config.P}\n"
+            body += f"cutoff_P {record.config.locate_cutoff}\n"
             with open(path, "w") as fh:
                 fh.write(body)
             paths.append(path)

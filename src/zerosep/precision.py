@@ -62,13 +62,3 @@ def mpf_to_text(t: mp.mpf) -> str:
     man = -int(man) if sign else int(man)
     return f"{man}*2^{int(exp)}"
 
-
-def mpf_from_text(text: str, bits: int = DEFAULT_BITS) -> mp.mpf:
-    try:
-        man_s, exp_s = text.split("*2^")
-        man = int(man_s)
-        exp = int(exp_s)
-    except ValueError as exc:
-        raise ValueError(f"not an exact mpf literal: {text!r}") from exc
-    with mp.workprec(max(bits, man.bit_length() + 8)):
-        return mp.mpf(man) * mp.power(2, exp)

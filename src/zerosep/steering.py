@@ -187,7 +187,6 @@ def _assignment(ps: np.ndarray, active: np.ndarray, theta: np.ndarray,
 
 
 def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
-                 K: Optional[int] = None,
                  options: SteerOptions = SteerOptions()) -> SteeringResult:
     """Find shifts t_p for y < p <= P putting the partial tail products on the
     targets.
@@ -287,8 +286,8 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
 
 
 def recompute_achieved(specs: Sequence[EulerProductSpec],
-                       assignment: PhaseAssignment, sigma: float, y: int, P: int,
-                       K: Optional[int] = None) -> np.ndarray:
+                       assignment: PhaseAssignment, sigma: float, y: int,
+                       P: int) -> np.ndarray:
     """Independent recomputation of the steered tail products from the shifts."""
     ps_all = primes_up_to(P)
     ps = ps_all[ps_all > y]
@@ -296,7 +295,7 @@ def recompute_achieved(specs: Sequence[EulerProductSpec],
     thetas = np.mod(ts * np.log(ps.astype(np.float64)), TWO_PI)
     out = np.empty(len(specs), dtype=np.complex128)
     for j, F in enumerate(specs):
-        logs = local_logs(F, ps, sigma, thetas, K)
+        logs = local_logs(F, ps, sigma, thetas)
         out[j] = np.exp(complex(np.sum(logs)))
     return out
 

@@ -5,6 +5,8 @@ import os
 import pytest
 
 from zerosep import cli
+from zerosep.errors import ParseError
+from zerosep.pipeline import PipelineConfig, RunRecord
 
 
 def _separate(seed, out_dir):
@@ -56,3 +58,39 @@ def test_builtin_refuses_at_stability_steering(tmp_path, builtin, reason):
     last = _failed_stage(tmp_path)
     assert last["name"] == "stability-steering"
     assert reason in last["data"]["error"]
+
+
+def test_certificate_footer_names_the_locate_cutoff(tmp_path):
+    # --P moves the steering cutoff only; locate keeps the builtin's locate_P
+    assert cli.main(["separate", "--builtin", "toy-finite-pair", "--seed", "5",
+                     "--replicate", "3", "--P", "20", "--out-dir", str(tmp_path)]) == 0
+    rows = dict(line.split(" ", 1)
+                for line in (tmp_path / "zero-00.cert").read_text().splitlines()
+                if line.startswith(("meta.P ", "cutoff_P ")))
+    assert rows["cutoff_P"] == rows["meta.P"] == "10"
+
+
+def test_replicate_refuses_record_with_unknown_config_key(tmp_path, capsys):
+    record = json.loads(RunRecord(PipelineConfig(), [], []).to_json())
+    record["config"]["K"] = None
+    path = tmp_path / "run_record.json"
+    path.write_text(json.dumps(record))
+    assert cli.main(["replicate", "--record", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys: K" in err
+
+
+def test_separate_refuses_config_with_unknown_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "builtin:toy-finite-pair", "K": 3}))
+    assert cli.main(["separate", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "unknown config keys: K" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_config_that_is_not_a_json_object_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        PipelineConfig.from_json(text)
+    with pytest.raises(ParseError):
+        RunRecord.from_json(text)

@@ -142,7 +142,7 @@ def test_build_auxiliary_single_factor():
     f = CombPolynomial(2, ((ser, (1, 0)), (c(1.0), (0, 1))))
     g = CombPolynomial(2, ((c(1.0), (1, 0)), (c(1.0), (0, 0))))
     prob = SeparationProblem(f, g, (z, other), (z, other))
-    aux = build_auxiliary(prob, depth=120)
+    aux = build_auxiliary(prob)
     assert aux.cutoff_prime == 2
     s = 1.5 + 0.2j
     vals = aux.coefficient_values(s)
@@ -160,7 +160,7 @@ def test_auxiliary_reproduces_comb_eval():
     f = CombPolynomial(2, ((ser, (1, 1)), (c(-0.7), (0, 1))))
     g = CombPolynomial(2, ((c(1.0), (1, 0)), (c(1.0), (0, 1))))
     prob = SeparationProblem(f, g, (z, L), (z, L))
-    aux = build_auxiliary(prob, depth=200)
+    aux = build_auxiliary(prob)
     s = 1.6 + 0.9j
     P = 5000
     full = comb_eval(f, [z, L], s, P)
@@ -193,7 +193,7 @@ def test_find_t0_avoids_coefficient_zeros():
     f = CombPolynomial(2, ((ser, (1, 0)), (c(1.0), (0, 1))))
     g = CombPolynomial(2, ((c(1.0), (1, 0)), (c(-2.0), (0, 1))))
     prob = SeparationProblem(f, g, (z, oth), (z, oth))
-    aux = build_auxiliary(prob, depth=150)
+    aux = build_auxiliary(prob)
     t0 = find_nonvanishing_t0(aux, T0Search(0.0, 12.0, 300, margin=0.4))
     zeros = [2 * math.pi * k / math.log(2) for k in (0, 1)]
     assert all(abs(t0 - tz) > 0.2 for tz in zeros)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from zerosep.characters import dirichlet_characters
+from zerosep.combfile import SpecDecl
 from zerosep.errors import DomainError, ValidationFailure
-from zerosep.euler import (EulerProductSpec, default_depth,
-                           dirichlet_coefficients, estimate_orthogonality,
-                           eval_dirichlet_sum, eval_partial_euler,
-                           finite_euler_spec, lfunction_spec, local_logs,
+from zerosep.euler import (EulerProductSpec, dirichlet_coefficients,
+                           estimate_orthogonality, eval_dirichlet_sum,
+                           eval_partial_euler, finite_euler_spec,
+                           lfunction_spec, local_logs,
                            sparse_zeta_spec, validate_axioms, zeta_spec)
-from zerosep.primes import primes_up_to
+from zerosep.primes import factorize, primes_up_to
 
 
 def zeta_direct_oracle(s: complex, N: int = 2_000_000):
@@ -23,7 +24,7 @@ def zeta_direct_oracle(s: complex, N: int = 2_000_000):
 
 def test_partial_euler_matches_direct_zeta_sum():
     z = zeta_spec()
-    r = eval_partial_euler(z, 2.0 + 0j, 100_000, 30)
+    r = eval_partial_euler(z, 2.0 + 0j, 100_000)
     oracle, oracle_tail = zeta_direct_oracle(2.0 + 0j)
     assert abs(r.value - oracle) <= r.abs_error_bound + oracle_tail
     # frozen reference: zeta(2) = pi^2/6
@@ -33,8 +34,8 @@ def test_partial_euler_matches_direct_zeta_sum():
 def test_partial_euler_single_factor():
     z = zeta_spec()
     s = 1.7 + 0.3j
-    r = eval_partial_euler(z, s, 2, 1)
-    # closed-form local factor (1 - 2^-s)^(-1); depth is exact for this kind
+    r = eval_partial_euler(z, s, 2)
+    # closed-form local factor (1 - 2^-s)^(-1)
     assert abs(r.value - 1.0 / (1.0 - 2.0 ** (-s))) < 1e-12
 
 
@@ -74,8 +75,8 @@ def test_dirichlet_coefficients_character():
 def test_sparse_spec_prime_values():
     F = sparse_zeta_spec()
     # a(p) = 1 exactly at every second prime: p_2 = 3, p_4 = 7, p_6 = 13
-    assert F.a_p(3) == 1 and F.a_p(7) == 1 and F.a_p(13) == 1
-    assert F.a_p(2) == 0 and F.a_p(5) == 0 and F.a_p(11) == 0
+    assert np.all(F.a_values(np.array([3, 7, 13])) == 1)
+    assert np.all(F.a_values(np.array([2, 5, 11])) == 0)
     a = dirichlet_coefficients(F, 100)
     assert a[3] == 1 and a[9] == 1 and a[21] == 1  # 3*7 smooth over the support
     assert a[2] == 0 and a[6] == 0
@@ -150,11 +151,7 @@ def test_validate_axioms_sparse_passes():
 
 
 def test_validate_axioms_detects_violation():
-    bad = EulerProductSpec(
-        label="bad", kind="custom",
-        a_p=lambda p: p ** 0.1,
-        log_coeffs=lambda p, k: p ** 0.1 if k == 1 else 0.0,
-        K_F=1.0, linear_factor=False)
+    bad = EulerProductSpec(label="bad", a_vec=lambda ps: ps ** 0.1, K_F=1.0)
     rep = validate_axioms(bad, 1000)
     assert not rep.prime_bound_ok
     assert rep.first_violation_prime == 2
@@ -184,11 +181,6 @@ def test_local_logs_match_series():
     assert np.max(np.abs(logs - ref)) < 1e-14
 
 
-def test_default_depth():
-    assert default_depth(2.0) == 30
-    assert default_depth(1.005) == 200
-
-
 def test_specs_are_identified_by_content_not_label():
     s = 2.0 + 0.5j
 
@@ -207,9 +199,8 @@ def test_specs_are_identified_by_content_not_label():
 
 def test_spec_without_key_compares_by_identity_and_is_not_cached():
     def direct(ap):
-        return EulerProductSpec(label="D", kind="custom", a_p=lambda p: ap,
-                                log_coeffs=lambda p, k: ap ** k / k, K_F=0.5,
-                                linear_factor=True)
+        return EulerProductSpec(label="D", a_vec=lambda ps: np.full(len(ps), ap),
+                                K_F=0.5)
 
     F, G = direct(0.5), direct(-0.5)
     assert F != G and F == F
@@ -217,3 +208,35 @@ def test_spec_without_key_compares_by_identity_and_is_not_cached():
     a_f = dirichlet_coefficients(F, 20)
     a_g = dirichlet_coefficients(G, 20)
     assert a_f[2] == 0.5 and a_g[2] == -0.5
+
+
+GRAMMAR_KINDS = [
+    SpecDecl("Z", "riemann_zeta", ()),
+    SpecDecl("S", "sparse_Z", ()),
+    SpecDecl("L", "dirichlet_L", (5, 1)),
+    SpecDecl("E", "finite_euler", ((2, 0.5 + 0.25j), (3, -0.75 + 0j), (7, 1j))),
+]
+
+
+@pytest.mark.parametrize("decl", GRAMMAR_KINDS, ids=lambda d: d.kind)
+def test_partial_product_is_the_closed_form_local_factor(decl):
+    F = decl.build()
+    s = 1.3 + 2j
+    ps = primes_up_to(500)
+    expect = 1.0 + 0j
+    for p, ap in zip(ps.tolist(), F.a_values(ps).tolist()):
+        expect /= 1.0 - ap * p ** (-s)
+    r = eval_partial_euler(F, s, 500)
+    assert abs(r.value - expect) <= 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("decl", GRAMMAR_KINDS, ids=lambda d: d.kind)
+def test_dirichlet_coefficients_multiply_prime_power_values(decl):
+    F = decl.build()
+    a = dirichlet_coefficients(F, 200)
+    assert a[1] == 1
+    for n in range(2, 201):
+        expect = 1.0 + 0j
+        for p, k in factorize(n).items():
+            expect *= complex(F.a_values(np.array([p]))[0]) ** k
+        assert abs(a[n] - expect) <= 1e-12

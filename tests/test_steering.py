@@ -7,8 +7,7 @@ from zerosep.characters import dirichlet_characters
 from zerosep.combalg import CombPolynomial, SeparationProblem, build_auxiliary
 from zerosep.errors import (DomainError, DriftTooLarge, Infeasible,
                             MissingPhase, NonConvergence)
-from zerosep.euler import (eval_partial_euler, finite_euler_spec,
-                           lfunction_spec, zeta_spec)
+from zerosep.euler import finite_euler_spec, lfunction_spec, zeta_spec
 from zerosep.pfinite import PFiniteSeries
 from zerosep.polyzero import find_separating_zero
 from zerosep.primes import primes_up_to
@@ -37,7 +36,7 @@ def test_assignment_fill_and_missing():
 def test_assignment_csv_round_trip(tmp_path):
     asg = PhaseAssignment({7: 0.5, 11: -0.25}, fill_value=1.5, y=5)
     path = tmp_path / "phases.csv"
-    asg.to_csv(str(path), meta={"sigma": 1.05, "y": 5, "P": 12, "K": 30,
+    asg.to_csv(str(path), meta={"sigma": 1.05, "y": 5, "P": 12,
                                 "seed": 0, "residuals": "1e-9"})
     loaded = PhaseAssignment.from_csv(str(path), fill_value=1.5)
     assert loaded.shifts == asg.shifts
@@ -187,7 +186,7 @@ def test_track_zero_drift_shrinks_with_sigma():
     g = CombPolynomial(2, ((PFiniteSeries.constant(1.0), (1, 0)),
                            (PFiniteSeries.constant(1.0), (0, 1))))
     prob = SeparationProblem(f, g, (z, oth), (z, oth))
-    aux = build_auxiliary(prob, depth=150).with_t0(math.pi / math.log(2))
+    aux = build_auxiliary(prob).with_t0(math.pi / math.log(2))
     s1 = complex(1.0, aux.t0)
     fp, gp = aux.f_poly_at(s1), aux.g_poly_at(s1)
     sz = None
