@@ -116,10 +116,17 @@ def cmd_approx(args) -> int:
     return 0
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ZerosepError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _config_from_args(args) -> PipelineConfig:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            config = PipelineConfig.from_json(fh.read())
+        config = PipelineConfig.from_json(_read_text(args.config))
     elif getattr(args, "builtin", None):
         config = builtin_config(args.builtin)
     elif getattr(args, "file", None):
@@ -163,8 +170,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    with open(args.record) as fh:
-        record = RunRecord.from_json(fh.read())
+    record = RunRecord.from_json(_read_text(args.record))
     config = replace(record.config, replicate_count=args.count)
     new_record = run_separation_pipeline(config)
     rep = new_record.stage("replicate")

@@ -1,5 +1,6 @@
 """Certified zero location for combinations of Euler products: twisted
-evaluation, Newton polishing with winding certification, non-coincidence
+evaluation at a steered shift table (a check on steering that the pipeline
+does not run), Newton polishing with winding certification, non-coincidence
 margins, and vertical replication windows.
 
 The twisted, pointwise and anchored evaluators differ only in how they reduce
@@ -48,8 +49,7 @@ def _as_eval(v) -> EvalResult:
 
 
 def twisted_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec],
-                 sigma: float, assignment: PhaseAssignment, P: int,
-                 y: Optional[int] = None) -> EvalResult:
+                 sigma: float, assignment: PhaseAssignment, P: int) -> EvalResult:
     """Combination value with an independent vertical shift at every prime.
 
     Primes at or below the fill boundary use the fill shift (which also fixes
@@ -60,10 +60,8 @@ def twisted_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec],
     if sigma <= 1:
         raise DomainError("twisted evaluation requires sigma > 1")
     ev = CombEvaluator(f, specs, P)
-    y = y if y is not None else assignment.y
     ps = primes_up_to(P)
-    shifts = np.array([assignment.shift_for(int(p), y) for p in ps])
-    thetas = np.mod(shifts * np.log(ps.astype(np.float64)), TWO_PI)
+    thetas = assignment.phases(ps)
     s0 = complex(sigma, assignment.fill_value)
     return ev._evaluate(sigma, [thetas[F.support_mask(ps)] for F in ev.specs],
                         lambda c: c.value(s0))

@@ -1,7 +1,7 @@
 """End-to-end zero-separation pipeline and its run records.
 
-Stage order: load -> auxiliary -> t0 -> witness -> stability -> steering ->
-twisted -> approx -> locate -> noncoincidence -> replicate (optional).  Every
+Stage order: load -> auxiliary -> t0 -> witness -> stability-steering ->
+approx -> locate -> noncoincidence -> replicate (optional).  Every
 stage failure surfaces as a StageError naming the stage; run records are
 replayable from their embedded config and seeds.
 """
@@ -29,7 +29,7 @@ from .hurwitz import hurwitz_as_combination
 from .lattice import almost_periods, simultaneous_approx
 from .locate import (CombEvaluator, ZeroCertificate,
                      combination_drift_bound, certify_noncoincidence,
-                     refine_zero, twisted_eval)
+                     refine_zero)
 from .pfinite import PFiniteSeries
 from .polyzero import SeparatingZero, find_separating_zero
 from .precision import mpf_to_text, needed_bits
@@ -135,6 +135,9 @@ class RunRecord:
     @staticmethod
     def from_json(text: str) -> "RunRecord":
         obj = _json_object(text, "run record")
+        for key in ("certificates", "stages"):
+            if key not in obj:
+                raise ParseError(f"run record has no {key!r} key")
         rec = RunRecord(config=PipelineConfig.from_dict(obj.get("config")), stages=[],
                         certificates=[ZeroCertificate.from_text(t)
                                       for t in obj["certificates"]],
@@ -381,27 +384,11 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         raise NonConvergence("every witness candidate failed stability or "
                              "steering: " + " | ".join(errors[-3:]))
 
-    def stage_twisted():
-        problem, aux, steer = state["problem"], state["aux"], state["steer"]
-        assignment = steer.assignment.with_fill(aux.t0)
-        state["assignment"] = assignment
-        f_full = problem.f_on_full_vars()
-        g_full = problem.g_on_full_vars()
-        order = problem.variable_order
-        tf = twisted_eval(f_full, order, config.sigma, assignment, config.P)
-        tg = twisted_eval(g_full, order, config.sigma, assignment, config.P)
-        state["twisted"] = (tf, tg)
-        if abs(tg.value) == 0.0:
-            raise MarginFailure("second combination vanished at the twisted point",
-                                margin=0.0)
-        return {"f_abs": abs(tf.value), "f_bound": tf.abs_error_bound,
-                "g_abs": abs(tg.value), "g_bound": tg.abs_error_bound}
-
     def stage_approx():
         steer, aux = state["steer"], state["aux"]
         problem = state["problem"]
         order = problem.variable_order
-        ps = np.array(sorted(steer.assignment.shifts), dtype=np.int64)
+        ps, shifts = steer.assignment.primes, steer.assignment.shifts
         weights = np.zeros(len(ps))
         pf = ps.astype(np.float64)
         for F in order:
@@ -411,12 +398,10 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         if len(psk) > config.approx_max_primes:
             top = np.argsort(-wk)[: config.approx_max_primes]
             psk = np.sort(psk[top])
-        phases = {}
-        dropped_weight = float(np.sum(weights)) - float(
-            np.sum(weights[np.isin(ps, psk)]))
-        for p in psk:
-            tp = steer.assignment.shifts[int(p)]
-            phases[int(p)] = (tp * math.log(int(p))) % TWO_PI
+        aligned = np.isin(ps, psk)
+        dropped_weight = float(np.sum(weights)) - float(np.sum(weights[aligned]))
+        phases = {p: (tp * math.log(p)) % TWO_PI
+                  for p, tp in zip(psk.tolist(), shifts[aligned].tolist())}
         res = simultaneous_approx(phases, config.approx_accuracy)
         state["approx"] = res
         state["approx_primes"] = [int(p) for p in psk]
@@ -513,7 +498,6 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     run_stage("t0", stage_t0)
     run_stage("witness", stage_witness)
     run_stage("stability-steering", stage_stability_and_steering)
-    run_stage("twisted", stage_twisted)
     run_stage("approx", stage_approx)
     run_stage("locate", stage_locate)
     run_stage("noncoincidence", stage_noncoincidence)
@@ -527,7 +511,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
 
 STAGE_EXIT_CODES = {
     "load": 20, "auxiliary": 21, "t0": 22, "witness": 23,
-    "stability-steering": 24, "twisted": 25, "approx": 26, "locate": 27,
+    "stability-steering": 24, "approx": 26, "locate": 27,
     "noncoincidence": 28, "replicate": 29,
 }
 

@@ -45,30 +45,39 @@ class SteeringTarget:
             raise DomainError("need y < P")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseAssignment:
-    """Vertical shift per prime in (y, P], plus the fill value used below y."""
+    """Vertical shift per prime in (y, P], plus the fill value used below y.
 
-    shifts: dict
+    ``primes`` is sorted (int64) and ``shifts`` (float64) is aligned with it.
+    """
+
+    primes: np.ndarray
+    shifts: np.ndarray
     fill_value: float = 0.0
     y: int = 0
 
     def __post_init__(self):
-        for p, t in self.shifts.items():
-            if not math.isfinite(t):
-                raise DomainError(f"shift at p={p} is not finite")
+        if len(self.primes) != len(self.shifts) or np.any(np.diff(self.primes) <= 0):
+            raise DomainError("primes must be strictly increasing and aligned "
+                              "with the shifts")
+        bad = ~np.isfinite(self.shifts)
+        if np.any(bad):
+            raise DomainError(f"shift at p={int(self.primes[bad][0])} is not finite")
 
-    def shift_for(self, p: int, y: Optional[int] = None) -> float:
-        p = int(p)
-        if p <= (self.y if y is None else y):
-            return self.fill_value
-        try:
-            return self.shifts[p]
-        except KeyError:
-            raise MissingPhase(f"no shift assigned for prime {p}") from None
-
-    def with_fill(self, t0: float) -> "PhaseAssignment":
-        return PhaseAssignment(self.shifts, float(t0), self.y)
+    def phases(self, ps: np.ndarray) -> np.ndarray:
+        """theta_p = t_p log p mod 2*pi at the primes ``ps``: the fill value at
+        p <= y, the assigned shift above."""
+        above = ps > self.y
+        high = ps[above]
+        idx = np.searchsorted(self.primes, high)
+        hit = idx < len(self.primes)
+        hit[hit] = self.primes[idx[hit]] == high[hit]
+        if not np.all(hit):
+            raise MissingPhase(f"no shift assigned for prime {int(high[~hit][0])}")
+        ts = np.full(len(ps), self.fill_value)
+        ts[above] = self.shifts[idx]
+        return np.mod(ts * np.log(ps.astype(np.float64)), TWO_PI)
 
     def to_csv(self, path: str, meta: Optional[dict] = None) -> None:
         with open(path, "w", newline="") as fh:
@@ -77,19 +86,8 @@ class PhaseAssignment:
                          + "\n")
             writer = csv.writer(fh)
             writer.writerow(["p", "t_p"])
-            for p in sorted(self.shifts):
-                writer.writerow([p, repr(self.shifts[p])])
-
-    @staticmethod
-    def from_csv(path: str, fill_value: float = 0.0) -> "PhaseAssignment":
-        shifts = {}
-        with open(path) as fh:
-            for ln in fh:
-                if ln.startswith("#") or ln.strip() == "" or ln.startswith("p,"):
-                    continue
-                p_s, t_s = ln.strip().split(",")
-                shifts[int(p_s)] = float(t_s)
-        return PhaseAssignment(shifts, fill_value)
+            for p, t in zip(self.primes.tolist(), self.shifts.tolist()):
+                writer.writerow([p, repr(t)])
 
 
 @dataclass(frozen=True)
@@ -180,10 +178,11 @@ def _assignment(ps: np.ndarray, active: np.ndarray, theta: np.ndarray,
                 y: int) -> PhaseAssignment:
     """Shifts (theta_p mod 2*pi) / log(p) on the active primes of ps, zero on
     the others."""
-    shifts = {int(p): float(th / math.log(p))
-              for p, th in zip(ps[active], np.mod(theta, TWO_PI))}
-    shifts.update((int(p), 0.0) for p in ps[~active])
-    return PhaseAssignment(shifts, y=y)
+    # math.log, not np.log: they differ in the last bit at a few primes
+    shifts = np.zeros(len(ps))
+    shifts[active] = np.mod(theta, TWO_PI) / np.array([math.log(p) for p in
+                                                       ps[active].tolist()])
+    return PhaseAssignment(ps, shifts, y=y)
 
 
 def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
@@ -291,8 +290,7 @@ def recompute_achieved(specs: Sequence[EulerProductSpec],
     """Independent recomputation of the steered tail products from the shifts."""
     ps_all = primes_up_to(P)
     ps = ps_all[ps_all > y]
-    ts = np.array([assignment.shift_for(int(p), y) for p in ps])
-    thetas = np.mod(ts * np.log(ps.astype(np.float64)), TWO_PI)
+    thetas = assignment.phases(ps)
     out = np.empty(len(specs), dtype=np.complex128)
     for j, F in enumerate(specs):
         logs = local_logs(F, ps, sigma, thetas)

@@ -6,7 +6,7 @@ import pytest
 
 from zerosep import cli
 from zerosep.errors import ParseError
-from zerosep.pipeline import PipelineConfig, RunRecord
+from zerosep.pipeline import STAGE_EXIT_CODES, PipelineConfig, RunRecord
 
 
 def _separate(seed, out_dir):
@@ -29,6 +29,14 @@ def test_separate_certifies_toy_pair(tmp_path):
     assert _separate(5, tmp_path) == 0
     with open(tmp_path / "zero-00.cert") as fh:
         assert "status certified\n" in fh.read()
+
+
+def test_exit_codes_name_exactly_the_stages_run(tmp_path):
+    assert _separate(5, tmp_path) == 0
+    with open(tmp_path / "run_record.json") as fh:
+        names = [st["name"] for st in json.load(fh)["stages"]]
+    assert names == list(STAGE_EXIT_CODES)
+    assert "twisted" not in names and 25 not in STAGE_EXIT_CODES.values()
 
 
 def test_failed_separate_writes_its_run_record(tmp_path):
@@ -94,3 +102,23 @@ def test_config_that_is_not_a_json_object_is_a_parse_error(text):
         PipelineConfig.from_json(text)
     with pytest.raises(ParseError):
         RunRecord.from_json(text)
+
+
+@pytest.mark.parametrize("record, key", [
+    ({"config": {}}, "certificates"),
+    ({"config": {}, "certificates": []}, "stages"),
+])
+def test_replicate_refuses_record_without_a_required_key(tmp_path, capsys,
+                                                         record, key):
+    path = tmp_path / "run_record.json"
+    path.write_text(json.dumps(record))
+    assert cli.main(["replicate", "--record", str(path)]) == 1
+    assert f"run record has no '{key}' key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["separate", "--config"],
+                                  ["replicate", "--record"]])
+def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
+    path = str(tmp_path / "absent.json")
+    assert cli.main(argv + [path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}")

@@ -1,8 +1,7 @@
 import pytest
 
-from zerosep.combfile import (CombinationFile, SpecDecl, load_combination,
-                              parse_combination, save_combination,
-                              serialize_combination)
+from zerosep.combfile import (load_combination, parse_combination,
+                              save_combination, serialize_combination)
 from zerosep.errors import ParseError
 from zerosep.pipeline import builtin_problem
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zerosep import lattice
-from zerosep.errors import ApproxFailure, DomainError, NonConvergence
+from zerosep.errors import DomainError, NonConvergence
 from zerosep.lattice import (almost_periods, babai_nearest_plane,
                              exact_phase_errors, lll_reduce,
                              simultaneous_approx)

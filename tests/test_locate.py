@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zerosep.combalg import CombPolynomial, SeparationProblem, build_auxiliary
+from zerosep.combalg import CombPolynomial
 from zerosep.errors import (DomainError, MarginFailure, MissingPhase,
                             NoZeroFound)
 from zerosep.euler import (EvalResult, eval_partial_euler, finite_euler_spec,
@@ -26,7 +26,7 @@ def test_twisted_equals_pointwise_when_all_shifts_equal():
     f = CombPolynomial(1, ((c(1.0), (1,)), (c(-0.4), (0,))))
     sigma, t0, P = 1.4, 2.3, 2000
     ps = primes_up_to(P)
-    asg = PhaseAssignment({int(p): t0 for p in ps}, fill_value=t0, y=0)
+    asg = PhaseAssignment(ps, np.full(len(ps), t0), fill_value=t0, y=0)
     tw = twisted_eval(f, [z], sigma, asg, P)
     from zerosep.combalg import comb_eval
     pointwise = comb_eval(f, [z], complex(sigma, t0), P)
@@ -42,12 +42,11 @@ def test_twisted_identity_two_ways():
     sigma, P, y = 1.5, 200, 0
     rng = np.random.default_rng(2)
     ps = primes_up_to(P)
-    asg = PhaseAssignment({int(p): float(rng.uniform(0, 3)) for p in ps},
-                          fill_value=0.0, y=y)
+    asg = PhaseAssignment(ps, rng.uniform(0, 3, len(ps)), fill_value=0.0, y=y)
     tw = twisted_eval(f, [z], sigma, asg, P)
     direct = 1.0 + 0.0j
-    for p in ps:
-        x = float(p) ** (-sigma) * cmath.exp(-1j * asg.shifts[int(p)] * math.log(p))
+    for p, t in zip(ps, asg.shifts):
+        x = float(p) ** (-sigma) * cmath.exp(-1j * t * math.log(p))
         direct *= 1.0 / (1.0 - x)
     assert abs(tw.value - direct) < 1e-12 * abs(direct)
 
@@ -55,7 +54,7 @@ def test_twisted_identity_two_ways():
 def test_twisted_missing_phase():
     z = zeta_spec()
     f = CombPolynomial(1, ((c(1.0), (1,)),))
-    asg = PhaseAssignment({2: 0.1}, y=0)
+    asg = PhaseAssignment(np.array([2]), np.array([0.1]), y=0)
     with pytest.raises(MissingPhase):
         twisted_eval(f, [z], 1.5, asg, 10)
 
@@ -215,7 +214,7 @@ def test_evaluators_near_the_boundary_give_an_infinite_bound():
     f, order = problem.f_on_full_vars(), problem.variable_order
     sigma, t, P = 1.0001, 3.0, 5000
     ps = primes_up_to(P)
-    asg = PhaseAssignment({int(p): t for p in ps}, fill_value=t, y=0)
+    asg = PhaseAssignment(ps, np.full(len(ps), t), fill_value=t, y=0)
     ev = CombEvaluator(f, order, P=P)
     results = [comb_eval(f, order, complex(sigma, t), P),
                ev.at(complex(sigma, t)),

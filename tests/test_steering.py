@@ -26,22 +26,28 @@ def test_target_validation():
 
 
 def test_assignment_fill_and_missing():
-    asg = PhaseAssignment({7: 0.5, 11: -0.2}, fill_value=3.0, y=5)
-    assert asg.shift_for(3) == 3.0
-    assert asg.shift_for(7) == 0.5
-    with pytest.raises(MissingPhase):
-        asg.shift_for(13)
+    asg = PhaseAssignment(np.array([7, 11]), np.array([0.5, -0.2]),
+                          fill_value=3.0, y=5)
+    expected = [(t * math.log(p)) % (2 * math.pi)
+                for p, t in [(3, 3.0), (7, 0.5), (11, -0.2)]]
+    assert np.allclose(asg.phases(np.array([3, 7, 11])), expected,
+                       rtol=0, atol=1e-14)
+    with pytest.raises(MissingPhase, match="prime 13"):
+        asg.phases(np.array([3, 13, 17]))
+    with pytest.raises(DomainError, match="p=11"):
+        PhaseAssignment(np.array([7, 11]), np.array([0.5, np.nan]), y=5)
 
 
 def test_assignment_csv_round_trip(tmp_path):
-    asg = PhaseAssignment({7: 0.5, 11: -0.25}, fill_value=1.5, y=5)
+    asg = PhaseAssignment(np.array([7, 11]), np.array([0.5, -0.25]),
+                          fill_value=1.5, y=5)
     path = tmp_path / "phases.csv"
     asg.to_csv(str(path), meta={"sigma": 1.05, "y": 5, "P": 12,
                                 "seed": 0, "residuals": "1e-9"})
-    loaded = PhaseAssignment.from_csv(str(path), fill_value=1.5)
-    assert loaded.shifts == asg.shifts
     text = path.read_text()
     assert text.startswith("#") and "sigma=1.05" in text
+    rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    assert rows == ["p,t_p", "7,0.5", "11,-0.25"]
 
 
 def test_identity_steering():
@@ -54,7 +60,7 @@ def test_identity_steering():
     target = SteeringTarget((complex(val),), R=2.0, sigma=sigma, eta=0.5, y=y, P=P)
     res = solve_phases([z], target, options=SteerOptions(seed=0))
     assert res.converged and res.iterations == 0
-    assert all(t == 0.0 for t in res.assignment.shifts.values())
+    assert np.all(res.assignment.shifts == 0.0)
     assert max(res.residuals) <= 1e-9
 
 
@@ -97,11 +103,11 @@ def test_periodicity_of_achieved():
     ps = primes_up_to(P)
     act = ps[ps > y]
     rng = np.random.default_rng(5)
-    shifts = {int(p): float(rng.uniform(0, 1)) for p in act}
-    asg = PhaseAssignment(shifts, y=y)
+    shifts = rng.uniform(0, 1, len(act))
+    asg = PhaseAssignment(act, shifts, y=y)
     a1 = recompute_achieved([z], asg, sigma, y, P)
-    shifted = {p: t + 2 * math.pi / math.log(p) for p, t in shifts.items()}
-    a2 = recompute_achieved([z], PhaseAssignment(shifted, y=y), sigma, y, P)
+    shifted = shifts + 2 * math.pi / np.log(act.astype(float))
+    a2 = recompute_achieved([z], PhaseAssignment(act, shifted, y=y), sigma, y, P)
     assert np.max(np.abs(a1 - a2)) < 1e-12
 
 
