@@ -388,17 +388,22 @@ def vertical_drift_log_bound(F: EulerProductSpec, sigma: float, accuracy: float,
 
 
 def combination_drift_bound(f: CombPolynomial, specs: Sequence[EulerProductSpec],
-                            spec_magnitudes: Sequence[float], sigma: float,
-                            accuracy: float, P_align: int) -> float:
+                            sigma: float, accuracy: float, P_align: int,
+                            P: int) -> float:
     """Value-domain bound for |H(s + i tau) - H(s)| near the certificate.
 
     Combines per-spec log drifts with the coefficient drift of the
     prime-finite coefficients (each smooth index n moves by at most
-    Omega(n) * accuracy in phase).  ``spec_magnitudes`` are |F_j| evaluated at
-    the certificate center (drift inflates them by the log bound itself).
+    Omega(n) * accuracy in phase).  Each |F_j| on Re(s) = sigma is capped by
+    exp of its summed |local logs| up to P plus its log tail, at most e^5
+    (drift inflates the cap by the log bound itself).
     """
     spec_logs = [vertical_drift_log_bound(F, sigma, accuracy, P_align)
                  for F in specs]
+    ps = primes_up_to(P)
+    pw = ps.astype(np.float64) ** (-sigma)
+    mags = [math.exp(min(float(np.sum(-np.log1p(-np.abs(F.a_values(ps)) * pw)))
+                         + log_tail_bound(F, P, sigma), 5.0)) for F in specs]
     total = 0.0
     for coeff, exps in f.monomials:
         cval = abs(coeff.value(complex(sigma, 0.0)))
@@ -415,7 +420,7 @@ def combination_drift_bound(f: CombPolynomial, specs: Sequence[EulerProductSpec]
         log_drift = 0.0
         for j, a_j in enumerate(exps):
             if a_j:
-                mag = float(spec_magnitudes[j]) * math.exp(min(spec_logs[j], 50.0))
+                mag = mags[j] * math.exp(min(spec_logs[j], 50.0))
                 prod_mag *= mag ** a_j
                 log_drift += a_j * spec_logs[j]
         total += cval * prod_mag * math.expm1(min(log_drift, 700.0)) + \

@@ -3,7 +3,8 @@
 Stage order: load -> auxiliary -> t0 -> witness -> stability-steering ->
 approx -> locate -> noncoincidence -> replicate (optional).  Every
 stage failure surfaces as a StageError naming the stage; run records are
-replayable from their embedded config and seeds.
+replayable from their embedded config and seeds.  Stability-steering moves
+exactly the primes that approx aligns, picked by :func:`_aligned_primes`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .locate import (CombEvaluator, ZeroCertificate,
 from .pfinite import PFiniteSeries
 from .polyzero import SeparatingZero, find_separating_zero
 from .precision import mpf_to_text, needed_bits
+from .primes import primes_up_to
 from .steering import (SteerOptions, SteeringTarget, solve_phases,
                        track_zero_in_sigma)
 
@@ -47,7 +49,7 @@ class PipelineConfig:
     sigma: float = 1.05
     R: float = 0.0            # 0 = choose from the witness
     y: int = 0                # 0 = coefficient support cutoff
-    P: int = 1000
+    P: int = 1000             # caps the steered primes; default locate cutoff
     t0_min: float = 0.0
     t0_max: float = 40.0
     t0_grid: int = 400
@@ -59,8 +61,7 @@ class PipelineConfig:
     steer_iters: int = 120
     steer_restarts: int = 2
     approx_accuracy: float = 0.02
-    approx_max_primes: int = 24
-    approx_weight_floor: float = 1e-9
+    approx_max_primes: int = 24  # primes steered and then aligned
     locate_P: int = 0         # 0 = same as P (capped at 200000)
     refine_radius: float = 0.0  # 0 = min(0.02, (sigma-1)/2)
     precision_bits: int = 256
@@ -96,7 +97,7 @@ class PipelineConfig:
             raise DomainError("sigma must exceed 1")
         if self.R and self.R < 2:
             raise DomainError("R must be at least 2 when fixed")
-        if self.P < 2 or self.t0_grid < 2:
+        if self.P < 2 or self.t0_grid < 2 or self.approx_max_primes < 1:
             raise DomainError("cutoffs must be positive")
 
 
@@ -224,13 +225,13 @@ def _zeta_vs_sparse() -> CombinationFile:
 
 
 BUILTIN_DEFAULTS: dict[str, dict] = {
-    "hurwitz-1-3-vs-2-3": dict(sigma=1.01, P=60_000_000, steer_tol=1e-8,
+    "hurwitz-1-3-vs-2-3": dict(sigma=1.01, P=200_000, steer_tol=1e-8,
                                zero_margin=1e-2, approx_max_primes=16),
-    "hurwitz-2-3-vs-1-3": dict(sigma=1.01, P=60_000_000, steer_tol=1e-8,
+    "hurwitz-2-3-vs-1-3": dict(sigma=1.01, P=200_000, steer_tol=1e-8,
                                zero_margin=1e-2, approx_max_primes=16),
-    "hurwitz-3-4-vs-1-4": dict(sigma=1.01, P=60_000_000, steer_tol=1e-8,
+    "hurwitz-3-4-vs-1-4": dict(sigma=1.01, P=200_000, steer_tol=1e-8,
                                zero_margin=1e-2, approx_max_primes=16),
-    "hurwitz-1-5-vs-2-5": dict(sigma=1.01, P=60_000_000, steer_tol=1e-6,
+    "hurwitz-1-5-vs-2-5": dict(sigma=1.01, P=200_000, steer_tol=1e-6,
                                zero_margin=1e-2, approx_max_primes=16),
     "charpair-mod5": dict(sigma=1.02, P=2_000_000, steer_tol=1e-6),
     "zeta-vs-sparse": dict(sigma=1.3, P=1_000_000, steer_tol=1e-6),
@@ -275,6 +276,17 @@ def _load_problem(config: PipelineConfig) -> tuple[SeparationProblem, Combinatio
     else:
         raise ParseError("problem must be 'builtin:<name>' or 'file:<path>'")
     return cf.build_problem(), cf
+
+
+def _aligned_primes(specs, y: int, P: int, count: int) -> np.ndarray:
+    """The first ``count`` primes in (y, P] at which some spec has a(p) != 0,
+    which stability-steering moves and approx aligns.  When every |a(p)| is 0
+    or 1, as for every builtin spec, they are also the ``count`` heaviest by
+    first-order weight max_j |a_j(p)| p^-sigma."""
+    ps = primes_up_to(P)
+    ps = ps[ps > y]
+    active = np.any([F.a_values(ps) != 0 for F in specs], axis=0)
+    return ps[active][:count]
 
 
 # --- the pipeline ----------------------------------------------------------------
@@ -353,6 +365,10 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     def stage_stability_and_steering():
         aux = state["aux"]
         problem = state["problem"]
+        state["approx_primes"] = aligned = _aligned_primes(
+            problem.variable_order, aux.cutoff_prime, config.P, config.approx_max_primes)
+        full = len(aligned) == config.approx_max_primes
+        P_steer = int(aligned[-1]) if full else config.P
         errors = []
         for idx, cand in enumerate(state["candidates"]):
             mods = np.abs(cand.x)
@@ -363,14 +379,11 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
                                               seed=config.seed + idx)
                 target = SteeringTarget(tuple(tracked.z), R=R, sigma=config.sigma,
                                         eta=config.sigma - 1.0,
-                                        y=aux.cutoff_prime, P=config.P)
-                steer = solve_phases(problem.variable_order, target,
-                                     options=SteerOptions(
-                                         tol=config.steer_tol,
-                                         max_iter=config.steer_iters,
-                                         restarts=config.steer_restarts,
-                                         seed=config.seed + idx))
-                state.update(witness=cand, tracked=tracked, R=R, steer=steer)
+                                        y=aux.cutoff_prime, P=P_steer)
+                steer = solve_phases(problem.variable_order, target, SteerOptions(
+                    tol=config.steer_tol, max_iter=config.steer_iters,
+                    restarts=config.steer_restarts, seed=config.seed + idx))
+                state["steer"] = steer
                 return {"candidate_index": idx, "R": R,
                         "drift": tracked.drift, "delta": tracked.delta,
                         "tracked_z": list(tracked.z),
@@ -381,32 +394,28 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
             except ZerosepError as exc:
                 errors.append(f"candidate {idx}: {exc}")
                 continue
-        raise NonConvergence("every witness candidate failed stability or "
-                             "steering: " + " | ".join(errors[-3:]))
+        raise NonConvergence(
+            f"all {len(errors)} witness candidates failed stability or steering "
+            f"of the {len(aligned)} active primes in ({aux.cutoff_prime}, {P_steer}] "
+            f"(raise {'approx_max_primes' if full else 'P'} to steer more); "
+            f"lowest witness demand first: " + " | ".join(errors[:3]))
 
     def stage_approx():
-        steer, aux = state["steer"], state["aux"]
-        problem = state["problem"]
-        order = problem.variable_order
-        ps, shifts = steer.assignment.primes, steer.assignment.shifts
-        weights = np.zeros(len(ps))
-        pf = ps.astype(np.float64)
-        for F in order:
-            weights = np.maximum(weights, np.abs(F.a_values(ps)) * pf ** (-config.sigma))
-        keep = weights >= config.approx_weight_floor
-        psk, wk = ps[keep], weights[keep]
-        if len(psk) > config.approx_max_primes:
-            top = np.argsort(-wk)[: config.approx_max_primes]
-            psk = np.sort(psk[top])
-        aligned = np.isin(ps, psk)
-        dropped_weight = float(np.sum(weights)) - float(np.sum(weights[aligned]))
+        assignment = state["steer"].assignment
+        aligned = state["approx_primes"]
+        shifts = assignment.shifts[np.searchsorted(assignment.primes, aligned)]
         phases = {p: (tp * math.log(p)) % TWO_PI
-                  for p, tp in zip(psk.tolist(), shifts[aligned].tolist())}
+                  for p, tp in zip(aligned.tolist(), shifts.tolist())}
         res = simultaneous_approx(phases, config.approx_accuracy)
         state["approx"] = res
-        state["approx_primes"] = [int(p) for p in psk]
+        # first-order weight of the primes locate evaluates but nobody steered
+        ps = primes_up_to(config.locate_cutoff)
+        ps = ps[ps > aligned[-1]]
+        dropped_weight = float(np.sum(np.max(
+            [np.abs(F.a_values(ps)) for F in state["problem"].variable_order],
+            axis=0) * ps.astype(np.float64) ** (-config.sigma)))
         return {"t": res.t, "max_phase_error": res.max_phase_error,
-                "method": res.method, "primes": state["approx_primes"],
+                "method": res.method, "primes": aligned.tolist(),
                 "dropped_weight": dropped_weight,
                 "precision_bits": res.precision_bits}
 
@@ -460,16 +469,13 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     def stage_replicate():
         cert = state["certificate"]
         res = state["approx"]
-        taus = almost_periods(res.t, max(state["approx_primes"]),
+        taus = almost_periods(res.t, int(state["approx_primes"][-1]),
                               config.replicate_accuracy,
                               count=config.replicate_count)
         ev_f = state["ev_f_anchored"].ev
-        # safe magnitude caps from the per-target reachability budgets
-        spec_mags = [math.exp(min(b, 5.0))
-                     for b in state["steer"].budgets_per_target]
         drift = combination_drift_bound(
-            ev_f.f, ev_f.specs, spec_mags, config.sigma,
-            config.replicate_accuracy, max(state["approx_primes"]))
+            ev_f.f, ev_f.specs, config.sigma, config.replicate_accuracy,
+            int(state["approx_primes"][-1]), config.locate_cutoff)
         # the re-search window grows by the drift bound but must stay in Re > 1
         r_rep = min(cert.radius + drift, 0.8 * (cert.center.real - 1.0))
         r_rep = max(r_rep, 0.5 * cert.radius)
@@ -488,7 +494,6 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
             except ZerosepError as exc:
                 outcomes.append({"tau": tau, "status": "failed",
                                  "error": str(exc)})
-        state["replicas"] = outcomes
         return {"taus": taus, "outcomes": outcomes,
                 "drift_bound": drift, "window_radius": r_rep,
                 "successes": sum(1 for o in outcomes if o["status"] != "failed")}

@@ -97,10 +97,8 @@ class SteeringResult:
     residuals: tuple[float, ...]
     iterations: int
     converged: bool
-    branch_offsets: tuple[int, ...]
     budget: float
     budgets_per_target: tuple[float, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -134,17 +132,15 @@ def _gauss_newton(A, pf, sigma, w, theta0, exact, max_iter, tol_log):
     theta = theta0.copy()
     lam = 1e-8
     n_t = 2 * len(w)
-    r = None
     for it in range(1, max_iter + 1):
         logs, derivs = _model(A, pf, sigma, theta, exact)
         r = logs.sum(axis=1) - w
         rnorm = float(np.max(np.abs(r)))
         if rnorm <= tol_log:
-            return theta, it, True
+            return theta, it
         J = np.vstack([derivs.real, derivs.imag])  # 2N x n_p
         rv = np.concatenate([r.real, r.imag])
         M = J @ J.T
-        improved = False
         for _ in range(12):
             try:
                 u = np.linalg.solve(M + lam * np.eye(n_t), -rv)
@@ -158,12 +154,11 @@ def _gauss_newton(A, pf, sigma, w, theta0, exact, max_iter, tol_log):
             if float(np.max(np.abs(r2))) < rnorm:
                 theta = cand
                 lam = max(lam * 0.3, 1e-12)
-                improved = True
                 break
             lam *= 10
-        if not improved:
-            return theta, it, False
-    return theta, max_iter, False
+        else:
+            return theta, it
+    return theta, max_iter
 
 
 def _branch_candidates(n: int, tries: int):
@@ -221,28 +216,34 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
 
     z = np.array(target.targets, dtype=np.complex128)
     w_base = np.log(z)  # principal branch
-    demand = float(np.max(np.abs(w_base)))
     for j in range(N):
         if abs(w_base[j]) > budgets[j] * (1.0 + 1e-9) + 1e-12:
             raise Infeasible(
                 f"target {j} demands log norm {abs(w_base[j]):.4f} beyond its "
                 f"reachability budget {budgets[j]:.4f} (joint budget {budget:.4f}); "
-                f"increase P or move sigma toward 1",
+                f"steer more primes or move sigma toward 1",
                 budget=budgets[j], demand=float(abs(w_base[j])))
+
+    def achieved_at(theta):
+        logs, _ = _model(A, pf, sigma, theta, exact=True)
+        achieved = np.exp(logs.sum(axis=1))
+        return achieved, np.abs(achieved / z - 1.0)
+
+    def result(theta, fit, iters, converged):
+        achieved, resid = fit
+        return SteeringResult(_assignment(ps, active, theta, target.y),
+                              tuple(achieved), tuple(map(float, resid)), iters,
+                              converged, budget, budgets)
 
     # identity steering: zero shifts already on target
     zero_theta = np.zeros(len(psa))
-    logs0, _ = _model(A, pf, sigma, zero_theta, exact=True)
-    achieved0 = np.exp(logs0.sum(axis=1))
-    res0 = np.abs(achieved0 / z - 1.0)
-    if float(np.max(res0)) <= min(options.tol, 1e-9):
-        assignment = _assignment(ps, active, zero_theta, target.y)
-        return SteeringResult(assignment, tuple(achieved0), tuple(map(float, res0)),
-                              0, True, (0,) * N, budget, budgets, options.seed)
+    fit = achieved_at(zero_theta)
+    if float(np.max(fit[1])) <= min(options.tol, 1e-9):
+        return result(zero_theta, fit, 0, True)
 
     rng = np.random.default_rng(options.seed)
     tol_log = 0.5 * options.tol
-    best = None  # (max_resid, theta, iters, branch)
+    best = None  # (max_resid, theta, fit, iters)
     for branch in _branch_candidates(N, options.branch_tries):
         w = w_base + TWO_PI * 1j * np.array(branch)
         if float(np.max(np.abs(w))) > max(budgets) * 1.05:
@@ -250,38 +251,27 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
         jstar_order = np.argsort(-np.abs(w))
         for restart in range(options.restarts):
             theta0 = np.zeros(len(psa))
-            assigned = np.zeros(len(psa), dtype=bool)
             for jstar in jstar_order:
-                rows = (absA[jstar] > 0) & ~assigned
-                if not np.any(rows):
-                    continue
-                theta0[rows] = np.angle(A[jstar, rows]) - np.angle(w[jstar]) \
-                    if abs(w[jstar]) > 0 else 0.0
-                assigned |= rows
-                break
+                rows = absA[jstar] > 0
+                if np.any(rows):
+                    theta0[rows] = np.angle(A[jstar, rows]) - np.angle(w[jstar]) \
+                        if abs(w[jstar]) > 0 else 0.0
+                    break
             theta0 += rng.uniform(-options.init_noise, options.init_noise, len(psa))
-            theta_a, it_a, _ = _gauss_newton(A, pf, sigma, w, theta0, False,
-                                             options.max_iter, tol_log)
-            theta_b, it_b, ok = _gauss_newton(A, pf, sigma, w, theta_a, True,
-                                              options.max_iter, tol_log)
-            logs, _ = _model(A, pf, sigma, theta_b, exact=True)
-            achieved = np.exp(logs.sum(axis=1))
-            resid = np.abs(achieved / z - 1.0)
-            mres = float(np.max(resid))
+            theta_a, it_a = _gauss_newton(A, pf, sigma, w, theta0, False,
+                                          options.max_iter, tol_log)
+            theta_b, it_b = _gauss_newton(A, pf, sigma, w, theta_a, True,
+                                          options.max_iter, tol_log)
+            fit = achieved_at(theta_b)
+            mres = float(np.max(fit[1]))
             if best is None or mres < best[0]:
-                best = (mres, theta_b, it_a + it_b, branch, achieved, resid)
+                best = (mres, theta_b, fit, it_a + it_b)
             if mres <= options.tol:
-                assignment = _assignment(ps, active, theta_b, target.y)
-                return SteeringResult(assignment, tuple(achieved),
-                                      tuple(map(float, resid)), it_a + it_b, True,
-                                      tuple(branch), budget, budgets, options.seed)
-    mres, theta_b, iters, branch, achieved, resid = best
-    result = SteeringResult(_assignment(ps, active, theta_b, target.y),
-                            tuple(achieved), tuple(map(float, resid)), iters,
-                            False, tuple(branch), budget, budgets, options.seed)
+                return result(theta_b, fit, it_a + it_b, True)
+    mres, theta_b, fit, iters = best
     raise NonConvergence(
         f"steering stalled at max residual {mres:.3e} (tol {options.tol:.1e})",
-        result=result)
+        result=result(theta_b, fit, iters, False))
 
 
 def recompute_achieved(specs: Sequence[EulerProductSpec],

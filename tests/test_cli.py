@@ -1,12 +1,15 @@
 import glob
 import json
+import math
 import os
+import re
 
 import pytest
 
 from zerosep import cli
 from zerosep.errors import ParseError
 from zerosep.pipeline import STAGE_EXIT_CODES, PipelineConfig, RunRecord
+from zerosep.primes import primes_up_to
 
 
 def _separate(seed, out_dir):
@@ -56,9 +59,22 @@ def test_uncertified_zero_is_refused_at_locate(tmp_path):
         in last["data"]["error"]
 
 
+def _reach(modulus, count=16, sigma=1.01):
+    """Reach of one L-function mod ``modulus`` over the first ``count`` primes
+    not dividing it: the sum of -log(1 - p^-sigma)."""
+    ps = [p for p in primes_up_to(1000).tolist() if modulus % p][:count]
+    return sum(-math.log1p(-p ** -sigma) for p in ps)
+
+
 @pytest.mark.parametrize("builtin, reason", [
     ("charpair-mod5", "exceeds stability radius"),
     ("zeta-vs-sparse", "reachability budget"),
+    # the steered set is the 16 aligned primes, so the refusal quotes their
+    # reach (1.5754 mod 3), not that of every prime up to P
+    ("hurwitz-1-3-vs-2-3", f"reachability budget {_reach(3):.4f}"),
+    ("hurwitz-2-3-vs-1-3", "steering stalled at max residual"),
+    ("hurwitz-3-4-vs-1-4", "steering stalled at max residual"),
+    ("hurwitz-1-5-vs-2-5", f"reachability budget {_reach(5):.4f}"),
 ])
 def test_builtin_refuses_at_stability_steering(tmp_path, builtin, reason):
     assert cli.main(["separate", "--builtin", builtin,
@@ -66,6 +82,15 @@ def test_builtin_refuses_at_stability_steering(tmp_path, builtin, reason):
     last = _failed_stage(tmp_path)
     assert last["name"] == "stability-steering"
     assert reason in last["data"]["error"]
+
+
+def test_steering_refusal_quotes_the_lowest_demand_candidates(tmp_path):
+    assert cli.main(["separate", "--builtin", "zeta-vs-sparse",
+                     "--out-dir", str(tmp_path)]) == 24
+    error = _failed_stage(tmp_path)["data"]["error"]
+    assert re.findall(r"candidate (\d+):", error) == ["0", "1", "2"]
+    assert error.startswith("all 12 witness candidates failed")
+    assert "of the 24 active primes in (1, 89]" in error
 
 
 def test_certificate_footer_names_the_locate_cutoff(tmp_path):
@@ -86,6 +111,11 @@ def test_replicate_refuses_record_with_unknown_config_key(tmp_path, capsys):
     assert cli.main(["replicate", "--record", str(path)]) == 1
     err = capsys.readouterr().err
     assert "unknown config keys: K" in err
+
+
+def test_config_with_the_retired_approx_weight_floor_is_a_parse_error():
+    with pytest.raises(ParseError, match="unknown config keys: approx_weight_floor"):
+        PipelineConfig.from_dict({"approx_weight_floor": 1e-9})
 
 
 def test_separate_refuses_config_with_unknown_key(tmp_path, capsys):
