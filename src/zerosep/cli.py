@@ -84,7 +84,7 @@ def cmd_hurwitz(args) -> int:
 
 def cmd_steer(args) -> int:
     config = _config_from_args(args)
-    problem, _ = _load_problem(config)
+    problem = _load_problem(config)
     targets = tuple(_parse_complex(t) for t in args.targets.split(";"))
     target = SteeringTarget(targets, R=args.R, sigma=config.sigma,
                             eta=config.sigma - 1.0, y=args.y, P=config.P)
@@ -180,7 +180,7 @@ def cmd_replicate(args) -> int:
 
 def cmd_count(args) -> int:
     config = _config_from_args(args)
-    problem, _ = _load_problem(config)
+    problem = _load_problem(config)
     ev = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
                        P=config.locate_cutoff)
     s_lo, s_hi = (float(x) for x in args.sigma_range.split(":"))

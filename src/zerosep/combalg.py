@@ -259,19 +259,10 @@ def _local_spec_powers(order: Sequence[EulerProductSpec],
     return tuple((spec, e) for spec, e in zip(order, exps))
 
 
-def build_auxiliary(problem: SeparationProblem,
-                    cutoff: Optional[int] = None) -> AuxiliaryCombination:
-    """Absorb the local factors at primes up to the coefficient support cutoff
-    into each monomial's coefficient and pad variables onto the shared order.
-
-    ``cutoff`` may enlarge the absorbed prime range past the support maximum;
-    it never shrinks it.
-    """
+def build_auxiliary(problem: SeparationProblem) -> AuxiliaryCombination:
+    """Absorb the local factors at primes up to the coefficient support prime
+    into each monomial's coefficient and pad variables onto the shared order."""
     p_fg = support_prime(problem.f, problem.g)
-    if cutoff is not None:
-        if cutoff < p_fg:
-            raise DomainError(f"cutoff {cutoff} below coefficient support {p_fg}")
-        p_fg = cutoff
     order = problem.variable_order
     f_full = problem.f_on_full_vars()
     g_full = problem.g_on_full_vars()
@@ -286,8 +277,11 @@ def build_auxiliary(problem: SeparationProblem,
 
 @dataclass(frozen=True)
 class T0Search:
+    """Grid of heights scanned on Re(s) = 1 and the coefficient margin to
+    meet; the defaults are the values the separation pipeline runs with."""
+
     t_min: float = 0.0
-    t_max: float = 50.0
+    t_max: float = 40.0
     grid: int = 400
     margin: float = 1e-3
 

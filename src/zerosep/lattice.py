@@ -151,13 +151,16 @@ class ApproximationResult:
                                                bits=bits)))
 
 
-def _brute_candidates(primes: np.ndarray, targets: np.ndarray,
-                      t_max: float) -> tuple[float, float]:
+T_MAX_BRUTE = 1.0e6  # height range of the brute scan for 2 or 3 primes
+WEIGHT_SWEEP = 16  # lattice sweep steps; step k allows |q| < 2^(8 + 7k)
+
+
+def _brute_candidates(primes: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """Best t on candidate heights where the first prime is exactly on target."""
     logs = np.log(primes.astype(np.float64))
     base = targets[0] / logs[0]
     step = TWO_PI / logs[0]
-    kmax = max(int((t_max - base) / step), 1)
+    kmax = max(int((T_MAX_BRUTE - base) / step), 1)
     best_t, best_err = base, math.inf
     chunk = 1 << 18
     for start in range(0, kmax + 1, chunk):
@@ -177,9 +180,7 @@ def _brute_candidates(primes: np.ndarray, targets: np.ndarray,
     return (t2, err2) if err2 < best_err else (best_t, best_err)
 
 
-def simultaneous_approx(phases: dict, accuracy: float,
-                        t_max_brute: float = 1.0e6,
-                        weight_sweep: int = 16) -> ApproximationResult:
+def simultaneous_approx(phases: dict, accuracy: float) -> ApproximationResult:
     """Single t with t*log(p) within ``accuracy`` of each target phase mod 2*pi.
 
     One prime solves exactly; two or three scan brute candidates; larger sets
@@ -201,7 +202,7 @@ def simultaneous_approx(phases: dict, accuracy: float,
         if n == 1:
             t = targets[0] / math.log(float(primes[0]))
         else:
-            t, _ = _brute_candidates(primes, targets, t_max_brute)
+            t, _ = _brute_candidates(primes, targets)
         bits = needed_bits(t)
         err = float(np.max(exact_phase_errors(t, primes, targets, bits)))
         if err > accuracy:
@@ -214,7 +215,7 @@ def simultaneous_approx(phases: dict, accuracy: float,
     # lattice route
     best_err, best_t, best_bits = math.inf, mp.mpf(0), needed_bits(1)
     logs = np.log(primes.astype(np.float64))
-    for q in _lattice_generator_candidates(primes, targets, weight_sweep, accuracy):
+    for q in _lattice_generator_candidates(primes, targets, accuracy):
         bits = needed_bits(q)
         t_cand, err = _polished_height(q, primes, logs, targets, bits)
         if err < best_err:
@@ -261,7 +262,7 @@ def _polished_height(q: int, primes: np.ndarray, logs: np.ndarray,
 
 
 def _lattice_generator_candidates(primes: np.ndarray, targets: np.ndarray,
-                                  weight_sweep: int, accuracy: float = 0.05):
+                                  accuracy: float):
     """Integer generator multiples q decoded from the approximation lattice.
 
     Sweeps a growing budget for |q| (see :func:`_approximation_lattice`).
@@ -270,7 +271,7 @@ def _lattice_generator_candidates(primes: np.ndarray, targets: np.ndarray,
     """
     n = len(primes)
     seen: set[int] = set()
-    for k in range(weight_sweep):
+    for k in range(WEIGHT_SWEEP):
         S, w_scaled, rows, red = _approximation_lattice(primes, accuracy, k)
 
         def q_of(coeffs) -> int:

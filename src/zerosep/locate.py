@@ -394,16 +394,17 @@ def combination_drift_bound(f: CombPolynomial, specs: Sequence[EulerProductSpec]
 
     Combines per-spec log drifts with the coefficient drift of the
     prime-finite coefficients (each smooth index n moves by at most
-    Omega(n) * accuracy in phase).  Each |F_j| on Re(s) = sigma is capped by
-    exp of its summed |local logs| up to P plus its log tail, at most e^5
-    (drift inflates the cap by the log bound itself).
+    Omega(n) * accuracy in phase).  Each |F_j| on Re(s) = sigma is bounded by
+    exp of its summed |local logs| up to P plus its log tail (drift inflates
+    the bound by the log bound itself).  An exponent of 700 or more gives an
+    infinite bound, never NaN.
     """
     spec_logs = [vertical_drift_log_bound(F, sigma, accuracy, P_align)
                  for F in specs]
     ps = primes_up_to(P)
     pw = ps.astype(np.float64) ** (-sigma)
-    mags = [math.exp(min(float(np.sum(-np.log1p(-np.abs(F.a_values(ps)) * pw)))
-                         + log_tail_bound(F, P, sigma), 5.0)) for F in specs]
+    mags = [_exp(float(np.sum(-np.log1p(-np.abs(F.a_values(ps)) * pw)))
+                 + log_tail_bound(F, P, sigma)) for F in specs]
     total = 0.0
     for coeff, exps in f.monomials:
         cval = abs(coeff.value(complex(sigma, 0.0)))
@@ -420,12 +421,22 @@ def combination_drift_bound(f: CombPolynomial, specs: Sequence[EulerProductSpec]
         log_drift = 0.0
         for j, a_j in enumerate(exps):
             if a_j:
-                mag = mags[j] * math.exp(min(spec_logs[j], 50.0))
-                prod_mag *= mag ** a_j
+                mag = mags[j] * _exp(spec_logs[j])
+                prod_mag *= mag ** a_j if a_j * math.log(mag) < 700 else math.inf
                 log_drift += a_j * spec_logs[j]
-        total += cval * prod_mag * math.expm1(min(log_drift, 700.0)) + \
-            coeff_drift * prod_mag
+        growth = math.expm1(log_drift) if log_drift < 700 else math.inf
+        total += _product(cval, prod_mag, growth) + _product(coeff_drift, prod_mag)
     return total
+
+
+def _exp(x: float) -> float:
+    """e^x, or inf from x = 700 on (as :func:`zerosep.euler.truncated_exp`)."""
+    return math.exp(x) if x < 700 else math.inf
+
+
+def _product(*factors: float) -> float:
+    """Product of nonnegative factors; 0 when one is 0, also beside an inf."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
 
 
 # --- strip counting -------------------------------------------------------------

@@ -5,6 +5,8 @@ approx -> locate -> noncoincidence -> replicate (optional).  Every
 stage failure surfaces as a StageError naming the stage; run records are
 replayable from their embedded config and seeds.  Stability-steering moves
 exactly the primes that approx aligns, picked by :func:`_aligned_primes`.
+Values no run varies (t0 search, witness floor, steering limits) are the
+defaults of the layer that reads them, not :class:`PipelineConfig` fields.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import mpmath as mp
 import numpy as np
 
 from . import __version__
-from .combalg import (CombPolynomial, SeparationProblem, T0Search,
-                      build_auxiliary, coprimality_sanity, find_nonvanishing_t0,
-                      support_prime)
+from .combalg import (CombPolynomial, SeparationProblem, build_auxiliary,
+                      coprimality_sanity, find_nonvanishing_t0, support_prime)
 from .combfile import CombinationFile, SpecDecl, load_combination
 from .errors import (DomainError, EmptyRecord, MarginFailure, NoZeroFound,
                      NonConvergence, ParseError, StageError, ZerosepError)
@@ -43,28 +44,20 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs; serializes to JSON and round-trips."""
+    """Everything a run varies, each field set by some builtin, a
+    ``separate`` flag or a config file; serializes to JSON and round-trips.
+    R follows from the witness and the auxiliary cutoff from the support."""
 
     problem: str = "builtin:toy-finite-pair"
     sigma: float = 1.05
-    R: float = 0.0            # 0 = choose from the witness
-    y: int = 0                # 0 = coefficient support cutoff
     P: int = 1000             # caps the steered primes; default locate cutoff
-    t0_min: float = 0.0
-    t0_max: float = 40.0
-    t0_grid: int = 400
-    t0_margin: float = 1e-3
-    zero_floor: float = 1e-6
-    zero_margin: float = 1e-3
-    zero_candidates: int = 12
+    zero_margin: float = 1e-3  # witness |g| floor
+    zero_candidates: int = 12  # witness draws
     steer_tol: float = 1e-8
-    steer_iters: int = 120
-    steer_restarts: int = 2
     approx_accuracy: float = 0.02
     approx_max_primes: int = 24  # primes steered and then aligned
     locate_P: int = 0         # 0 = same as P (capped at 200000)
     refine_radius: float = 0.0  # 0 = min(0.02, (sigma-1)/2)
-    precision_bits: int = 256
     seed: int = 0
     replicate_count: int = 0
     replicate_accuracy: float = 0.05
@@ -95,10 +88,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.sigma <= 1:
             raise DomainError("sigma must exceed 1")
-        if self.R and self.R < 2:
-            raise DomainError("R must be at least 2 when fixed")
-        if self.P < 2 or self.t0_grid < 2 or self.approx_max_primes < 1:
-            raise DomainError("cutoffs must be positive")
+        if self.P < 2 or self.approx_max_primes < 1 or self.zero_candidates < 1:
+            raise DomainError("cutoffs and counts must be positive")
 
 
 @dataclass
@@ -267,7 +258,7 @@ def builtin_config(name: str, **overrides) -> PipelineConfig:
     return PipelineConfig(problem=f"builtin:{key}", **base)
 
 
-def _load_problem(config: PipelineConfig) -> tuple[SeparationProblem, CombinationFile]:
+def _load_problem(config: PipelineConfig) -> SeparationProblem:
     src = config.problem
     if src.startswith("builtin:"):
         cf = builtin_problem(src.split(":", 1)[1])
@@ -275,7 +266,7 @@ def _load_problem(config: PipelineConfig) -> tuple[SeparationProblem, Combinatio
         cf = load_combination(src.split(":", 1)[1])
     else:
         raise ParseError("problem must be 'builtin:<name>' or 'file:<path>'")
-    return cf.build_problem(), cf
+    return cf.build_problem()
 
 
 def _aligned_primes(specs, y: int, P: int, count: int) -> np.ndarray:
@@ -314,26 +305,21 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     state: dict = {}
 
     def stage_load():
-        problem, cf = _load_problem(config)
+        problem = _load_problem(config)
         if not coprimality_sanity(problem.f, problem.g, seed=config.seed):
             raise DomainError("combinations failed the coprimality sanity check "
                               "(shared zero locus on random lines)")
-        state["problem"], state["cf"] = problem, cf
+        state["problem"] = problem
         return {"shared": problem.shared_count, "total_vars": problem.total_vars,
                 "support_prime": support_prime(problem.f, problem.g)}
 
     def stage_auxiliary():
-        problem = state["problem"]
-        p_fg = support_prime(problem.f, problem.g)
-        cutoff = max(p_fg, config.y) if config.y else p_fg
-        aux = build_auxiliary(problem, cutoff=cutoff)
-        state["aux"] = aux
+        state["aux"] = aux = build_auxiliary(state["problem"])
         return {"cutoff_prime": aux.cutoff_prime}
 
     def stage_t0():
         aux = state["aux"]
-        t0 = find_nonvanishing_t0(aux, T0Search(config.t0_min, config.t0_max,
-                                                config.t0_grid, config.t0_margin))
+        t0 = find_nonvanishing_t0(aux)
         state["aux"] = aux.with_t0(t0)
         vals = state["aux"].coefficient_values(complex(1.0, t0))
         return {"t0": t0, "coefficient_margin": min(abs(v) for v in vals)}
@@ -342,16 +328,18 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         aux = state["aux"]
         s1 = complex(1.0, aux.t0)
         fp, gp = aux.f_poly_at(s1), aux.g_poly_at(s1)
-        cands = []
+        cands, errors = [], []
         for i in range(config.zero_candidates):
             try:
                 cands.append(find_separating_zero(
-                    fp, gp, floor=config.zero_floor, g_margin=config.zero_margin,
-                    seed=config.seed + 1000 * i))
-            except ZerosepError:
-                continue
+                    fp, gp, g_margin=config.zero_margin, seed=config.seed + 1000 * i))
+            except ZerosepError as exc:
+                errors.append(exc)
         if not cands:
-            raise NoZeroFound("no separating zero candidate found")
+            counts = getattr(errors[0], "diagnostics", {})
+            detail = ", ".join(f"{k} {v}" for k, v in counts.items())
+            raise NoZeroFound(f"all {len(errors)} witness draws failed; draw 0: "
+                              f"{errors[0]}" + (f" ({detail})" if detail else ""))
 
         def demand(c: SeparatingZero) -> float:
             w = np.log(np.abs(c.x)) ** 2 + np.angle(c.x) ** 2
@@ -359,7 +347,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
 
         cands.sort(key=demand)
         state["candidates"] = cands
-        return {"candidates": len(cands),
+        return {"candidates": len(cands), "draws_failed": len(errors),
                 "best_x": list(cands[0].x), "best_demand": demand(cands[0])}
 
     def stage_stability_and_steering():
@@ -372,8 +360,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         errors = []
         for idx, cand in enumerate(state["candidates"]):
             mods = np.abs(cand.x)
-            R = config.R or max(2.0, 2.0 * float(np.max(mods)),
-                                2.0 / float(np.min(mods)))
+            R = max(2.0, 2.0 * float(np.max(mods)), 2.0 / float(np.min(mods)))
             try:
                 tracked = track_zero_in_sigma(aux, cand, R, config.sigma,
                                               seed=config.seed + idx)
@@ -381,8 +368,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
                                         eta=config.sigma - 1.0,
                                         y=aux.cutoff_prime, P=P_steer)
                 steer = solve_phases(problem.variable_order, target, SteerOptions(
-                    tol=config.steer_tol, max_iter=config.steer_iters,
-                    restarts=config.steer_restarts, seed=config.seed + idx))
+                    tol=config.steer_tol, seed=config.seed + idx))
                 state["steer"] = steer
                 return {"candidate_index": idx, "R": R,
                         "drift": tracked.drift, "delta": tracked.delta,
@@ -424,8 +410,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         res = state["approx"]
         ev_f = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
                              P=config.locate_cutoff)
-        anchored = ev_f.anchored(res.t, bits=max(config.precision_bits,
-                                                 needed_bits(res.t)))
+        anchored = ev_f.anchored(res.t)
         state["ev_f_anchored"] = anchored
         r0 = config.refine_radius or min(0.02, (config.sigma - 1.0) / 2.0)
         cert = refine_zero(anchored, complex(config.sigma, 0.0), r0)

@@ -346,43 +346,6 @@ class RoucheCertificate:
     f_degree: int
     g_degree: int
 
-    def to_text(self) -> str:
-        lines = ["zerosep-rouche-certificate v1"]
-        lines.append("base_point " + " ".join(repr(c.real) + " " + repr(c.imag)
-                                              for c in self.base_point))
-        lines.append("direction " + " ".join(repr(c.real) + " " + repr(c.imag)
-                                             for c in self.direction))
-        for name in ("eps", "inner_radius", "gamma1", "gamma2", "delta"):
-            lines.append(f"{name} {repr(getattr(self, name))}")
-        lines.append(f"sample_count {self.sample_count}")
-        lines.append(f"seed {self.seed}")
-        lines.append(f"f_coeff_count {self.f_coeff_count}")
-        lines.append(f"g_coeff_count {self.g_coeff_count}")
-        lines.append(f"f_degree {self.f_degree}")
-        lines.append(f"g_degree {self.g_degree}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "RoucheCertificate":
-        rows = {}
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != "zerosep-rouche-certificate v1":
-            raise DomainError("not a rouche certificate record")
-        for ln in lines[1:]:
-            key, rest = ln.split(" ", 1)
-            rows[key] = rest
-        def cvec(sv):
-            vals = [float(x) for x in sv.split()]
-            return tuple(complex(vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
-        return RoucheCertificate(
-            base_point=cvec(rows["base_point"]), direction=cvec(rows["direction"]),
-            eps=float(rows["eps"]), inner_radius=float(rows["inner_radius"]),
-            gamma1=float(rows["gamma1"]), gamma2=float(rows["gamma2"]),
-            delta=float(rows["delta"]), sample_count=int(rows["sample_count"]),
-            seed=int(rows["seed"]), f_coeff_count=int(rows["f_coeff_count"]),
-            g_coeff_count=int(rows["g_coeff_count"]), f_degree=int(rows["f_degree"]),
-            g_degree=int(rows["g_degree"]))
-
 
 def _circle_lipschitz(coeffs: np.ndarray, radius: float) -> float:
     """Bound for |d/dt p(t)| on |t| <= radius from the coefficient norms."""

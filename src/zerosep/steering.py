@@ -15,7 +15,7 @@ from .combalg import AuxiliaryCombination
 from .errors import (CertificateFailure, DomainError, DriftTooLarge,
                      Infeasible, MissingPhase, NonConvergence)
 from .euler import EulerProductSpec, local_logs
-from .polyzero import SeparatingZero, RoucheCertificate, rouche_delta, univariate_roots
+from .polyzero import SeparatingZero, rouche_delta, univariate_roots
 from .primes import primes_up_to
 
 TWO_PI = 2.0 * math.pi
@@ -101,14 +101,19 @@ class SteeringResult:
     budgets_per_target: tuple[float, ...]
 
 
+INIT_NOISE = 0.3  # half-width of the uniform noise on each restart's start
+BRANCH_TRIES = 9  # branch integer vectors tried, smallest offset first
+
+
 @dataclass(frozen=True)
 class SteerOptions:
+    """Gauss-Newton settings of :func:`solve_phases`; ``max_iter`` and
+    ``restarts`` default to the pipeline's and ``zerosep steer``'s values."""
+
     tol: float = 1e-3
-    max_iter: int = 80
-    restarts: int = 4
+    max_iter: int = 120
+    restarts: int = 2
     seed: int = 0
-    init_noise: float = 0.3
-    branch_tries: int = 9
 
 
 def _model(A: np.ndarray, pf: np.ndarray, sigma: float, thetas: np.ndarray,
@@ -244,7 +249,7 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
     rng = np.random.default_rng(options.seed)
     tol_log = 0.5 * options.tol
     best = None  # (max_resid, theta, fit, iters)
-    for branch in _branch_candidates(N, options.branch_tries):
+    for branch in _branch_candidates(N, BRANCH_TRIES):
         w = w_base + TWO_PI * 1j * np.array(branch)
         if float(np.max(np.abs(w))) > max(budgets) * 1.05:
             continue
@@ -257,7 +262,7 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
                     theta0[rows] = np.angle(A[jstar, rows]) - np.angle(w[jstar]) \
                         if abs(w[jstar]) > 0 else 0.0
                     break
-            theta0 += rng.uniform(-options.init_noise, options.init_noise, len(psa))
+            theta0 += rng.uniform(-INIT_NOISE, INIT_NOISE, len(psa))
             theta_a, it_a = _gauss_newton(A, pf, sigma, w, theta0, False,
                                           options.max_iter, tol_log)
             theta_b, it_b = _gauss_newton(A, pf, sigma, w, theta_a, True,
@@ -293,13 +298,9 @@ class TrackedZero:
     """Witness zero re-solved at sigma > 1, with the drift budget that covers it."""
 
     z: np.ndarray
-    sigma: float
     drift: float
     delta: float
-    f_residual: float
-    g_abs: float
     moved: float
-    certificate: RoucheCertificate
 
 
 def track_zero_in_sigma(aux: AuxiliaryCombination, x, R: float, sigma: float,
@@ -355,8 +356,6 @@ def track_zero_in_sigma(aux: AuxiliaryCombination, x, R: float, sigma: float,
     fres = abs(f2.evaluate(z))
     if fres > 1e-8 * scale:
         raise CertificateFailure(f"tracked zero residual {fres:.3e} too large")
-    gval = abs(g2.evaluate(z))
-    if gval == 0.0:
+    if g2.evaluate(z) == 0:
         raise CertificateFailure("second combination vanishes at the tracked zero")
-    return TrackedZero(z=z, sigma=sigma, drift=drift, delta=cert.delta,
-                       f_residual=fres, g_abs=gval, moved=moved, certificate=cert)
+    return TrackedZero(z=z, drift=drift, delta=cert.delta, moved=moved)

@@ -3,12 +3,14 @@ import json
 import math
 import os
 import re
+from dataclasses import fields
 
 import pytest
 
 from zerosep import cli
 from zerosep.errors import ParseError
-from zerosep.pipeline import STAGE_EXIT_CODES, PipelineConfig, RunRecord
+from zerosep.pipeline import (BUILTIN_DEFAULTS, STAGE_EXIT_CODES, PipelineConfig,
+                              RunRecord)
 from zerosep.primes import primes_up_to
 
 
@@ -113,9 +115,47 @@ def test_replicate_refuses_record_with_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys: K" in err
 
 
-def test_config_with_the_retired_approx_weight_floor_is_a_parse_error():
-    with pytest.raises(ParseError, match="unknown config keys: approx_weight_floor"):
-        PipelineConfig.from_dict({"approx_weight_floor": 1e-9})
+@pytest.mark.parametrize("key", [
+    "approx_weight_floor", "R", "y", "t0_min", "t0_max", "t0_grid", "t0_margin",
+    "zero_floor", "steer_iters", "steer_restarts", "precision_bits"])
+def test_config_with_a_retired_key_is_a_parse_error(key):
+    with pytest.raises(ParseError, match=f"unknown config keys: {key}$"):
+        PipelineConfig.from_dict({key: 1})
+
+
+def test_every_config_field_has_a_setter():
+    # a field that no builtin, flag or config sets is a constant in disguise
+    setters = {"problem"}.union(*BUILTIN_DEFAULTS.values())
+    setters |= set(vars(cli.build_parser().parse_args(["separate"])))
+    # refine_radius is the locate-radius lever that tuning zeta-vs-sparse
+    # needs (ROADMAP direction 3)
+    setters.add("refine_radius")
+    assert {f.name for f in fields(PipelineConfig)} <= setters
+
+
+def test_witness_stage_names_why_every_draw_failed(tmp_path):
+    # no zero of the toy f keeps |g| above 1e9, so every draw is exhausted
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "builtin:toy-finite-pair", "P": 10,
+                                "locate_P": 10, "zero_margin": 1e9,
+                                "zero_candidates": 3}))
+    assert cli.main(["separate", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 23
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "witness"
+    error = last["data"]["error"]
+    assert error.startswith("all 3 witness draws failed; draw 0: no separating "
+                            "zero found in 200 attempts (attempts 200")
+    assert re.search(r"rejected_margin [1-9]", error)
+
+
+def test_config_with_no_witness_draws_is_refused(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "builtin:toy-finite-pair",
+                                "zero_candidates": 0}))
+    assert cli.main(["separate", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "cutoffs and counts must be positive" in capsys.readouterr().err
 
 
 def test_separate_refuses_config_with_unknown_key(tmp_path, capsys):
