@@ -329,8 +329,11 @@ def find_nonvanishing_t0(aux: AuxiliaryCombination,
         best_t=best_t, best_margin=best_m)
 
 
-def coprimality_sanity(f: CombPolynomial, g: CombPolynomial, seed: int = 0,
-                       lines: int = 3, tol: float = 1e-7) -> bool:
+SANITY_LINES = 3  # random lines coprimality_sanity restricts f and g to
+SANITY_ROOT_TOL = 1e-7  # relative distance at which two roots count as shared
+
+
+def coprimality_sanity(f: CombPolynomial, g: CombPolynomial, seed: int = 0) -> bool:
     """Heuristic coprimality check for constant-coefficient polynomials.
 
     Restricts both polynomials to random lines and looks for shared roots; a
@@ -345,7 +348,7 @@ def coprimality_sanity(f: CombPolynomial, g: CombPolynomial, seed: int = 0,
         return True
     rng = np.random.default_rng(seed)
     shared_lines = 0
-    for _ in range(lines):
+    for _ in range(SANITY_LINES):
         y = rng.normal(size=fc.num_vars) + 1j * rng.normal(size=fc.num_vars)
         u = rng.normal(size=fc.num_vars) + 1j * rng.normal(size=fc.num_vars)
         u /= np.linalg.norm(u)
@@ -356,8 +359,8 @@ def coprimality_sanity(f: CombPolynomial, g: CombPolynomial, seed: int = 0,
             continue
         roots_f = univariate_roots(rf).roots
         roots_g = univariate_roots(rg).roots
-        close = any(abs(a - b) < tol * max(1.0, abs(a))
+        close = any(abs(a - b) < SANITY_ROOT_TOL * max(1.0, abs(a))
                     for a in roots_f for b in roots_g)
         if close:
             shared_lines += 1
-    return shared_lines < lines
+    return shared_lines < SANITY_LINES

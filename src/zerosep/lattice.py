@@ -9,11 +9,18 @@ One lattice builder serves both :func:`simultaneous_approx` and
 :func:`almost_periods`: :func:`_approximation_lattice` builds and reduces the
 lattice for one step of the weight sweep, and :func:`_polished_height` turns
 an integer height into a polished t with its verified phase error.
+
+LLL does exact integer row operations and decides from a float64
+Gram-Schmidt kept lazily, one row at a time (Schnorr-Euchner, Math.
+Programming 66, 1994): with the loop at row k, Gram-Schmidt rows 0..k-1 match
+the basis and row k is recomputed when needed.  The nearest-plane decode uses
+the same row routine, :func:`_gs_row`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,21 +33,35 @@ from .precision import circle_distances, needed_bits, phases_for_ints
 TWO_PI = 2.0 * math.pi
 
 
-# --- integer LLL with a float Gram-Schmidt mirror ----------------------------
+# --- integer LLL with a lazily kept float Gram-Schmidt ------------------------
+#
+# The basis rows b are exact integers and F holds their float64 images.  The
+# Gram-Schmidt data is plain lists kept one row at a time: row i (mu[i][:i],
+# the orthogonal row Q[i] and its squared norm B[i]) depends only on F[0..i].
+# lll_reduce keeps rows 0..k-1 in step with F[0..k-1] and recomputes row k
+# when the loop arrives at k and after each size-reduction step that changes
+# b[k].  A swap at k sends the loop back to k-1, which it recomputes on
+# arrival; only a swap at k = 1, where the loop stays, recomputes row 0 at
+# once.  At the dimensions used here (6-17) a numpy call per row operation
+# costs more than its arithmetic.
 
 
-def _gram_schmidt(F: np.ndarray):
-    n = F.shape[0]
-    Q = np.zeros_like(F)
-    mu = np.eye(n)
-    for i in range(n):
-        v = F[i].copy()
-        for j in range(i):
-            denom = float(np.dot(Q[j], Q[j]))
-            mu[i, j] = float(np.dot(F[i], Q[j])) / denom if denom > 0 else 0.0
-            v = v - mu[i, j] * Q[j]
-        Q[i] = v
-    return Q, mu
+def _dot(x: Sequence[float], y: Sequence[float]) -> float:
+    """Dot product with the sum of the rounded products correctly rounded, so
+    the value does not depend on the Python version (``sum`` of floats
+    changed its algorithm in 3.12) or on a BLAS kernel."""
+    return math.fsum(map(operator.mul, x, y))
+
+
+def _gs_row(F: list, Q: list, mu: list, B: list, i: int) -> None:
+    """Recompute Gram-Schmidt row i in place from F[i] and rows 0..i-1."""
+    v = F[i]
+    for j in range(i):
+        m = _dot(F[i], Q[j]) / B[j] if B[j] > 0 else 0.0
+        mu[i][j] = m
+        v = [x - m * y for x, y in zip(v, Q[j])]
+    Q[i] = v
+    B[i] = _dot(v, v)
 
 
 # lll_reduce raises NonConvergence after this many loop steps times n^2
@@ -53,8 +74,9 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: float = 0.99) -> list[list[
     n = len(b)
     if n <= 1:
         return b
-    F = np.array(b, dtype=np.float64)
-    Q, mu = _gram_schmidt(F)
+    F = [[float(x) for x in row] for row in b]
+    Q, mu, B = [[]] * n, [[0.0] * n for _ in range(n)], [0.0] * n
+    _gs_row(F, Q, mu, B, 0)
     k = 1
     ops = 0
     max_ops = LLL_OPS_PER_DIM_SQUARED * n * n
@@ -63,20 +85,20 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: float = 0.99) -> list[list[
         if ops > max_ops:
             raise NonConvergence(
                 f"LLL did not finish a {n}-dimensional basis in {max_ops} ops")
+        _gs_row(F, Q, mu, B, k)
         for j in range(k - 1, -1, -1):
-            q = int(round(mu[k, j]))
+            q = int(round(mu[k][j]))
             if q != 0:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                F[k] = np.array(b[k], dtype=np.float64)
-                Q, mu = _gram_schmidt(F)
-        lhs = float(np.dot(Q[k], Q[k]))
-        rhs = (delta - mu[k, k - 1] ** 2) * float(np.dot(Q[k - 1], Q[k - 1]))
-        if lhs >= rhs:
+                F[k] = [float(x) for x in b[k]]
+                _gs_row(F, Q, mu, B, k)
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            F = np.array(b, dtype=np.float64)
-            Q, mu = _gram_schmidt(F)
+            F[k], F[k - 1] = F[k - 1], F[k]
+            if k == 1:
+                _gs_row(F, Q, mu, B, 0)
             k = max(k - 1, 1)
     return b
 
@@ -90,14 +112,15 @@ def babai_nearest_plane(rows: Sequence[Sequence[int]],
     floating point.
     """
     n = len(rows)
-    F = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
-    Q, _ = _gram_schmidt(F)
+    F = [[float(x) for x in r] for r in rows]
+    Q, mu, B = [[]] * n, [[0.0] * n for _ in range(n)], [0.0] * n
+    for i in range(n):
+        _gs_row(F, Q, mu, B, i)
     w = [int(x) for x in target]
     coeffs = [0] * n
     for i in range(n - 1, -1, -1):
-        denom = float(np.dot(Q[i], Q[i]))
-        wf = np.array([float(x) for x in w])
-        c = int(round(float(np.dot(wf, Q[i])) / denom)) if denom > 0 else 0
+        wf = [float(x) for x in w]
+        c = int(round(_dot(wf, Q[i]) / B[i])) if B[i] > 0 else 0
         coeffs[i] = c
         if c != 0:
             w = [x - c * y for x, y in zip(w, rows[i])]

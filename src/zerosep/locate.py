@@ -370,8 +370,11 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable,
 # --- vertical replication ------------------------------------------------------
 
 
+DRIFT_SERIES_TERMS = 40  # terms of the local log series vertical_drift_log_bound sums
+
+
 def vertical_drift_log_bound(F: EulerProductSpec, sigma: float, accuracy: float,
-                             P_align: int, depth: int = 40) -> float:
+                             P_align: int) -> float:
     """Bound for |log F(s + i tau) - log F(s)| when tau*log(p) sits within
     ``accuracy`` of 0 mod 2*pi for every prime p <= P_align."""
     ps = primes_up_to(P_align)
@@ -380,7 +383,7 @@ def vertical_drift_log_bound(F: EulerProductSpec, sigma: float, accuracy: float,
     if len(ps):
         pf = ps.astype(np.float64)
         absa = np.abs(F.a_values(ps))
-        for k in range(1, depth + 1):
+        for k in range(1, DRIFT_SERIES_TERMS + 1):
             total += float(np.sum((absa ** k / k) * pf ** (-k * sigma)
                                   * np.minimum(k * accuracy, 2.0)))
     total += 2.0 * log_tail_bound(F, P_align, sigma)

@@ -267,10 +267,13 @@ def _random_annulus(rng: np.random.Generator, n: int,
     return radii * np.exp(1j * angles)
 
 
+ZERO_FLOOR = 1e-6  # smallest |x_j| a separating zero may have
+
+
 def find_separating_zero(f: ComplexPolynomial, g: ComplexPolynomial,
-                         floor: float = 1e-6, g_margin: float = 1e-6,
-                         max_retries: int = 200, seed: int = 0) -> SeparatingZero:
-    """Zero of f with all coordinates at least ``floor`` and |g| >= ``g_margin``.
+                         g_margin: float = 1e-6, max_retries: int = 200,
+                         seed: int = 0) -> SeparatingZero:
+    """Zero of f with all |x_j| >= ``ZERO_FLOOR`` and |g| >= ``g_margin``.
 
     Restricts f to random complex lines and solves the univariate restriction;
     candidate roots are filtered by the floor and margin constraints and the
@@ -305,7 +308,7 @@ def find_separating_zero(f: ComplexPolynomial, g: ComplexPolynomial,
             if fres > 1e-10 * scale:
                 diag["rejected_residual"] += 1
                 continue
-            if float(np.min(np.abs(x))) < floor:
+            if float(np.min(np.abs(x))) < ZERO_FLOOR:
                 diag["rejected_floor"] += 1
                 continue
             gval = abs(g.evaluate(x))

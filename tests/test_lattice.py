@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,93 @@ from zerosep.lattice import (almost_periods, babai_nearest_plane,
 from zerosep.precision import circle_distances, phases_for_ints
 
 TWO_PI = 2.0 * math.pi
+
+
+# --- reference: LLL and nearest-plane decode over a full float Gram-Schmidt
+# rebuilt with numpy after every row operation (the implementation the lazy
+# row-wise one replaced; it must give the same rows and coefficients)
+
+
+def _reference_gram_schmidt(F):
+    n = F.shape[0]
+    Q = np.zeros_like(F)
+    mu = np.eye(n)
+    for i in range(n):
+        v = F[i].copy()
+        for j in range(i):
+            denom = float(np.dot(Q[j], Q[j]))
+            mu[i, j] = float(np.dot(F[i], Q[j])) / denom if denom > 0 else 0.0
+            v = v - mu[i, j] * Q[j]
+        Q[i] = v
+    return Q, mu
+
+
+def _reference_lll(rows, delta=0.99):
+    b = [[int(x) for x in row] for row in rows]
+    n = len(b)
+    if n <= 1:
+        return b
+    F = np.array(b, dtype=np.float64)
+    Q, mu = _reference_gram_schmidt(F)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = int(round(mu[k, j]))
+            if q != 0:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                F[k] = np.array(b[k], dtype=np.float64)
+                Q, mu = _reference_gram_schmidt(F)
+        lhs = float(np.dot(Q[k], Q[k]))
+        rhs = (delta - mu[k, k - 1] ** 2) * float(np.dot(Q[k - 1], Q[k - 1]))
+        if lhs >= rhs:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            F = np.array(b, dtype=np.float64)
+            Q, mu = _reference_gram_schmidt(F)
+            k = max(k - 1, 1)
+    return b
+
+
+def _reference_babai(rows, target):
+    n = len(rows)
+    F = np.array([[float(x) for x in r] for r in rows], dtype=np.float64)
+    Q, _ = _reference_gram_schmidt(F)
+    w = [int(x) for x in target]
+    coeffs = [0] * n
+    for i in range(n - 1, -1, -1):
+        denom = float(np.dot(Q[i], Q[i]))
+        wf = np.array([float(x) for x in w])
+        c = int(round(float(np.dot(wf, Q[i])) / denom)) if denom > 0 else 0
+        coeffs[i] = c
+        if c != 0:
+            w = [x - c * y for x, y in zip(w, rows[i])]
+    return coeffs
+
+
+def _random_basis(rng, n, bits):
+    """Full-rank n x n integer basis with entries below 2^bits in size."""
+    while True:
+        rows = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
+                for _ in range(n)]
+        if all(_exact_gram_schmidt(rows)[1]):
+            return rows
+
+
+def _exact_gram_schmidt(rows):
+    """mu and the squared norms |b*_i|^2 of the rows, in exact rationals."""
+    n = len(rows)
+    Q, B = [], []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = (sum(Fraction(x) * y for x, y in zip(row, Q[j])) / B[j]
+                        if B[j] else Fraction(0))
+            v = [x - mu[i][j] * y for x, y in zip(v, Q[j])]
+        Q.append(v)
+        B.append(sum(x * x for x in v))
+    return mu, B
 
 
 def _basis_5x5():
@@ -37,6 +126,51 @@ def test_lll_raises_when_its_op_cap_is_hit(monkeypatch):
     monkeypatch.setattr(lattice, "LLL_OPS_PER_DIM_SQUARED", 0)
     with pytest.raises(NonConvergence, match="5-dimensional basis in 0 ops"):
         lll_reduce(_basis_5x5())
+
+
+@pytest.mark.parametrize("bits", [8, 30, 60])
+def test_lll_matches_the_full_rebuild_reference(bits):
+    rng = random.Random(bits)
+    for n in range(2, 9):
+        for _ in range(3):
+            basis = _random_basis(rng, n, bits)
+            assert lll_reduce(basis) == _reference_lll(basis)
+
+
+def test_lll_matches_the_reference_on_the_approximation_lattice():
+    primes = np.array([2, 5, 7, 11, 13])
+    for k in range(6):
+        _, _, rows, red = lattice._approximation_lattice(primes, 0.02, k)
+        assert red == _reference_lll(rows)
+
+
+def test_lll_output_is_size_reduced_and_lovasz_in_exact_arithmetic():
+    rng = random.Random(5)
+    for n in range(2, 9):
+        for _ in range(4):
+            red = lll_reduce(_random_basis(rng, n, 10))
+            mu, B = _exact_gram_schmidt(red)
+            for k in range(1, n):
+                assert all(abs(mu[k][j]) <= Fraction(1, 2) + Fraction(1, 10**9)
+                           for j in range(k))
+                assert B[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) * B[k - 1]
+
+
+def test_babai_matches_the_reference_on_the_approximation_decodes(monkeypatch):
+    decodes = []
+
+    def recording_babai(rows, target):
+        decodes.append((rows, target))
+        return babai_nearest_plane(rows, target)
+
+    monkeypatch.setattr(lattice, "babai_nearest_plane", recording_babai)
+    rng = np.random.default_rng(303)
+    for _ in range(3):
+        phases = {p: float(rng.uniform(0, TWO_PI)) for p in (2, 5, 7, 11, 13)}
+        simultaneous_approx(phases, 0.02)
+    assert decodes
+    for rows, target in decodes:
+        assert babai_nearest_plane(rows, target) == _reference_babai(rows, target)
 
 
 def test_babai_decodes_near_point():
