@@ -10,6 +10,15 @@ One lattice builder serves both :func:`simultaneous_approx` and
 lattice for one step of the weight sweep, and :func:`_polished_height` turns
 an integer height into a polished t with its verified phase error.
 
+Most decoded heights cannot pass.  Before the grid polish and the
+extended-precision check, :func:`_window_admits` decides exactly whether any
+offset in the polish window [-1/2, 1/2] brings every phase within the
+accuracy, by intersecting per-prime interval lists; a height it rejects is
+never polished.  :func:`almost_periods` polishes each sweep step's heights in
+ascending order and stops the step once ``count`` shifts are found and the
+next height exceeds the ``count``-th smallest: the polish moves a height by at
+most 1/2, so the shifts keep the order of their heights.
+
 LLL does exact integer row operations and decides from a float64
 Gram-Schmidt kept lazily, one row at a time (Schnorr-Euchner, Math.
 Programming 66, 1994): with the loop at row k, Gram-Schmidt rows 0..k-1 match
@@ -29,6 +38,7 @@ import numpy as np
 
 from .errors import ApproxFailure, DomainError, NonConvergence
 from .precision import circle_distances, needed_bits, phases_for_ints
+from .primes import primes_up_to
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,6 +167,45 @@ def _polish(t0: float, logs: np.ndarray, base_phases: np.ndarray,
     return float(fine[j])
 
 
+# Slack of the window test in radians.  The test reads float64 base phases
+# and logs; the verified error it stands in for is taken at t = q + tau.  Up
+# to |t| = FLOAT_SAFE_T (1e6) both reduce a float64 product with the same
+# float log(p), so the two phases differ from base + tau*log(p) by the
+# rounding of q*log(p), of float(q + tau) and of float(q + tau)*log(p): at
+# most 3 * 2^-53 * (1e6 + 1) * log(p) < 3.4e-10 * log(p), under 1.5e-8 for
+# any int64 prime (log p < 44).  Past 1e6 the phases are reduced in extended
+# precision and the float error is tau * log(p) * 2^-53 plus a few ulps of
+# 2*pi, under 1e-14.  The interval ends add a few ulps of 2*pi more.
+WINDOW_SLACK = 1e-7
+
+
+def _window_admits(base: np.ndarray, logs: np.ndarray, targets: np.ndarray,
+                   level: float) -> bool:
+    """Whether some tau in [-1/2, 1/2] brings every phase base + tau*log(p)
+    within ``level`` + WINDOW_SLACK of its target mod 2*pi.
+
+    For one prime those tau are the intervals (c + 2*pi*m -/+ r) / log(p),
+    c = target - base, over the at most ceil(log(p) / 2*pi) + 1 integers m
+    whose interval meets the window.  The test intersects the interval lists
+    of all primes exactly; nothing is sampled.
+    """
+    r = level + WINDOW_SLACK
+    if r >= math.pi:
+        return True
+    window = [(-0.5, 0.5)]
+    for b, L, target in zip(base.tolist(), logs.tolist(), targets.tolist()):
+        c = target - b
+        m_lo = math.ceil((-0.5 * L - r - c) / TWO_PI)
+        m_hi = math.floor((0.5 * L + r - c) / TWO_PI)
+        allowed = [((c + TWO_PI * m - r) / L, (c + TWO_PI * m + r) / L)
+                   for m in range(m_lo, m_hi + 1)]
+        window = [(max(a0, b0), min(a1, b1)) for a0, a1 in window
+                  for b0, b1 in allowed if max(a0, b0) <= min(a1, b1)]
+        if not window:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ApproximationResult:
     """A single shift t with its verified worst phase error."""
@@ -176,6 +225,7 @@ class ApproximationResult:
 
 T_MAX_BRUTE = 1.0e6  # height range of the brute scan for 2 or 3 primes
 WEIGHT_SWEEP = 16  # lattice sweep steps; step k allows |q| < 2^(8 + 7k)
+PERIOD_SWEEP = 24  # the same sweep in almost_periods
 
 
 def _brute_candidates(primes: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
@@ -236,19 +286,28 @@ def simultaneous_approx(phases: dict, accuracy: float) -> ApproximationResult:
                                    tuple(map(float, targets)), bits)
 
     # lattice route
-    best_err, best_t, best_bits = math.inf, mp.mpf(0), needed_bits(1)
+    best_err, best_t = None, None
+    tried = rejected = 0
     logs = np.log(primes.astype(np.float64))
     for q in _lattice_generator_candidates(primes, targets, accuracy):
         bits = needed_bits(q)
-        t_cand, err = _polished_height(q, primes, logs, targets, bits)
-        if err < best_err:
-            best_err, best_t, best_bits = err, t_cand, bits
-        if best_err <= accuracy:
-            return ApproximationResult(best_t, best_err, "lattice",
+        tried += 1
+        polished = _polished_height(q, primes, logs, targets, bits, accuracy)
+        if polished is None:
+            rejected += 1
+            continue
+        t_cand, err = polished
+        if err <= accuracy:
+            return ApproximationResult(t_cand, err, "lattice",
                                        tuple(map(int, primes)),
-                                       tuple(map(float, targets)), best_bits)
+                                       tuple(map(float, targets)), bits)
+        if best_err is None or err < best_err:
+            best_err, best_t = err, t_cand
+    outcome = ("polished no height at" if best_err is None
+               else f"best error {best_err:.4g} above")
     raise ApproxFailure(
-        f"lattice sweep best error {best_err:.4f} above accuracy {accuracy}",
+        f"lattice sweep {outcome} accuracy {accuracy} ({tried} heights tried, "
+        f"{rejected} rejected by the window test)",
         best_error=best_err, best_t=best_t)
 
 
@@ -274,10 +333,13 @@ def _approximation_lattice(primes: np.ndarray, accuracy: float, k: int):
 
 
 def _polished_height(q: int, primes: np.ndarray, logs: np.ndarray,
-                     targets: np.ndarray, bits: int):
+                     targets: np.ndarray, bits: int, accuracy: float):
     """Integer height q plus its continuum polish, and that height's worst
-    phase error re-verified at ``bits`` of precision."""
+    phase error re-verified at ``bits`` of precision; None when the window
+    test shows that no polish can bring the error within ``accuracy``."""
     base = phases_for_ints(q, primes, bits=bits)
+    if not _window_admits(base, logs, targets, accuracy):
+        return None
     tau = _polish(float(q), logs, base, targets, halfwidth=0.5)
     with mp.workprec(bits):
         t = mp.mpf(q) + mp.mpf(tau)
@@ -335,8 +397,6 @@ def almost_periods(t_star, P: int, accuracy: float, count: int = 3,
     integer multiples extend the list.  tau = 0 qualifies trivially and is
     excluded.  Every returned value is verified in extended precision.
     """
-    from .primes import primes_up_to
-
     if not (0 < accuracy < math.pi):
         raise DomainError("accuracy must lie in (0, pi)")
     if count < 1:
@@ -349,19 +409,21 @@ def almost_periods(t_star, P: int, accuracy: float, count: int = 3,
     t_star_abs = abs(float(mp.mpf(t_star)))
 
     found: dict = {}
-    for k in range(24):
+    tried: set = set()
+    for k in range(PERIOD_SWEEP):
         _, w_scaled, _, red = _approximation_lattice(primes, accuracy, k)
         qs = {abs(int(row[-1])) // w_scaled for row in red} - {0}
-        for q in sorted(qs):
-            for mult in range(1, max(2, count + 2)):
-                qq = q * mult
-                if qq in found:
-                    continue
-                b = max(bits or 0, needed_bits(max(qq, t_star_abs + qq)))
-                # qq >= 1 and the polish moves it by at most 1/2, so tau > 0
-                tau, err = _polished_height(qq, primes, logs, targets, b)
-                if err <= accuracy:
-                    found[qq] = (tau, err)
+        heights = {q * mult for q in qs for mult in range(1, max(2, count + 2))}
+        for qq in sorted(heights - tried):
+            # a larger height gives a larger tau than the count found below it
+            if len(found) >= count and qq > sorted(found)[count - 1]:
+                break
+            tried.add(qq)
+            b = max(bits or 0, needed_bits(max(qq, t_star_abs + qq)))
+            # qq >= 1 and the polish moves it by at most 1/2, so tau > 0
+            polished = _polished_height(qq, primes, logs, targets, b, accuracy)
+            if polished is not None and polished[1] <= accuracy:
+                found[qq] = polished
         if len(found) >= count:
             break
     if len(found) < count:

@@ -1,17 +1,21 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosep import lattice
-from zerosep.errors import DomainError, NonConvergence
+from zerosep.errors import ApproxFailure, DomainError, NonConvergence
 from zerosep.lattice import (almost_periods, babai_nearest_plane,
                              exact_phase_errors, lll_reduce,
                              simultaneous_approx)
-from zerosep.precision import circle_distances, phases_for_ints
+from zerosep.precision import circle_distances, needed_bits, phases_for_ints
+from zerosep.primes import primes_up_to
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,3 +273,138 @@ def test_phases_for_ints_extended():
     # doubling precision does not change the reduced phases
     ph2 = phases_for_ints(t, [2, 3, 5], bits=512)
     assert np.max(np.abs(ph - ph2)) < 1e-12
+
+
+# --- reference: the lattice loops that polish every decoded height (the
+# implementation the window test and the ordered stop replaced; it must give
+# the same t, errors, precision and shifts)
+
+
+def _reference_polished_height(q, primes, logs, targets, bits):
+    base = phases_for_ints(q, primes, bits=bits)
+    tau = lattice._polish(float(q), logs, base, targets, halfwidth=0.5)
+    with mp.workprec(bits):
+        t = mp.mpf(q) + mp.mpf(tau)
+    return t, float(np.max(exact_phase_errors(t, primes, targets, bits)))
+
+
+def _reference_lattice_approx(phases, accuracy):
+    primes = np.array(sorted(phases), dtype=np.int64)
+    targets = np.array([math.fmod(phases[int(p)], TWO_PI) % TWO_PI
+                        for p in primes], dtype=np.float64)
+    logs = np.log(primes.astype(np.float64))
+    for q in lattice._lattice_generator_candidates(primes, targets, accuracy):
+        bits = needed_bits(q)
+        t, err = _reference_polished_height(q, primes, logs, targets, bits)
+        if err <= accuracy:
+            return t, err, bits
+    return None
+
+
+def _reference_almost_periods(t_star, P, accuracy, count):
+    primes = primes_up_to(P)
+    targets = np.zeros(len(primes))
+    logs = np.log(primes.astype(np.float64))
+    t_star_abs = abs(float(mp.mpf(t_star)))
+    found = {}
+    for k in range(24):
+        _, w_scaled, _, red = lattice._approximation_lattice(primes, accuracy, k)
+        qs = {abs(int(row[-1])) // w_scaled for row in red} - {0}
+        for q in sorted(qs):
+            for mult in range(1, max(2, count + 2)):
+                qq = q * mult
+                if qq in found:
+                    continue
+                b = needed_bits(max(qq, t_star_abs + qq))
+                tau, err = _reference_polished_height(qq, primes, logs,
+                                                      targets, b)
+                if err <= accuracy:
+                    found[qq] = tau
+        if len(found) >= count:
+            break
+    return sorted(found.values())[:count]
+
+
+@pytest.mark.parametrize("n, seed", [(5, 0), (5, 1), (5, 2), (6, 3), (6, 4)])
+def test_lattice_approx_matches_the_unpruned_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        primes = sorted(rng.choice([2, 3, 5, 7, 11, 13, 17, 19], n,
+                                   replace=False).tolist())
+        phases = {p: float(rng.uniform(0, TWO_PI)) for p in primes}
+        res = simultaneous_approx(phases, 0.02)
+        assert res.method == "lattice"
+        assert (res.t, res.max_phase_error, res.precision_bits) == \
+            _reference_lattice_approx(phases, 0.02)
+
+
+@pytest.mark.parametrize("t_star, P, accuracy, count", [
+    (0, 7, 0.01, 3), (3.3e10, 7, 0.01, 3), (0, 13, 0.05, 2)])
+def test_almost_periods_match_the_unpruned_reference(t_star, P, accuracy, count):
+    assert almost_periods(t_star, P, accuracy, count) == \
+        _reference_almost_periods(t_star, P, accuracy, count)
+
+
+def test_toy_almost_periods_polish_few_heights(monkeypatch):
+    polished = []
+    real_polish = lattice._polish
+
+    def counting_polish(t0, *args, **kwargs):
+        polished.append(t0)
+        return real_polish(t0, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_polish", counting_polish)
+    assert len(almost_periods(0, 7, 0.01, 3)) == 3
+    assert len(polished) <= 3 + 2
+
+
+_WINDOW_PRIMES = primes_up_to(100_000).tolist()
+_PHASE = st.floats(0.0, TWO_PI, exclude_max=True)
+
+
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), level=st.floats(1e-6, 3.2))
+def test_window_test_admits_every_height_a_tau_grid_can_pass(data, n, level):
+    primes = data.draw(st.lists(st.sampled_from(_WINDOW_PRIMES),
+                                min_size=n, max_size=n))
+    base = np.array(data.draw(st.lists(_PHASE, min_size=n, max_size=n)))
+    targets = np.array(data.draw(st.lists(_PHASE, min_size=n, max_size=n)))
+    logs = np.log(np.array(primes, dtype=np.float64))
+    taus = np.linspace(-0.5, 0.5, 4001)
+    d = circle_distances(np.mod(base[None, :] + taus[:, None] * logs[None, :],
+                                TWO_PI), targets[None, :])
+    worst = d.max(axis=1)
+    # each grid point lies on the boundary of the level it reaches
+    for i in (int(np.argmin(worst)), *range(0, len(taus), 500)):
+        assert lattice._window_admits(base, logs, targets, float(worst[i]))
+    if worst.min() <= level:
+        assert lattice._window_admits(base, logs, targets, level)
+
+
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 8),
+       q=(st.integers(-10**6, 10**6) | st.integers(10**6, 10**13)).filter(bool))
+def test_window_test_admits_the_verified_error_at_every_offset(data, n, q):
+    # the float64 rounding of heights near 1e6 is what WINDOW_SLACK covers
+    primes = np.array(data.draw(st.lists(st.sampled_from(_WINDOW_PRIMES),
+                                         min_size=n, max_size=n)))
+    targets = np.array(data.draw(st.lists(_PHASE, min_size=n, max_size=n)))
+    logs = np.log(primes.astype(np.float64))
+    bits = needed_bits(q)
+    base = phases_for_ints(q, primes, bits=bits)
+    for tau in np.linspace(-0.5, 0.5, 9):
+        with mp.workprec(bits):
+            t = mp.mpf(q) + mp.mpf(float(tau))
+        err = float(np.max(exact_phase_errors(t, primes, targets, bits)))
+        assert lattice._window_admits(base, logs, targets, err)
+
+
+def test_lattice_refusal_counts_the_heights_it_tried():
+    with pytest.raises(ApproxFailure) as exc:
+        simultaneous_approx({2: 1, 3: 2, 5: 3, 7: 4, 11: 5}, 1e-8)
+    msg = str(exc.value)
+    assert re.fullmatch(r"lattice sweep polished no height at accuracy 1e-08 "
+                        r"\((\d+) heights tried, \1 rejected by the window "
+                        r"test\)", msg), msg
+    assert "inf" not in msg
+    assert exc.value.best_error is None and exc.value.best_t is None
