@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 
 from .characters import Character, dirichlet_characters, export_character_table
 from .combalg import (AuxiliaryCombination, CombPolynomial, SeparationProblem,
-                      T0Search, build_auxiliary, comb_eval, find_nonvanishing_t0,
+                      T0Search, build_auxiliary, find_nonvanishing_t0,
                       support_prime)
 from .errors import ZerosepError
 from .euler import (EulerProductSpec, EvalResult, eval_dirichlet_sum,
-                    eval_partial_euler, estimate_orthogonality,
-                    finite_euler_spec, lfunction_spec, sparse_zeta_spec,
-                    validate_axioms, zeta_spec)
+                    eval_partial_euler, finite_euler_spec, lfunction_spec,
+                    sparse_zeta_spec, validate_axioms, zeta_spec)
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
 from .lattice import (ApproximationResult, almost_periods, simultaneous_approx)
 from .locate import (CombEvaluator, ZeroCertificate, certify_noncoincidence,
@@ -36,11 +35,10 @@ from .steering import (PhaseAssignment, SteeringResult, SteeringTarget,
 __all__ = [
     "Character", "dirichlet_characters", "export_character_table",
     "AuxiliaryCombination", "CombPolynomial", "SeparationProblem", "T0Search",
-    "build_auxiliary", "comb_eval", "find_nonvanishing_t0", "support_prime",
-    "ZerosepError", "EulerProductSpec", "EvalResult", "eval_dirichlet_sum",
-    "eval_partial_euler", "estimate_orthogonality", "finite_euler_spec",
-    "lfunction_spec", "sparse_zeta_spec", "validate_axioms", "zeta_spec",
-    "hurwitz_as_combination", "hurwitz_eval", "ApproximationResult",
+    "build_auxiliary", "find_nonvanishing_t0", "support_prime", "ZerosepError",
+    "EulerProductSpec", "EvalResult", "eval_dirichlet_sum", "eval_partial_euler",
+    "finite_euler_spec", "lfunction_spec", "sparse_zeta_spec", "validate_axioms",
+    "zeta_spec", "hurwitz_as_combination", "hurwitz_eval", "ApproximationResult",
     "almost_periods", "simultaneous_approx", "CombEvaluator", "ZeroCertificate",
     "certify_noncoincidence", "count_zeros_in_strip", "refine_zero",
     "twisted_eval", "PFiniteSeries", "PipelineConfig", "RunRecord",

@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 
 from .characters import dirichlet_characters, export_character_table
-from .combalg import comb_eval
 from .errors import StageError, ZerosepError
 from .euler import lfunction_spec, sparse_zeta_spec, validate_axioms, zeta_spec
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
@@ -72,7 +71,7 @@ def cmd_hurwitz(args) -> int:
     s = _parse_complex(args.s)
     direct = hurwitz_eval(args.a, args.q, s, args.cutoff)
     poly, specs, pref = hurwitz_as_combination(args.a, args.q)
-    comb = comb_eval(poly, specs, s, args.prime_cutoff)
+    comb = CombEvaluator(poly, specs, args.prime_cutoff).at(s)
     adj = comb.value * pref.value(s)
     print(f"direct sum:      {direct.value:.12g} (bound {direct.abs_error_bound:.3e})")
     print(f"combination:     {comb.value:.12g} (bound {comb.abs_error_bound:.3e})")

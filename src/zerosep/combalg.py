@@ -3,9 +3,9 @@ and the auxiliary rewrite that folds small-prime local factors into the
 coefficients so the remaining variables stand for tail products.
 
 :func:`combine` is the one monomial combine with its telescoping error
-majorant; every combination evaluator (:func:`comb_eval` here, the twisted,
-pointwise and anchored evaluators in :mod:`zerosep.locate`) feeds it per-spec
-results from :func:`zerosep.euler.truncated_exp`.
+majorant; every combination evaluator (the twisted, pointwise and anchored
+evaluators in :mod:`zerosep.locate`) feeds it per-spec results from
+:func:`zerosep.euler.truncated_exp`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ArityMismatch, DomainError, SearchFailure
-from .euler import EulerProductSpec, EvalResult, eval_partial_euler, local_logs
+from .euler import EulerProductSpec, EvalResult, local_logs
 from .pfinite import PFiniteSeries
 from .polyzero import ComplexPolynomial, univariate_roots
 from .precision import phases_for_ints
@@ -107,21 +107,6 @@ def combine(f: CombPolynomial, spec_evals: Sequence[EvalResult],
         total += cval * prod
         bound += abs(cval) * perr
     return EvalResult(total, bound)
-
-
-def comb_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec], s: complex,
-              P: int) -> EvalResult:
-    """Evaluate f(F_1(s), ..., F_N(s)) from partial Euler products.
-
-    Coefficients are prime-finite and evaluate in closed form.
-    """
-    if len(specs) != f.num_vars:
-        raise ArityMismatch(f"{f.num_vars} variables but {len(specs)} specs")
-    s = complex(s)
-    if s.real <= 1:
-        raise DomainError("combination evaluation requires Re(s) > 1")
-    evals = [eval_partial_euler(F, s, P) for F in specs]
-    return combine(f, evals, lambda c: c.value(s))
 
 
 @dataclass(frozen=True)

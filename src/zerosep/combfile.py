@@ -17,8 +17,8 @@ Grammar (line oriented, '#' comments, blank lines ignored)::
 ``index`` counts characters mod q in library order (principal first).  The
 ``inv`` clause attaches reciprocal finite Euler factors to the coefficient,
 one ``|``-separated group per factor, listing the polynomial coefficients in
-p^-s ascending.  Serialization is canonical, so load/save round-trips
-byte-identically.
+p^-s ascending.  Serialization is canonical, so parsing and serializing
+round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -215,7 +215,3 @@ def load_combination(path: str) -> CombinationFile:
     with open(path) as fh:
         return parse_combination(fh.read())
 
-
-def save_combination(cf: CombinationFile, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(serialize_combination(cf))

@@ -171,8 +171,12 @@ def truncated_exp(F: EulerProductSpec, logs: np.ndarray, sigma: float,
 
     The log-domain prime tail is converted through |exp(w) - exp(w')| <=
     |exp(w')| (exp|w - w'| - 1); a log-domain bound of 700 or more gives an
-    infinite bound instead of overflowing.
+    infinite bound instead of overflowing.  Refuses a spec whose coefficient
+    bound reaches the radius of the local factor at p = 2, where the local
+    logs no longer converge.
     """
+    if F.K_F * 2.0 ** (-sigma) >= 1.0:
+        raise DomainError("prime coefficient bound reaches the local-factor radius")
     e_log = log_tail_bound(F, P, sigma)
     value = complex(np.exp(complex(np.sum(logs))))
     bound = abs(value) * math.expm1(e_log) if e_log < 700 else math.inf
@@ -185,8 +189,6 @@ def eval_partial_euler(F: EulerProductSpec, s: complex, P: int) -> EvalResult:
     sigma = _check_sigma(s)
     if P < 2:
         raise DomainError("prime cutoff must be at least 2")
-    if F.K_F * 2.0 ** (-sigma) >= 1.0:
-        raise DomainError("prime coefficient bound reaches the local-factor radius")
     ps = primes_up_to(P)
     ps = ps[F.support_mask(ps)]
     logs = local_logs(F, ps, sigma, phases_for_ints(s.imag, ps))
@@ -258,37 +260,6 @@ def eval_dirichlet_sum(F: EulerProductSpec, s: complex, N: int) -> EvalResult:
         terms = a[nz] * nz.astype(np.float64) ** (-sigma) * np.exp(-1j * phases)
     value = complex(np.sum(terms))
     return EvalResult(value, dirichlet_tail_bound(F, N, sigma))
-
-
-@dataclass(frozen=True)
-class OrthogonalityEstimate:
-    """Normalized prime correlation sum of two specs with its checkpoint trace."""
-
-    pair: tuple[str, str]
-    cutoff_x: float
-    m_hat: complex
-    trace: list  # (x, partial m_hat at x)
-
-
-def estimate_orthogonality(F: EulerProductSpec, G: EulerProductSpec,
-                           x: float) -> OrthogonalityEstimate:
-    """m_hat = [sum_{p <= x} a_F(p) conj(a_G(p)) / p] / log log x, with trace."""
-    if x < 100:
-        raise DomainError("orthogonality estimation needs x >= 100")
-    ps = primes_up_to(int(x))
-    w = (F.a_values(ps) * np.conj(G.a_values(ps))) / ps.astype(np.float64)
-    cum = np.cumsum(w)
-    n_checks = 12
-    checkpoints = sorted({int(round(100.0 * (x / 100.0) ** (j / n_checks)))
-                          for j in range(1, n_checks + 1)})
-    trace = []
-    for cx in checkpoints:
-        i = int(np.searchsorted(ps, cx, side="right"))
-        if i == 0:
-            continue
-        trace.append((cx, complex(cum[i - 1]) / math.log(math.log(cx))))
-    m_hat = complex(cum[-1]) / math.log(math.log(x))
-    return OrthogonalityEstimate((F.label, G.label), float(x), m_hat, trace)
 
 
 @dataclass(frozen=True)

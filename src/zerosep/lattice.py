@@ -280,7 +280,7 @@ def simultaneous_approx(phases: dict, accuracy: float) -> ApproximationResult:
         err = float(np.max(exact_phase_errors(t, primes, targets, bits)))
         if err > accuracy:
             raise ApproxFailure(
-                f"brute scan best error {err:.4f} above accuracy {accuracy}",
+                f"brute scan best error {err:.4g} above accuracy {accuracy}",
                 best_error=err, best_t=mp.mpf(t))
         return ApproximationResult(mp.mpf(t), err, "brute", tuple(map(int, primes)),
                                    tuple(map(float, targets)), bits)
@@ -410,6 +410,8 @@ def almost_periods(t_star, P: int, accuracy: float, count: int = 3,
 
     found: dict = {}
     tried: set = set()
+    rejected = 0
+    best_miss = None  # smallest error of a polished height above the accuracy
     for k in range(PERIOD_SWEEP):
         _, w_scaled, _, red = _approximation_lattice(primes, accuracy, k)
         qs = {abs(int(row[-1])) // w_scaled for row in red} - {0}
@@ -422,14 +424,20 @@ def almost_periods(t_star, P: int, accuracy: float, count: int = 3,
             b = max(bits or 0, needed_bits(max(qq, t_star_abs + qq)))
             # qq >= 1 and the polish moves it by at most 1/2, so tau > 0
             polished = _polished_height(qq, primes, logs, targets, b, accuracy)
-            if polished is not None and polished[1] <= accuracy:
+            if polished is None:
+                rejected += 1
+            elif polished[1] <= accuracy:
                 found[qq] = polished
+            elif best_miss is None or polished[1] < best_miss:
+                best_miss = polished[1]
         if len(found) >= count:
             break
     if len(found) < count:
-        best = min((v[1] for v in found.values()), default=math.inf)
+        outcome = ("no polished height above it" if best_miss is None
+                   else f"best error above it {best_miss:.4g}")
         raise ApproxFailure(
-            f"found {len(found)} of {count} shifts at accuracy {accuracy} "
-            f"(best error {best:.4f})", best_error=best)
+            f"found {len(found)} of {count} shifts at accuracy {accuracy}, "
+            f"{outcome} ({len(tried)} heights tried, {rejected} rejected by "
+            f"the window test)", best_error=best_miss)
     taus = sorted((v[0] for v in found.values()))[:count]
     return taus

@@ -27,7 +27,8 @@ import mpmath as mp
 import numpy as np
 
 from .combalg import CombPolynomial, combine
-from .errors import ContourTooClose, DomainError, MarginFailure, NoZeroFound
+from .errors import (ArityMismatch, ContourTooClose, DomainError, MarginFailure,
+                     NoZeroFound)
 from .euler import (EulerProductSpec, EvalResult, local_logs, log_tail_bound,
                     truncated_exp)
 from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
@@ -80,7 +81,7 @@ class CombEvaluator:
 
     def __init__(self, f: CombPolynomial, specs: Sequence[EulerProductSpec], P: int):
         if len(specs) != f.num_vars:
-            raise DomainError("one spec per variable")
+            raise ArityMismatch(f"{f.num_vars} variables but {len(specs)} specs")
         self.f = f
         self.specs = list(specs)
         self.P = int(P)

@@ -101,17 +101,8 @@ class ComplexPolynomial:
 
 
 @dataclass(frozen=True)
-class RootCluster:
-    center: complex
-    multiplicity: int
-    residual: float
-    members: tuple[complex, ...]
-
-
-@dataclass(frozen=True)
 class RootResult:
     roots: tuple[complex, ...]          # all roots with multiplicity, flat
-    clusters: tuple[RootCluster, ...]
     residuals: tuple[float, ...]
     iterations: int
 
@@ -123,13 +114,13 @@ def _polyval(coeffs: np.ndarray, z: complex) -> complex:
     return acc
 
 
-def univariate_roots(coeffs, tol: float = 1e-14, max_iter: int = 400,
-                     cluster_eps: float = 1e-7) -> RootResult:
+def univariate_roots(coeffs, tol: float = 1e-14,
+                     max_iter: int = 400) -> RootResult:
     """All complex roots by simultaneous (Ehrlich-Aberth) iteration.
 
     Coefficients are ascending in the variable.  Roots at the origin are
     stripped first; the remaining roots are polished jointly with no
-    deflation, then merged into clusters when closer than ``cluster_eps``.
+    deflation.  A multiple root comes back as that many nearby roots.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if len(c) == 0 or not np.any(c != 0):
@@ -184,57 +175,10 @@ def univariate_roots(coeffs, tol: float = 1e-14, max_iter: int = 400,
         roots.extend(z.tolist())
 
     flat = tuple(roots)
-
-    def _orig_residual(r: complex) -> float:
-        # original polynomial is scale * t^nzero * (stripped poly)
-        return float(abs(r) ** nzero * abs(_polyval(c, r)) * scale)
-
-    residuals = tuple(_orig_residual(r) for r in flat)
-
-    # cluster merge: two roots belong to one multiple-root blob when the
-    # polynomial and its derivative are both numerically zero at their
-    # midpoint (backward-error test), or when they sit within cluster_eps
-    dcoeffs = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.array([0j])
-
-    def _noise(z: complex) -> float:
-        az = abs(z)
-        return 8e-16 * float(np.sum(np.abs(c) * az ** np.arange(len(c))))
-
-    def _same_blob(zi: complex, zj: complex) -> bool:
-        dist = abs(zi - zj)
-        if dist < cluster_eps * max(1.0, abs(zi)):
-            return True
-        mid = 0.5 * (zi + zj)
-        noise = _noise(mid)
-        return (abs(_polyval(c, mid)) <= 4.0 * noise
-                and abs(_polyval(dcoeffs, mid)) * dist <= 16.0 * noise)
-
-    nz_roots = list(flat[nzero:])
-    parent = list(range(len(nz_roots)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(nz_roots)):
-        for j in range(i + 1, len(nz_roots)):
-            if find(i) != find(j) and _same_blob(nz_roots[i], nz_roots[j]):
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[complex]] = {}
-    for i, r in enumerate(nz_roots):
-        groups.setdefault(find(i), []).append(r)
-    clusters = []
-    if nzero:
-        clusters.append(RootCluster(0.0 + 0.0j, nzero, 0.0, (0.0 + 0.0j,) * nzero))
-    for members in groups.values():
-        center = sum(members) / len(members)
-        clusters.append(RootCluster(center, len(members),
-                                    _orig_residual(center), tuple(members)))
-    clusters.sort(key=lambda cl: (cl.center.real, cl.center.imag))
-    return RootResult(flat, tuple(clusters), residuals, iterations)
+    # original polynomial is scale * t^nzero * (stripped poly)
+    residuals = tuple(float(abs(r) ** nzero * abs(_polyval(c, r)) * scale)
+                      for r in flat)
+    return RootResult(flat, residuals, iterations)
 
 
 # --- separating zeros --------------------------------------------------------

@@ -192,3 +192,12 @@ def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
     path = str(tmp_path / "absent.json")
     assert cli.main(argv + [path]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+
+
+def test_hurwitz_prints_the_combination_value(capsys):
+    assert cli.main(["hurwitz", "--a", "1", "--q", "3", "--s", "2,0",
+                     "--cutoff", "20000", "--prime-cutoff", "20000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    comb = [ln for ln in lines if ln.startswith("combination:")]
+    assert comb == ["combination:     2.24345929995+2.45227526936e-17j "
+                    "(bound 1.133e-05)"]

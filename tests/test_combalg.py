@@ -6,12 +6,13 @@ import pytest
 
 from zerosep.characters import dirichlet_characters
 from zerosep.combalg import (CombPolynomial, SeparationProblem, T0Search,
-                             build_auxiliary, comb_eval, coprimality_sanity,
+                             build_auxiliary, coprimality_sanity,
                              find_nonvanishing_t0, support_prime)
 from zerosep.errors import ArityMismatch, DomainError, SearchFailure
 from zerosep.euler import (eval_partial_euler, finite_euler_spec,
                            lfunction_spec, zeta_spec)
 from zerosep.hurwitz import hurwitz_as_combination, hurwitz_eval
+from zerosep.locate import CombEvaluator
 from zerosep.pfinite import PFiniteSeries
 
 
@@ -23,7 +24,7 @@ def test_identity_polynomial_matches_spec_eval():
     f = CombPolynomial(1, ((c(1.0), (1,)),))
     z = zeta_spec()
     s = 1.8 + 0.5j
-    r = comb_eval(f, [z], s, 10_000)
+    r = CombEvaluator(f, [z], 10_000).at(s)
     direct = eval_partial_euler(z, s, 10_000)
     assert abs(r.value - direct.value) < 1e-14
     assert r.abs_error_bound >= direct.abs_error_bound * 0.99
@@ -32,7 +33,7 @@ def test_identity_polynomial_matches_spec_eval():
 def test_hurwitz_combination_at_2():
     poly, specs, pref = hurwitz_as_combination(1, 3)
     s = 2.0 + 0j
-    r = comb_eval(poly, specs, s, 100_000)
+    r = CombEvaluator(poly, specs, 100_000).at(s)
     direct = hurwitz_eval(1, 3, s, 2_000_000)
     budget = r.abs_error_bound * abs(pref.value(s)) + direct.abs_error_bound
     assert abs(r.value * pref.value(s) - direct.value) <= budget
@@ -43,7 +44,7 @@ def test_coefficient_series_enters_product():
     f = CombPolynomial(1, ((ser, (0,)), (c(1.0), (1,))))
     z = zeta_spec()
     s = 2.0 + 0j
-    r = comb_eval(f, [z], s, 10_000)
+    r = CombEvaluator(f, [z], 10_000).at(s)
     # coefficient value at s=2 is 1 - 2^-1 = 1/2
     direct = eval_partial_euler(z, s, 10_000).value + 0.5
     assert abs(r.value - direct) < 1e-12
@@ -55,15 +56,15 @@ def test_linearity_in_coefficients():
     f2 = CombPolynomial(1, ((ser.scaled(5.0), (1,)), (c(3.0), (0,))))
     z = zeta_spec()
     s = 1.5 + 1j
-    v1 = comb_eval(f1, [z], s, 1000).value - 3.0
-    v2 = comb_eval(f2, [z], s, 1000).value - 3.0
+    v1 = CombEvaluator(f1, [z], 1000).at(s).value - 3.0
+    v2 = CombEvaluator(f2, [z], 1000).at(s).value - 3.0
     assert abs(v2 - 5.0 * v1) < 1e-12 * abs(v2)
 
 
 def test_arity_mismatch():
     f = CombPolynomial(2, ((c(1.0), (1, 0)),))
     with pytest.raises(ArityMismatch):
-        comb_eval(f, [zeta_spec()], 2.0, 100)
+        CombEvaluator(f, [zeta_spec()], 100)
 
 
 def test_support_prime():
@@ -163,7 +164,7 @@ def test_auxiliary_reproduces_comb_eval():
     aux = build_auxiliary(prob)
     s = 1.6 + 0.9j
     P = 5000
-    full = comb_eval(f, [z, L], s, P)
+    full = CombEvaluator(f, [z, L], P).at(s)
     # tail products over p > cutoff
     from zerosep.euler import local_logs
     from zerosep.primes import primes_up_to

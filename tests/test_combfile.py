@@ -1,7 +1,7 @@
 import pytest
 
 from zerosep.combfile import (load_combination, parse_combination,
-                              save_combination, serialize_combination)
+                              serialize_combination)
 from zerosep.errors import ParseError
 from zerosep.pipeline import builtin_problem
 
@@ -63,7 +63,7 @@ def test_round_trip_with_inverse_factors_and_terms():
 def test_file_round_trip(tmp_path):
     cf = parse_combination(SAMPLE)
     path = tmp_path / "comb.txt"
-    save_combination(cf, str(path))
+    path.write_text(serialize_combination(cf))
     assert load_combination(str(path)) == cf
 
 

@@ -7,9 +7,8 @@ from zerosep.characters import dirichlet_characters
 from zerosep.combfile import SpecDecl
 from zerosep.errors import DomainError, ValidationFailure
 from zerosep.euler import (EulerProductSpec, dirichlet_coefficients,
-                           estimate_orthogonality, eval_dirichlet_sum,
-                           eval_partial_euler, finite_euler_spec,
-                           lfunction_spec, local_logs,
+                           eval_dirichlet_sum, eval_partial_euler,
+                           finite_euler_spec, lfunction_spec, local_logs,
                            sparse_zeta_spec, validate_axioms, zeta_spec)
 from zerosep.primes import factorize, primes_up_to
 
@@ -112,26 +111,6 @@ def test_conjugate_symmetry_real_coefficients():
     a = eval_partial_euler(F, s, 5000)
     b = eval_partial_euler(F, s.conjugate(), 5000)
     assert abs(a.value.conjugate() - b.value) < 1e-13 * abs(a.value)
-
-
-def test_orthogonality_estimator_zeta():
-    z = zeta_spec()
-    est = estimate_orthogonality(z, z, 1_000_000)
-    assert abs(est.m_hat.imag) < 1e-12
-    assert abs(est.m_hat - 1.0) < 0.35
-    assert len(est.trace) >= 8
-    # determinism on equal labels
-    est2 = estimate_orthogonality(z, lfunction_spec(dirichlet_characters(1)[0]), 10_000)
-    est3 = estimate_orthogonality(z, z, 10_000)
-    # distinct labels but the same prime data need not match; same call must
-    assert estimate_orthogonality(z, z, 10_000).m_hat == est3.m_hat
-
-
-def test_orthogonality_estimator_distinct_characters():
-    chars = dirichlet_characters(5)
-    F, G = lfunction_spec(chars[1]), lfunction_spec(chars[2])
-    est = estimate_orthogonality(F, G, 1_000_000)
-    assert abs(est.m_hat) < 0.3
 
 
 def test_validate_axioms_zeta():

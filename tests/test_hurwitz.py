@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from zerosep.combalg import comb_eval
 from zerosep.errors import DomainError
 from zerosep.hurwitz import hurwitz_as_combination, hurwitz_eval
+from zerosep.locate import CombEvaluator
 
 
 def test_hurwitz_equals_zeta_at_a_equals_q():
@@ -53,7 +53,7 @@ def test_combination_matches_direct_eval():
     # cross-validation of the two routes at s = 3
     poly, specs, pref = hurwitz_as_combination(1, 3)
     s = 3.0 + 0j
-    comb = comb_eval(poly, specs, s, 50_000)
+    comb = CombEvaluator(poly, specs, 50_000).at(s)
     direct = hurwitz_eval(1, 3, s, 500_000)
     adjusted = comb.value * pref.value(s)
     budget = comb.abs_error_bound * abs(pref.value(s)) + direct.abs_error_bound

@@ -408,3 +408,38 @@ def test_lattice_refusal_counts_the_heights_it_tried():
                         r"test\)", msg), msg
     assert "inf" not in msg
     assert exc.value.best_error is None and exc.value.best_t is None
+
+
+def test_brute_refusal_shows_its_error_in_significant_digits():
+    with pytest.raises(ApproxFailure) as exc:
+        simultaneous_approx({2: 1.0, 3: 2.0}, 1e-9)
+    msg = str(exc.value)
+    assert re.fullmatch(r"brute scan best error (\S+) above accuracy 1e-09",
+                        msg), msg
+    shown = float(msg.split()[4])
+    assert shown > 0
+    assert abs(shown - exc.value.best_error) <= 1e-3 * exc.value.best_error
+
+
+def test_almost_periods_refusal_names_the_gap():
+    with pytest.raises(ApproxFailure) as exc:
+        almost_periods(0, 13, 1e-12, 3)
+    msg = str(exc.value)
+    m = re.fullmatch(r"found 0 of 3 shifts at accuracy 1e-12, best error "
+                     r"above it (\S+) \((\d+) heights tried, (\d+) rejected "
+                     r"by the window test\)", msg)
+    assert m, msg
+    best = exc.value.best_error
+    assert 1e-12 < best < math.inf
+    assert abs(float(m.group(1)) - best) <= 1e-3 * best
+    assert int(m.group(3)) < int(m.group(2))
+
+
+def test_almost_periods_refusal_without_a_polished_height():
+    with pytest.raises(ApproxFailure) as exc:
+        almost_periods(0, 30, 1e-7, 3)
+    msg = str(exc.value)
+    assert re.fullmatch(r"found 0 of 3 shifts at accuracy 1e-07, no polished "
+                        r"height above it \((\d+) heights tried, \1 rejected "
+                        r"by the window test\)", msg), msg
+    assert exc.value.best_error is None

@@ -30,8 +30,7 @@ def test_twisted_equals_pointwise_when_all_shifts_equal():
     ps = primes_up_to(P)
     asg = PhaseAssignment(ps, np.full(len(ps), t0), fill_value=t0, y=0)
     tw = twisted_eval(f, [z], sigma, asg, P)
-    from zerosep.combalg import comb_eval
-    pointwise = comb_eval(f, [z], complex(sigma, t0), P)
+    pointwise = CombEvaluator(f, [z], P).at(complex(sigma, t0))
     assert abs(tw.value - pointwise.value) < 1e-10 * abs(pointwise.value)
     assert tw.abs_error_bound <= pointwise.abs_error_bound * 1.01
 
@@ -210,15 +209,13 @@ def test_vertical_drift_bound_dominates():
 def test_evaluators_near_the_boundary_give_an_infinite_bound():
     # at Re(s) = 1.0001 the prime tail beyond P = 5000 exceeds the overflow
     # guard: every evaluator returns a finite value with an infinite bound
-    from zerosep.combalg import comb_eval
     problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
     f, order = problem.f_on_full_vars(), problem.variable_order
     sigma, t, P = 1.0001, 3.0, 5000
     ps = primes_up_to(P)
     asg = PhaseAssignment(ps, np.full(len(ps), t), fill_value=t, y=0)
     ev = CombEvaluator(f, order, P=P)
-    results = [comb_eval(f, order, complex(sigma, t), P),
-               ev.at(complex(sigma, t)),
+    results = [ev.at(complex(sigma, t)),
                ev.anchored(t)(complex(sigma, 0.0)),
                twisted_eval(f, order, sigma, asg, P)]
     for r in results:
@@ -249,3 +246,22 @@ def test_combination_drift_bound_covers_each_monomial_term():
     assert combination_drift_bound(f, order, 1.0001, acc, P_align, 5000) == math.inf
     f20 = CombPolynomial(2, ((c(1.0), (20, 0)), (c(-1.0), (0, 1))))
     assert combination_drift_bound(f20, order, sigma, acc, P_align, P) == math.inf
+
+
+def test_every_evaluator_refuses_a_spec_at_its_local_factor_radius():
+    # 3 * 2^-sigma >= 1 left of the pole at sigma = log2(3): the local log
+    # series at p = 2 diverges, so no evaluator may return a value
+    F = finite_euler_spec("big", {2: 3.0})
+    f = CombPolynomial(1, ((c(1.0), (1,)), (c(-1.0), (0,))))
+    sigma, P = math.log2(3.0) - 1e-9, 10
+    ev = CombEvaluator(f, [F], P)
+    asg = PhaseAssignment(primes_up_to(P), np.zeros(4), fill_value=0.0, y=0)
+    calls = [lambda: eval_partial_euler(F, complex(sigma, 0.0), P),
+             lambda: ev.at(complex(sigma, 0.0)),
+             lambda: ev.anchored(100.0)(complex(sigma, 0.0)),
+             lambda: twisted_eval(f, [F], sigma, asg, P)]
+    for call in calls:
+        with pytest.raises(DomainError, match="local-factor radius"):
+            call()
+    # right of the pole the local logs converge again
+    assert abs(ev.at(complex(2.0, 0.0)).value - (1 / (1 - 0.75) - 1)) < 1e-12

@@ -24,9 +24,8 @@ def test_roots_quadratic():
 
 def test_roots_triple_cluster():
     r = univariate_roots([-1, 3, -3, 1])  # (z-1)^3
-    assert len(r.clusters) == 1
-    assert r.clusters[0].multiplicity == 3
-    assert abs(r.clusters[0].center - 1) < 1e-4
+    assert len(r.roots) == 3
+    assert all(abs(z - 1) < 1e-4 for z in r.roots)
 
 
 def test_roots_constructed_degree_12():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from zerosep.errors import DomainError, ParseError
-from zerosep.primes import (is_prime, load_prime_table, nth_prime, prime_index,
-                            prime_indices, prime_tail_bound, primes_up_to,
-                            save_prime_table, sieve_primes)
+from zerosep.errors import DomainError
+from zerosep.primes import (prime_indices, prime_tail_bound, primes_up_to,
+                            sieve_primes)
 
 
 def test_sieve_small():
@@ -18,33 +17,13 @@ def test_cached_consistency():
 
 
 def test_prime_index():
-    assert prime_index(2) == 1
-    assert prime_index(3) == 2
-    assert prime_index(13) == 6
-    with pytest.raises(DomainError):
-        prime_index(15)
     idx = prime_indices(np.array([2, 7, 13]))
     assert idx.tolist() == [1, 4, 6]
-
-
-def test_nth_prime():
-    assert nth_prime(1) == 2
-    assert nth_prime(6) == 13
-    assert nth_prime(1000) == 7919
-
-
-def test_is_prime():
-    assert is_prime(2) and is_prime(97) and not is_prime(1) and not is_prime(91)
-
-
-def test_table_round_trip(tmp_path):
-    path = tmp_path / "primes.txt"
-    save_prime_table(str(path), 500)
-    loaded = load_prime_table(str(path))
-    assert loaded.tolist() == primes_up_to(500).tolist()
-    path.write_text("garbage\n1\n2\n")
-    with pytest.raises(ParseError):
-        load_prime_table(str(path))
+    # 15 lies past the largest prime of the table up to 15
+    with pytest.raises(DomainError):
+        prime_indices(np.array([15]))
+    with pytest.raises(DomainError):
+        prime_indices(np.array([2, 9, 13]))
 
 
 @pytest.mark.parametrize("P,sigma", [(17, 1.1), (17, 2.0), (100, 1.5),
