@@ -14,8 +14,9 @@ import sys
 from dataclasses import replace
 
 from .characters import dirichlet_characters, export_character_table
-from .errors import StageError, ZerosepError
-from .euler import lfunction_spec, sparse_zeta_spec, validate_axioms, zeta_spec
+from .combfile import SpecDecl
+from .errors import ParseError, StageError, ZerosepError
+from .euler import validate_axioms
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
 from .lattice import simultaneous_approx
 from .locate import CombEvaluator, count_zeros_in_strip
@@ -25,21 +26,33 @@ from .pipeline import (STAGE_EXIT_CODES, PipelineConfig, RunRecord,
 from .steering import SteerOptions, SteeringTarget, solve_phases
 
 
+def _parse_fields(text: str, sep: str, types: tuple, what: str) -> tuple:
+    """``text`` split at ``sep`` into one value per type, or ``ParseError``."""
+    parts = text.split(sep)
+    try:
+        if len(parts) == len(types):
+            return tuple(kind(part) for kind, part in zip(types, parts))
+    except ValueError:
+        pass
+    raise ParseError(f"bad {what}: {text!r}")
+
+
 def _spec_from_name(name: str):
     if name == "zeta":
-        return zeta_spec()
+        return SpecDecl(name, "riemann_zeta", ()).build()
     if name == "sparse_Z":
-        return sparse_zeta_spec()
+        return SpecDecl(name, "sparse_Z", ()).build()
     if name.startswith("dirichlet_L:"):
-        _, q_s, idx_s = name.split(":")
-        return lfunction_spec(dirichlet_characters(int(q_s))[int(idx_s)])
-    raise ZerosepError(
+        _, q, idx = _parse_fields(name, ":", (str, int, int),
+                                  "dirichlet_L:<q>:<index> spec")
+        return SpecDecl(name, "dirichlet_L", (q, idx)).build()
+    raise ParseError(
         f"unknown spec {name!r}; use zeta, sparse_Z, or dirichlet_L:<q>:<index>")
 
 
 def _parse_complex(text: str) -> complex:
-    re_s, im_s = text.split(",") if "," in text else (text, "0")
-    return complex(float(re_s), float(im_s))
+    types = (float, float) if "," in text else (float,)
+    return complex(*_parse_fields(text, ",", types, "complex value re[,im]"))
 
 
 def cmd_characters(args) -> int:
@@ -105,8 +118,8 @@ def cmd_steer(args) -> int:
 def cmd_approx(args) -> int:
     phases = {}
     for part in args.phases.split(","):
-        p_s, ph_s = part.split(":")
-        phases[int(p_s)] = float(ph_s)
+        p, theta = _parse_fields(part, ":", (int, float), "phase p:theta")
+        phases[p] = theta
     res = simultaneous_approx(phases, args.accuracy)
     print(f"t = {res.t}")
     print(f"max phase error = {res.max_phase_error:.6f} (method {res.method}, "
@@ -182,9 +195,9 @@ def cmd_count(args) -> int:
     problem = _load_problem(config)
     ev = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
                        P=config.locate_cutoff)
-    s_lo, s_hi = (float(x) for x in args.sigma_range.split(":"))
-    t_lo, t_hi = (float(x) for x in args.t_range.split(":"))
-    result = count_zeros_in_strip(ev.at, (s_lo, s_hi), (t_lo, t_hi),
+    s_range = _parse_fields(args.sigma_range, ":", (float, float), "range lo:hi")
+    t_range = _parse_fields(args.t_range, ":", (float, float), "range lo:hi")
+    result = count_zeros_in_strip(ev.at, s_range, t_range,
                                   subdivision=args.subdivision)
     print(f"zeros (with multiplicity): {result.total}")
     print(f"cells evaluated: {result.cells}, flagged: {len(result.flagged)}")

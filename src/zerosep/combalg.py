@@ -5,7 +5,9 @@ coefficients so the remaining variables stand for tail products.
 :func:`combine` is the one monomial combine with its telescoping error
 majorant; every combination evaluator (the twisted, pointwise and anchored
 evaluators in :mod:`zerosep.locate`) feeds it per-spec results from
-:func:`zerosep.euler.truncated_exp`.
+:func:`zerosep.euler.truncated_exp`.  The auxiliary rewrite enters that
+kernel at :func:`zerosep.euler.local_logs`: per point it sums each spec's
+local logs up to the cutoff once and folds them into every coefficient.
 """
 
 from __future__ import annotations
@@ -178,59 +180,53 @@ def _reindex(poly: CombPolynomial, slots: list[int], total: int) -> CombPolynomi
 
 
 @dataclass(frozen=True)
-class MonomialEvaluator:
-    """One monomial of an auxiliary polynomial: coefficient series times the
-    absorbed small-prime local factors raised to the monomial exponents."""
-
-    series: PFiniteSeries
-    exponents: tuple[int, ...]
-    local: tuple[tuple[EulerProductSpec, int], ...]  # (spec, power) per variable
-    cutoff_prime: int
-
-    def value(self, s: complex) -> complex:
-        v = self.series.value(s)
-        if self.cutoff_prime >= 2 and v != 0:
-            ps = primes_up_to(self.cutoff_prime)
-            for spec, power in self.local:
-                if power == 0:
-                    continue
-                sub = ps[spec.support_mask(ps)]
-                thetas = phases_for_ints(s.imag, sub)
-                logs = local_logs(spec, sub, s.real, thetas)
-                v *= cmath.exp(power * complex(np.sum(logs)))
-        return v
-
-
-@dataclass(frozen=True)
 class AuxiliaryCombination:
     """The pair of rewritten polynomials whose variables stand for the tail
-    products over primes beyond the cutoff."""
+    products over primes beyond the cutoff.  ``f`` and ``g`` are on the full
+    variable list; ``head_primes[j]`` holds spec j's primes up to the cutoff
+    (no entries when the cutoff is below 2)."""
 
     base: SeparationProblem
     cutoff_prime: int
     t0: Optional[float]
-    f_monomials: tuple[MonomialEvaluator, ...]
-    g_monomials: tuple[MonomialEvaluator, ...]
-
-    @property
-    def num_vars(self) -> int:
-        return self.base.total_vars
+    f: CombPolynomial
+    g: CombPolynomial
+    head_primes: tuple[np.ndarray, ...]
 
     def with_t0(self, t0: float) -> "AuxiliaryCombination":
         return replace(self, t0=t0)
 
-    def _poly_at(self, monos, s: complex) -> ComplexPolynomial:
-        out = tuple((m.value(s), m.exponents) for m in monos)
-        return ComplexPolynomial(self.num_vars, tuple(m for m in out if m[0] != 0))
+    def _coefficients(self, polys: Sequence[CombPolynomial], s: complex) -> list[complex]:
+        """Coefficients of ``polys`` in order at s: each series value times
+        exp(e_j L_j) over the head log-sums L_j, each summed once."""
+        s = complex(s)
+        heads = [complex(np.sum(local_logs(F, ps, s.real, phases_for_ints(s.imag, ps))))
+                 for F, ps in zip(self.base.variable_order, self.head_primes)]
+        out = []
+        for poly in polys:
+            for coeff, exps in poly.monomials:
+                v = coeff.value(s)
+                if v != 0:
+                    for e, L in zip(exps, heads):
+                        if e:
+                            v *= cmath.exp(e * L)
+                out.append(v)
+        return out
+
+    def _poly_at(self, poly: CombPolynomial, s: complex) -> ComplexPolynomial:
+        vals = self._coefficients((poly,), s)
+        return ComplexPolynomial(poly.num_vars, tuple(
+            (v, exps) for v, (_, exps) in zip(vals, poly.monomials) if v != 0))
 
     def f_poly_at(self, s: complex) -> ComplexPolynomial:
-        return self._poly_at(self.f_monomials, s)
+        return self._poly_at(self.f, s)
 
     def g_poly_at(self, s: complex) -> ComplexPolynomial:
-        return self._poly_at(self.g_monomials, s)
+        return self._poly_at(self.g, s)
 
     def coefficient_values(self, s: complex) -> list[complex]:
-        return [m.value(s) for m in self.f_monomials + self.g_monomials]
+        """Coefficients of f, then of g, at s."""
+        return self._coefficients((self.f, self.g), s)
 
     def coefficient_drift(self, s1: complex, s2: complex) -> float:
         """Largest coefficient displacement between two evaluation points."""
@@ -239,25 +235,16 @@ class AuxiliaryCombination:
         return max(abs(a - b) for a, b in zip(v1, v2))
 
 
-def _local_spec_powers(order: Sequence[EulerProductSpec],
-                       exps: tuple[int, ...]) -> tuple:
-    return tuple((spec, e) for spec, e in zip(order, exps))
-
-
 def build_auxiliary(problem: SeparationProblem) -> AuxiliaryCombination:
     """Absorb the local factors at primes up to the coefficient support prime
     into each monomial's coefficient and pad variables onto the shared order."""
     p_fg = support_prime(problem.f, problem.g)
-    order = problem.variable_order
-    f_full = problem.f_on_full_vars()
-    g_full = problem.g_on_full_vars()
-    f_monos = tuple(
-        MonomialEvaluator(coeff, exps, _local_spec_powers(order, exps), p_fg)
-        for coeff, exps in f_full.monomials)
-    g_monos = tuple(
-        MonomialEvaluator(coeff, exps, _local_spec_powers(order, exps), p_fg)
-        for coeff, exps in g_full.monomials)
-    return AuxiliaryCombination(problem, p_fg, None, f_monos, g_monos)
+    heads: tuple = ()
+    if p_fg >= 2:
+        ps = primes_up_to(p_fg)
+        heads = tuple(ps[F.support_mask(ps)] for F in problem.variable_order)
+    return AuxiliaryCombination(problem, p_fg, None, problem.f_on_full_vars(),
+                                problem.g_on_full_vars(), heads)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ evaluator: the support filter (:meth:`EulerProductSpec.support_mask`), the
 local logs (:func:`local_logs`) and the conversion of a truncated log sum
 into a value with its truncation bound (:func:`truncated_exp`).  Phases come
 from :func:`zerosep.precision.phases_for_ints`; the monomial combine lives in
-:func:`zerosep.combalg.combine`.
+:func:`zerosep.combalg.combine`.  The auxiliary rewrite in
+:mod:`zerosep.combalg` enters the kernel at :func:`local_logs`; its head
+products are finite, so it skips :func:`truncated_exp`.
 """
 
 from __future__ import annotations
@@ -164,6 +166,15 @@ def local_logs(F: EulerProductSpec, ps: np.ndarray, sigma: float,
     return -np.log1p(-x)
 
 
+def check_local_radius(F: EulerProductSpec, sigma: float) -> None:
+    """Refuse a spec whose coefficient bound reaches the radius of the local
+    factor at p = 2 on Re(s) = sigma, where the local logs no longer converge."""
+    if F.K_F * 2.0 ** (-sigma) >= 1.0:
+        raise DomainError(f"spec {F.label}: prime coefficient bound K_F = {F.K_F:.6g} "
+                          f"reaches the local-factor radius at sigma = {sigma:.6g} "
+                          f"(K_F * 2^-sigma = {F.K_F * 2.0 ** (-sigma):.4g} >= 1)")
+
+
 def truncated_exp(F: EulerProductSpec, logs: np.ndarray, sigma: float,
                   P: int) -> EvalResult:
     """exp of the summed local logs of the spec's primes up to P, with a
@@ -171,12 +182,10 @@ def truncated_exp(F: EulerProductSpec, logs: np.ndarray, sigma: float,
 
     The log-domain prime tail is converted through |exp(w) - exp(w')| <=
     |exp(w')| (exp|w - w'| - 1); a log-domain bound of 700 or more gives an
-    infinite bound instead of overflowing.  Refuses a spec whose coefficient
-    bound reaches the radius of the local factor at p = 2, where the local
-    logs no longer converge.
+    infinite bound instead of overflowing.  Refuses a spec past
+    :func:`check_local_radius`.
     """
-    if F.K_F * 2.0 ** (-sigma) >= 1.0:
-        raise DomainError("prime coefficient bound reaches the local-factor radius")
+    check_local_radius(F, sigma)
     e_log = log_tail_bound(F, P, sigma)
     value = complex(np.exp(complex(np.sum(logs))))
     bound = abs(value) * math.expm1(e_log) if e_log < 700 else math.inf

@@ -7,7 +7,9 @@ The twisted, pointwise and anchored evaluators differ only in how they reduce
 the per-prime phases; all three then run :meth:`CombEvaluator._evaluate`,
 which applies the shared kernel: :func:`zerosep.euler.local_logs` and
 :func:`zerosep.euler.truncated_exp` per spec, then
-:func:`zerosep.combalg.combine`.
+:func:`zerosep.combalg.combine`.  The auxiliary rewrite of
+:mod:`zerosep.combalg` enters the same kernel at
+:func:`zerosep.euler.local_logs`, for the primes up to its cutoff only.
 
 Zero certificates and strip counts both run on
 :func:`zerosep.polyzero.winding_scan`, the one argument-principle routine:

@@ -3,6 +3,9 @@ divided by finite Euler factors that never vanish on Re(s) >= 1.
 
 These are the coefficient objects for polynomial combinations.  They evaluate
 in closed form anywhere in Re(s) >= 1, so they carry no truncation budget.
+``value`` and ``value_anchored`` share one series loop.  The kernel's
+monomial combine (:func:`zerosep.combalg.combine`) and the auxiliary rewrite
+read coefficients through them.
 """
 
 from __future__ import annotations
@@ -96,21 +99,7 @@ class PFiniteSeries:
 
     def value(self, s: complex) -> complex:
         """Closed-form value; valid for Re(s) >= 1."""
-        if self.is_zero:
-            return 0.0 + 0.0j
-        s = complex(s)
-        total = 0.0 + 0.0j
-        for n, a in (self.terms or ((1, 1.0 + 0.0j),)):
-            total += a * cmath.exp(-s * math.log(n)) if n > 1 else a
-        for p, coeffs in self.inverse_factors:
-            x = cmath.exp(-s * math.log(p))
-            fac = 1.0 + 0.0j
-            xe = 1.0 + 0.0j
-            for c in coeffs:
-                xe *= x
-                fac += c * xe
-            total /= fac
-        return total
+        return self._value(_direct_term, complex(s))
 
     def value_anchored(self, sigma: float, phase_of) -> complex:
         """Value at s = sigma + i t with per-prime reduced phases.
@@ -118,19 +107,18 @@ class PFiniteSeries:
         ``phase_of(p)`` must return t*log(p) mod 2*pi; smooth indices are
         factored so huge t never multiplies a float log directly.
         """
+        return self._value(_anchored_term, sigma, phase_of)
+
+    def _value(self, term, *point) -> complex:
+        """The one series loop; ``term(n, a, *point)`` returns a n^-s, taking
+        a so that each form keeps the product order its last bits depend on."""
         if self.is_zero:
             return 0.0 + 0.0j
         total = 0.0 + 0.0j
         for n, a in (self.terms or ((1, 1.0 + 0.0j),)):
-            if n == 1:
-                total += a
-                continue
-            phase = 0.0
-            for p, e in factorize(n).items():
-                phase += e * phase_of(p)
-            total += a * n ** (-sigma) * cmath.exp(-1j * phase)
+            total += term(n, a, *point) if n > 1 else a
         for p, coeffs in self.inverse_factors:
-            x = p ** (-sigma) * cmath.exp(-1j * phase_of(p))
+            x = term(p, 1.0, *point)
             fac = 1.0 + 0.0j
             xe = 1.0 + 0.0j
             for c in coeffs:
@@ -149,3 +137,14 @@ class PFiniteSeries:
             cs = " + ".join(f"({c:.6g})*{p}^-{k + 1}s" for k, c in enumerate(coeffs))
             body += f" / (1 + {cs})"
         return body
+
+
+def _direct_term(n: int, a: complex, s: complex) -> complex:
+    return a * cmath.exp(-s * math.log(n))
+
+
+def _anchored_term(n: int, a: complex, sigma: float, phase_of) -> complex:
+    phase = 0.0
+    for p, e in factorize(n).items():
+        phase += e * phase_of(p)
+    return a * n ** (-sigma) * cmath.exp(-1j * phase)

@@ -27,6 +27,7 @@ from .combalg import (CombPolynomial, SeparationProblem, build_auxiliary,
 from .combfile import CombinationFile, SpecDecl, load_combination
 from .errors import (DomainError, EmptyRecord, MarginFailure, NoZeroFound,
                      NonConvergence, ParseError, StageError, ZerosepError)
+from .euler import check_local_radius
 from .hurwitz import hurwitz_as_combination
 from .lattice import almost_periods, simultaneous_approx
 from .locate import (CombEvaluator, ZeroCertificate,
@@ -306,6 +307,8 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
 
     def stage_load():
         problem = _load_problem(config)
+        for F in problem.variable_order:
+            check_local_radius(F, config.sigma)
         if not coprimality_sanity(problem.f, problem.g, seed=config.seed):
             raise DomainError("combinations failed the coprimality sanity check "
                               "(shared zero locus on random lines)")

@@ -104,7 +104,6 @@ class ComplexPolynomial:
 class RootResult:
     roots: tuple[complex, ...]          # all roots with multiplicity, flat
     residuals: tuple[float, ...]
-    iterations: int
 
 
 def _polyval(coeffs: np.ndarray, z: complex) -> complex:
@@ -114,8 +113,11 @@ def _polyval(coeffs: np.ndarray, z: complex) -> complex:
     return acc
 
 
-def univariate_roots(coeffs, tol: float = 1e-14,
-                     max_iter: int = 400) -> RootResult:
+ROOT_TOL = 1e-14  # relative step at which the simultaneous iteration stops
+ROOT_MAX_ITER = 400
+
+
+def univariate_roots(coeffs) -> RootResult:
     """All complex roots by simultaneous (Ehrlich-Aberth) iteration.
 
     Coefficients are ascending in the variable.  Roots at the origin are
@@ -136,7 +138,6 @@ def univariate_roots(coeffs, tol: float = 1e-14,
         raise DegenerateInput("degree zero polynomial has no roots")
 
     roots: list[complex] = [0.0 + 0.0j] * nzero
-    iterations = 0
     if deg == 1:
         roots.append(-c[0] / c[1])
     elif deg == 2:
@@ -152,7 +153,7 @@ def univariate_roots(coeffs, tol: float = 1e-14,
         angles = 2.0 * math.pi * np.arange(deg) / deg + 0.4
         z = r0 * np.exp(1j * angles) * (1.0 + 0.05 * np.cos(3 * angles))
         dc = cn[1:] * np.arange(1, deg + 1)
-        for iterations in range(1, max_iter + 1):
+        for _ in range(ROOT_MAX_ITER):
             pv = np.polyval(cn[::-1], z)
             dv = np.polyval(dc[::-1], z)
             w = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.1)
@@ -162,7 +163,7 @@ def univariate_roots(coeffs, tol: float = 1e-14,
             denom = 1.0 - w * sums
             step = np.where(np.abs(denom) > 1e-300, w / denom, w)
             z = z - step
-            if np.max(np.abs(step) / (1.0 + np.abs(z))) < tol:
+            if np.max(np.abs(step) / (1.0 + np.abs(z))) < ROOT_TOL:
                 break
         # deflation-free polish on the original (scaled) coefficients
         for _ in range(3):
@@ -178,7 +179,7 @@ def univariate_roots(coeffs, tol: float = 1e-14,
     # original polynomial is scale * t^nzero * (stripped poly)
     residuals = tuple(float(abs(r) ** nzero * abs(_polyval(c, r)) * scale)
                       for r in flat)
-    return RootResult(flat, residuals, iterations)
+    return RootResult(flat, residuals)
 
 
 # --- separating zeros --------------------------------------------------------
@@ -192,10 +193,6 @@ class SeparatingZero:
     base: np.ndarray
     direction: np.ndarray
     line_parameter: complex
-    f_residual: float
-    g_abs: float
-    attempts: int
-    seed: int
 
     def __iter__(self):
         return iter(self.x)
@@ -259,9 +256,7 @@ def find_separating_zero(f: ComplexPolynomial, g: ComplexPolynomial,
             if gval < g_margin:
                 diag["rejected_margin"] += 1
                 continue
-            return SeparatingZero(x=x, base=y, direction=u, line_parameter=t,
-                                  f_residual=fres, g_abs=gval,
-                                  attempts=attempt, seed=seed)
+            return SeparatingZero(x=x, base=y, direction=u, line_parameter=t)
     raise SearchExhausted(
         f"no separating zero found in {max_retries} attempts", diagnostics=diag)
 
@@ -281,17 +276,10 @@ class RoucheCertificate:
 
     base_point: tuple[complex, ...]
     direction: tuple[complex, ...]
-    eps: float
     inner_radius: float
     gamma1: float
     gamma2: float
     delta: float
-    sample_count: int
-    seed: int
-    f_coeff_count: int
-    g_coeff_count: int
-    f_degree: int
-    g_degree: int
 
 
 def _circle_lipschitz(coeffs: np.ndarray, radius: float) -> float:
@@ -381,11 +369,8 @@ def rouche_delta(f: ComplexPolynomial, g: ComplexPolynomial, y: Sequence[complex
             continue
         return RoucheCertificate(
             base_point=tuple(map(complex, y)), direction=tuple(map(complex, u)),
-            eps=float(eps), inner_radius=float(rad), gamma1=float(gamma1),
-            gamma2=float(gamma2), delta=float(delta), sample_count=int(samples),
-            seed=seed, f_coeff_count=f.nonzero_coeff_count,
-            g_coeff_count=g.nonzero_coeff_count, f_degree=f.degree,
-            g_degree=g.degree)
+            inner_radius=float(rad), gamma1=float(gamma1),
+            gamma2=float(gamma2), delta=float(delta))
     raise CertificateFailure(
         f"no radius below eps={eps} certified positive minima at {samples} samples")
 

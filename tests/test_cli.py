@@ -194,6 +194,42 @@ def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--spec", "dirichlet_L:5:9"], "character index 9 out of range mod 5"),
+    (["validate", "--spec", "dirichlet_L:5:-1"], "character index -1 out of range mod 5"),
+    (["validate", "--spec", "dirichlet_L:5"], "bad dirichlet_L:<q>:<index> spec"),
+    (["approx", "--phases", "2:1.0,3"], "bad phase p:theta: '3'"),
+    (["count", "--builtin", "toy-finite-pair", "--sigma-range", "1.1",
+      "--t-range", "0:1"], "bad range lo:hi: '1.1'"),
+    (["hurwitz", "--a", "1", "--q", "3", "--s", "2,x"], "bad complex value re[,im]: '2,x'"),
+])
+def test_malformed_cli_value_exits_1_with_an_error_line(capsys, argv, message):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_spec_past_its_local_factor_radius_is_refused_at_load(tmp_path):
+    # 3 * 2^-1.05 ~ 1.45: toyA's local log series at p = 2 diverges at sigma
+    path = tmp_path / "big.comb"
+    path.write_text("# zerosep combination file v1\n[specs]\n"
+                    "toyA = finite_euler primes=2:3.0:0.0,3:1.0:0.0\n"
+                    "toyB = finite_euler primes=5:1.0:0.0,7:1.0:0.0\n"
+                    "[poly f]\nvars = toyA toyB\n"
+                    "mono exps=1,1 coeff=1:1.0:0.0\n"
+                    "mono exps=0,0 coeff=1:-1.2349469153094004:0.0\n"
+                    "[poly g]\nvars = toyA toyB\n"
+                    "mono exps=1,0 coeff=1:1.0:0.0\n"
+                    "mono exps=0,1 coeff=1:-1.0:0.0\n")
+    assert cli.main(["separate", "--file", str(path), "--sigma", "1.05", "--P", "10",
+                     "--out-dir", str(tmp_path)]) == 20
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "load"
+    assert last["data"]["error"] == (
+        "spec toyA: prime coefficient bound K_F = 3 reaches the local-factor "
+        "radius at sigma = 1.05 (K_F * 2^-sigma = 1.449 >= 1)")
+
+
 def test_hurwitz_prints_the_combination_value(capsys):
     assert cli.main(["hurwitz", "--a", "1", "--q", "3", "--s", "2,0",
                      "--cutoff", "20000", "--prime-cutoff", "20000"]) == 0

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from zerosep import combalg
 from zerosep.characters import dirichlet_characters
 from zerosep.combalg import (CombPolynomial, SeparationProblem, T0Search,
                              build_auxiliary, coprimality_sanity,
                              find_nonvanishing_t0, support_prime)
 from zerosep.errors import ArityMismatch, DomainError, SearchFailure
 from zerosep.euler import (eval_partial_euler, finite_euler_spec,
-                           lfunction_spec, zeta_spec)
+                           lfunction_spec, local_logs, zeta_spec)
 from zerosep.hurwitz import hurwitz_as_combination, hurwitz_eval
 from zerosep.locate import CombEvaluator
 from zerosep.pfinite import PFiniteSeries
+from zerosep.pipeline import builtin_problem
 
 
 def c(x):
@@ -166,7 +168,6 @@ def test_auxiliary_reproduces_comb_eval():
     P = 5000
     full = CombEvaluator(f, [z, L], P).at(s)
     # tail products over p > cutoff
-    from zerosep.euler import local_logs
     from zerosep.primes import primes_up_to
     ps = primes_up_to(P)
     tail_ps = ps[ps > aux.cutoff_prime]
@@ -174,9 +175,36 @@ def test_auxiliary_reproduces_comb_eval():
     for F in (z, L):
         th = np.mod(s.imag * np.log(tail_ps.astype(float)), 2 * math.pi)
         tails.append(cmath.exp(complex(np.sum(local_logs(F, tail_ps, s.real, th)))))
-    rebuilt = sum(m.value(s) * tails[0] ** m.exponents[0] * tails[1] ** m.exponents[1]
-                  for m in aux.f_monomials)
+    # f's coefficients come first in coefficient_values
+    rebuilt = sum(v * tails[0] ** exps[0] * tails[1] ** exps[1]
+                  for v, (_, exps) in zip(aux.coefficient_values(s), aux.f.monomials))
     assert abs(rebuilt - full.value) < 1e-8 * max(1.0, abs(full.value))
+
+
+def test_auxiliary_sums_each_spec_head_once(monkeypatch):
+    # charpair-mod5 absorbs p = 2 into five monomials over two specs; the
+    # head log-sum of each spec is shared by every monomial of f and g
+    aux = build_auxiliary(builtin_problem("charpair-mod5").build_problem())
+    assert aux.cutoff_prime == 2
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return local_logs(*args)
+
+    monkeypatch.setattr(combalg, "local_logs", counting)
+    aux.coefficient_values(complex(1.0, 3.7))
+    assert len(calls) == 2
+
+
+def test_charpair_t0_search_is_pinned():
+    # the only builtin whose auxiliary cutoff is 2: its t0 and coefficient
+    # margin as the separation pipeline records them
+    aux = build_auxiliary(builtin_problem("charpair-mod5").build_problem())
+    t0 = find_nonvanishing_t0(aux)
+    margin = min(abs(v) for v in aux.coefficient_values(complex(1.0, t0)))
+    assert t0 == pytest.approx(0.10025062656641603, rel=1e-12)
+    assert margin == pytest.approx(0.06947445937780052, rel=1e-12)
 
 
 def test_find_t0_constant_coefficients():

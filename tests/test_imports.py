@@ -1,6 +1,7 @@
-"""Every imported name in the package and its tests is referenced, and every
+"""Every imported name in the package and its tests is referenced, every
 public top-level function and class of the package is named in the code of
-the package or of zsbench beyond its own definition."""
+the package or of zsbench beyond its own definition, and every public
+dataclass field of the package is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,31 @@ def test_every_public_definition_is_reached():
     assert unreached == []
     # an allow-listed name that the program reaches again leaves the list
     assert named.isdisjoint(UNREACHED_ON_PURPOSE)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_public_dataclass_field_is_read():
+    # read means loaded as an attribute in the package, zsbench or the tests;
+    # the check goes by name, so a field sharing its name with one that is
+    # read passes unseen
+    sources = PACKAGE + sorted((ROOT / "zsbench").glob("*.py")) + \
+        sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.name}.{stmt.target.id}"
+              for path in PACKAGE
+              for cls in trees[path].body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and not stmt.target.id.startswith("_")
+              and stmt.target.id not in read]
+    assert unread == []
