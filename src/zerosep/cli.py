@@ -119,12 +119,14 @@ def cmd_approx(args) -> int:
     phases = {}
     for part in args.phases.split(","):
         p, theta = _parse_fields(part, ":", (int, float), "phase p:theta")
+        if p in phases:
+            raise ParseError(f"prime {p} is given more than one phase")
         phases[p] = theta
     res = simultaneous_approx(phases, args.accuracy)
     print(f"t = {res.t}")
-    print(f"max phase error = {res.max_phase_error:.6f} (method {res.method}, "
+    print(f"max phase error = {res.max_phase_error:.4g} (method {res.method}, "
           f"{res.precision_bits} bits)")
-    print(f"independently recomputed error = {res.recompute_error():.6f}")
+    print(f"independently recomputed error = {res.recompute_error():.4g}")
     return 0
 
 

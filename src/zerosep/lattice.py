@@ -1,9 +1,10 @@
 """Simultaneous Diophantine approximation of phase targets.
 
 Finds a single real t with t*log(p) close to a prescribed phase mod 2*pi for
-every prime in a finite set: brute candidate scans for up to three primes,
+every prime in a finite set: the closed form theta/log(p) for one prime,
 integer lattice reduction (LLL plus a nearest-plane decode and a continuum
-polish) beyond that.  Every returned t is re-verified in extended precision.
+polish) for two or more.  Every returned t is re-verified in extended
+precision.
 
 One lattice builder serves both :func:`simultaneous_approx` and
 :func:`almost_periods`: :func:`_approximation_lattice` builds and reduces the
@@ -35,6 +36,7 @@ from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import isprime
 
 from .errors import ApproxFailure, DomainError, NonConvergence
 from .precision import circle_distances, needed_bits, phases_for_ints
@@ -76,9 +78,10 @@ def _gs_row(F: list, Q: list, mu: list, B: list, i: int) -> None:
 
 # lll_reduce raises NonConvergence after this many loop steps times n^2
 LLL_OPS_PER_DIM_SQUARED = 20000
+LLL_DELTA = 0.99  # Lovasz condition parameter of lll_reduce
 
 
-def lll_reduce(rows: Sequence[Sequence[int]], delta: float = 0.99) -> list[list[int]]:
+def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """LLL reduction of integer basis rows (exact integer row operations)."""
     b = [[int(x) for x in row] for row in rows]
     n = len(b)
@@ -102,7 +105,7 @@ def lll_reduce(rows: Sequence[Sequence[int]], delta: float = 0.99) -> list[list[
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 F[k] = [float(x) for x in b[k]]
                 _gs_row(F, Q, mu, B, k)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        if B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -148,13 +151,13 @@ def exact_phase_errors(t, primes: Sequence[int], phases: Sequence[float],
 
 
 def _polish(t0: float, logs: np.ndarray, base_phases: np.ndarray,
-            targets: np.ndarray, halfwidth: float) -> float:
+            targets: np.ndarray) -> float:
     """Continuum refinement of the offset around an integer candidate.
 
     ``base_phases`` are t0*log(p) mod 2*pi; the polish shifts t by tau within
-    the window and minimizes the worst circle distance.
+    the window [-1/2, 1/2] and minimizes the worst circle distance.
     """
-    taus = np.linspace(-halfwidth, halfwidth, 4001)
+    taus = np.linspace(-0.5, 0.5, 4001)
     ph = base_phases[None, :] + taus[:, None] * logs[None, :]
     d = circle_distances(np.mod(ph, TWO_PI), targets[None, :])
     worst = d.max(axis=1)
@@ -223,69 +226,42 @@ class ApproximationResult:
                                                bits=bits)))
 
 
-T_MAX_BRUTE = 1.0e6  # height range of the brute scan for 2 or 3 primes
 WEIGHT_SWEEP = 16  # lattice sweep steps; step k allows |q| < 2^(8 + 7k)
 PERIOD_SWEEP = 24  # the same sweep in almost_periods
-
-
-def _brute_candidates(primes: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
-    """Best t on candidate heights where the first prime is exactly on target."""
-    logs = np.log(primes.astype(np.float64))
-    base = targets[0] / logs[0]
-    step = TWO_PI / logs[0]
-    kmax = max(int((T_MAX_BRUTE - base) / step), 1)
-    best_t, best_err = base, math.inf
-    chunk = 1 << 18
-    for start in range(0, kmax + 1, chunk):
-        ks = np.arange(start, min(start + chunk, kmax + 1), dtype=np.float64)
-        ts = base + step * ks
-        ph = ts[:, None] * logs[None, 1:]
-        d = circle_distances(np.mod(ph, TWO_PI), targets[None, 1:])
-        worst = d.max(axis=1) if d.shape[1] else np.zeros(len(ts))
-        i = int(np.argmin(worst))
-        if worst[i] < best_err:
-            best_err, best_t = float(worst[i]), float(ts[i])
-    # the optimum near best_t may sit off the exact-first-prime comb
-    tau = _polish(best_t, logs, np.mod(best_t * logs, TWO_PI), targets,
-                  halfwidth=0.6 * step)
-    t2 = best_t + tau
-    err2 = float(np.max(circle_distances(np.mod(t2 * logs, TWO_PI), targets)))
-    return (t2, err2) if err2 < best_err else (best_t, best_err)
 
 
 def simultaneous_approx(phases: dict, accuracy: float) -> ApproximationResult:
     """Single t with t*log(p) within ``accuracy`` of each target phase mod 2*pi.
 
-    One prime solves exactly; two or three scan brute candidates; larger sets
-    build the simultaneous-approximation lattice (one generator row carrying
-    the scaled logarithms, one 2*pi row per prime) and sweep the generator
-    weight until the nearest-plane decode plus continuum polish meets the
-    accuracy.  Raises ``ApproxFailure`` with the best error achieved.
+    One prime solves exactly, t = theta/log(p).  Two or more build the
+    simultaneous-approximation lattice (one generator row carrying the scaled
+    logarithms, one 2*pi row per prime) and sweep the generator weight until
+    the nearest-plane decode plus continuum polish meets the accuracy.
+    Raises ``DomainError`` naming a key that is not a prime, and
+    ``ApproxFailure`` with the best error achieved.
     """
     if not (0 < accuracy < math.pi):
         raise DomainError("accuracy must lie in (0, pi)")
     if not phases:
         raise DomainError("need at least one prime")
+    for p in phases:
+        if int(p) != p or not isprime(int(p)):
+            raise DomainError(f"phase key {p} is not a prime")
     primes = np.array(sorted(phases), dtype=np.int64)
     targets = np.array([math.fmod(phases[int(p)], TWO_PI) % TWO_PI
                         for p in primes], dtype=np.float64)
-    n = len(primes)
 
-    if n <= 3:
-        if n == 1:
-            t = targets[0] / math.log(float(primes[0]))
-        else:
-            t, _ = _brute_candidates(primes, targets)
+    if len(primes) == 1:
+        t = targets[0] / math.log(float(primes[0]))
         bits = needed_bits(t)
         err = float(np.max(exact_phase_errors(t, primes, targets, bits)))
         if err > accuracy:
             raise ApproxFailure(
-                f"brute scan best error {err:.4g} above accuracy {accuracy}",
+                f"exact solution error {err:.4g} above accuracy {accuracy}",
                 best_error=err, best_t=mp.mpf(t))
-        return ApproximationResult(mp.mpf(t), err, "brute", tuple(map(int, primes)),
+        return ApproximationResult(mp.mpf(t), err, "exact", tuple(map(int, primes)),
                                    tuple(map(float, targets)), bits)
 
-    # lattice route
     best_err, best_t = None, None
     tried = rejected = 0
     logs = np.log(primes.astype(np.float64))
@@ -340,7 +316,7 @@ def _polished_height(q: int, primes: np.ndarray, logs: np.ndarray,
     base = phases_for_ints(q, primes, bits=bits)
     if not _window_admits(base, logs, targets, accuracy):
         return None
-    tau = _polish(float(q), logs, base, targets, halfwidth=0.5)
+    tau = _polish(float(q), logs, base, targets)
     with mp.workprec(bits):
         t = mp.mpf(q) + mp.mpf(tau)
     return t, float(np.max(exact_phase_errors(t, primes, targets, bits)))
@@ -388,8 +364,7 @@ def _lattice_generator_candidates(primes: np.ndarray, targets: np.ndarray,
                 yield q
 
 
-def almost_periods(t_star, P: int, accuracy: float, count: int = 3,
-                   bits: Optional[int] = None) -> list:
+def almost_periods(t_star, P: int, accuracy: float, count: int = 3) -> list:
     """Strictly positive shifts tau with tau*log(p) near 0 mod 2*pi for p <= P.
 
     Uses the homogeneous version of the approximation lattice: short reduced
@@ -421,7 +396,7 @@ def almost_periods(t_star, P: int, accuracy: float, count: int = 3,
             if len(found) >= count and qq > sorted(found)[count - 1]:
                 break
             tried.add(qq)
-            b = max(bits or 0, needed_bits(max(qq, t_star_abs + qq)))
+            b = needed_bits(max(qq, t_star_abs + qq))
             # qq >= 1 and the polish moves it by at most 1/2, so tau > 0
             polished = _polished_height(qq, primes, logs, targets, b, accuracy)
             if polished is None:

@@ -334,8 +334,11 @@ def refine_zero(H: Callable, s0: complex, r0: float,
                            value_at_center=at_center.value)
 
 
-def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable,
-                           rings: int = 6, samples: int = 48) -> ZeroCertificate:
+NONCOINCIDENCE_RINGS = 6  # concentric rings certify_noncoincidence samples
+NONCOINCIDENCE_SAMPLES = 48  # points on each ring
+
+
+def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCertificate:
     """Lower-bound the partner combination on the closed certificate disk.
 
     Dense ring sampling plus a finite-difference Lipschitz margin, minus the
@@ -344,6 +347,7 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable,
     """
     if cert.winding < 1:
         raise DomainError("certificate must carry winding >= 1")
+    rings, samples = NONCOINCIDENCE_RINGS, NONCOINCIDENCE_SAMPLES
     pts = [cert.center]
     for i in range(1, rings + 1):
         r = cert.radius * i / rings
@@ -455,9 +459,11 @@ class StripCount:
     cells: int
 
 
+STRIP_WINDING = WindingParams(initial_samples=32, max_samples=8192)  # per cell
+
+
 def count_zeros_in_strip(H: Callable, sigma_range: tuple, t_range: tuple,
-                         subdivision=4, initial_samples: int = 32,
-                         max_samples: int = 8192, max_depth: int = 2) -> StripCount:
+                         subdivision=4, max_depth: int = 2) -> StripCount:
     """Sum of winding numbers over a subdivided rectangle in Re(s) > 1.
 
     Cells whose boundary cannot be resolved are split up to ``max_depth``
@@ -486,8 +492,7 @@ def count_zeros_in_strip(H: Callable, sigma_range: tuple, t_range: tuple,
         a, b, c, d, depth = work.pop()
         cells += 1
         try:
-            total += winding_number(H, Rectangle(a, b, c, d),
-                                    WindingParams(initial_samples, max_samples))
+            total += winding_number(H, Rectangle(a, b, c, d), STRIP_WINDING)
         except ContourTooClose as exc:
             if depth < max_depth:
                 am, cm = 0.5 * (a + b), 0.5 * (c + d)

@@ -62,10 +62,10 @@ class PFiniteSeries:
         return PFiniteSeries(((1, c),), (), description)
 
     @staticmethod
-    def from_terms(terms: dict[int, complex], description: str = "") -> "PFiniteSeries":
+    def from_terms(terms: dict[int, complex]) -> "PFiniteSeries":
         items = tuple(sorted((int(n), complex(a)) for n, a in terms.items()
                              if complex(a) != 0))
-        return PFiniteSeries(items, (), description)
+        return PFiniteSeries(items)
 
     def times_inverse_factor(self, p: int, coeffs) -> "PFiniteSeries":
         base = self.terms if self.terms else ((1, 1.0 + 0.0j),)

@@ -16,7 +16,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -91,6 +91,14 @@ class PipelineConfig:
             raise DomainError("sigma must exceed 1")
         if self.P < 2 or self.approx_max_primes < 1 or self.zero_candidates < 1:
             raise DomainError("cutoffs and counts must be positive")
+        for name in ("approx_accuracy", "replicate_accuracy"):
+            if not 0 < getattr(self, name) < math.pi:
+                raise DomainError(f"{name} must lie in (0, pi)")
+        if not self.steer_tol > 0:
+            raise DomainError("steer_tol must be positive")
+        for name in ("replicate_count", "locate_P", "zero_margin", "refine_radius"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must not be negative")
 
 
 @dataclass
@@ -512,13 +520,12 @@ STAGE_EXIT_CODES = {
 # --- export ----------------------------------------------------------------------
 
 
-def export_certificate(record: RunRecord, fmt: str = "text",
-                       out_dir: Optional[str] = None) -> list[str]:
-    """Write certificates (structured text) or a CSV summary; deterministic
-    bytes for identical records."""
+def export_certificate(record: RunRecord, fmt: str = "text") -> list[str]:
+    """Write certificates (structured text) or a CSV summary into the run's
+    ``out_dir``; deterministic bytes for identical records."""
     if not record.certificates:
         raise EmptyRecord("record holds no certificate")
-    out_dir = out_dir or record.config.out_dir
+    out_dir = record.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     if fmt == "text":

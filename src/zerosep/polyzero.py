@@ -201,9 +201,9 @@ class SeparatingZero:
         return len(self.x)
 
 
-def _random_annulus(rng: np.random.Generator, n: int,
-                    rmin: float = 0.5, rmax: float = 2.0) -> np.ndarray:
-    radii = rng.uniform(rmin, rmax, n)
+def _random_annulus(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random points with modulus uniform in [1/2, 2]."""
+    radii = rng.uniform(0.5, 2.0, n)
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     return radii * np.exp(1j * angles)
 
@@ -315,9 +315,12 @@ def _certified_disk_min(coeffs: np.ndarray, radius: float, rings: int,
     return best
 
 
+ROUCHE_SAMPLES = 1024  # circle samples behind each certified minimum
+ROUCHE_ZERO_TOL = 1e-8  # relative |f(y)| under which y counts as a zero of f
+
+
 def rouche_delta(f: ComplexPolynomial, g: ComplexPolynomial, y: Sequence[complex],
-                 eps: float, seed: int = 0, samples: int = 1024,
-                 zero_tol: float = 1e-8) -> RoucheCertificate:
+                 eps: float, seed: int = 0) -> RoucheCertificate:
     """Coefficient perturbation radius under which the zero of f at y survives
     inside a disk on a generic line while g stays zero-free on that disk.
 
@@ -330,7 +333,7 @@ def rouche_delta(f: ComplexPolynomial, g: ComplexPolynomial, y: Sequence[complex
         raise DomainError("eps must be positive")
     y = np.asarray(y, dtype=np.complex128)
     scale_f = max(f.coeff_scale, 1e-300) * max(1.0, float(np.max(np.abs(y)))) ** f.degree
-    if abs(f.evaluate(y)) > zero_tol * scale_f:
+    if abs(f.evaluate(y)) > ROUCHE_ZERO_TOL * scale_f:
         raise DomainError("y is not a zero of f at the required tolerance")
     if abs(g.evaluate(y)) == 0.0:
         raise DomainError("g vanishes at y")
@@ -354,11 +357,11 @@ def rouche_delta(f: ComplexPolynomial, g: ComplexPolynomial, y: Sequence[complex
 
     for frac in (0.8, 0.6, 0.45, 0.3, 0.2, 0.12, 0.07, 0.04, 0.02):
         rad = frac * eps
-        gamma1 = _certified_circle_min(fr, rad, samples)
+        gamma1 = _certified_circle_min(fr, rad, ROUCHE_SAMPLES)
         if gamma1 <= 0:
             continue
-        gamma2 = _certified_circle_min(gr, rad, samples)
-        disk_min_g = _certified_disk_min(gr, rad, 8, samples)
+        gamma2 = _certified_circle_min(gr, rad, ROUCHE_SAMPLES)
+        disk_min_g = _certified_disk_min(gr, rad, 8, ROUCHE_SAMPLES)
         if gamma2 <= 0 or disk_min_g <= 0:
             continue
         delta = 0.9 * min(
@@ -372,7 +375,8 @@ def rouche_delta(f: ComplexPolynomial, g: ComplexPolynomial, y: Sequence[complex
             inner_radius=float(rad), gamma1=float(gamma1),
             gamma2=float(gamma2), delta=float(delta))
     raise CertificateFailure(
-        f"no radius below eps={eps} certified positive minima at {samples} samples")
+        f"no radius below eps={eps} certified positive minima at "
+        f"{ROUCHE_SAMPLES} samples")
 
 
 # --- winding numbers ----------------------------------------------------------

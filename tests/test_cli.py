@@ -158,6 +158,28 @@ def test_config_with_no_witness_draws_is_refused(tmp_path, capsys):
     assert "cutoffs and counts must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("approx_accuracy", 4.0, "approx_accuracy must lie in (0, pi)"),
+    ("approx_accuracy", 0.0, "approx_accuracy must lie in (0, pi)"),
+    ("replicate_accuracy", math.pi, "replicate_accuracy must lie in (0, pi)"),
+    ("steer_tol", -1.0, "steer_tol must be positive"),
+    ("steer_tol", 0.0, "steer_tol must be positive"),
+    ("replicate_count", -2, "replicate_count must not be negative"),
+    ("locate_P", -1, "locate_P must not be negative"),
+    ("zero_margin", -1e-3, "zero_margin must not be negative"),
+    ("refine_radius", -0.01, "refine_radius must not be negative"),
+])
+def test_config_out_of_domain_is_refused_before_any_stage(tmp_path, capsys, field,
+                                                          value, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "builtin:toy-finite-pair", field: value}))
+    assert cli.main(["separate", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "run_record.json").exists()
+
+
 def test_separate_refuses_config_with_unknown_key(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"problem": "builtin:toy-finite-pair", "K": 3}))
@@ -202,6 +224,12 @@ def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
     (["count", "--builtin", "toy-finite-pair", "--sigma-range", "1.1",
       "--t-range", "0:1"], "bad range lo:hi: '1.1'"),
     (["hurwitz", "--a", "1", "--q", "3", "--s", "2,x"], "bad complex value re[,im]: '2,x'"),
+    (["approx", "--phases", "1:1.0,2:2.0"], "phase key 1 is not a prime"),
+    (["approx", "--phases=-3:1.0,2:2.0"], "phase key -3 is not a prime"),
+    (["approx", "--phases", "0:1.0,2:2.0"], "phase key 0 is not a prime"),
+    (["approx", "--phases", "1:1.0"], "phase key 1 is not a prime"),
+    (["approx", "--phases", "4:1.0,6:2.0,9:0.5"], "phase key 4 is not a prime"),
+    (["approx", "--phases", "2:1.0,2:3.0"], "prime 2 is given more than one phase"),
 ])
 def test_malformed_cli_value_exits_1_with_an_error_line(capsys, argv, message):
     assert cli.main(argv) == 1

@@ -1,7 +1,8 @@
 """Every imported name in the package and its tests is referenced, every
 public top-level function and class of the package is named in the code of
-the package or of zsbench beyond its own definition, and every public
-dataclass field of the package is read somewhere."""
+the package or of zsbench beyond its own definition, every public
+dataclass field of the package is read somewhere, and every defaulted
+parameter of a package function is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,60 @@ def test_every_public_dataclass_field_is_read():
               and not stmt.target.id.startswith("_")
               and stmt.target.id not in read]
     assert unread == []
+
+
+def _defaulted_params(fn: ast.FunctionDef, offset: int) -> list:
+    """(name, position) of each defaulted parameter; position counts the
+    arguments a call passes before it, None for a keyword-only one."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i - offset) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                          fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _bound_offset(fn: ast.FunctionDef, in_class: bool) -> int:
+    """1 when a call passes the first parameter implicitly (self or cls)."""
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in fn.decorator_list)
+    return int(in_class and not static)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # passed means given by keyword or by position in some call named after
+    # the function, in the package, zsbench or the tests; a call with *args
+    # or **kwargs passes everything; the check goes by name, so a parameter
+    # of a function sharing its name with another one's may pass unseen
+    sources = PACKAGE + sorted((ROOT / "zsbench").glob("*.py")) + \
+        sorted((ROOT / "tests").glob("*.py"))
+    calls: dict = {}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(fn_name: str, param: str, pos) -> bool:
+        for call in calls.get(fn_name, ()):
+            if any(isinstance(a, ast.Starred) for a in call.args) or \
+                    any(k.arg in (None, param) for k in call.keywords):
+                return True
+            if pos is not None and len(call.args) > pos:
+                return True
+        return False
+
+    unpassed = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or \
+                    (fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            offset = _bound_offset(fn, id(fn) in methods)
+            unpassed += [f"{path.stem}.{fn.name}({param})"
+                         for param, pos in _defaulted_params(fn, offset)
+                         if not passed(fn.name, param, pos)]
+    assert unpassed == []

@@ -190,20 +190,35 @@ def test_babai_decodes_near_point():
 
 def test_single_prime_exact():
     res = simultaneous_approx({2: 1.0}, 0.05)
-    assert res.method == "brute"
+    assert res.method == "exact"
     assert abs(float(res.t) - 1.0 / math.log(2)) < 1e-12
     assert res.max_phase_error < 1e-10
 
 
-def test_two_primes_vs_brute_oracle():
+def test_two_primes_vs_oracle():
     rng = np.random.default_rng(12)
     for _ in range(5):
         phases = {2: float(rng.uniform(0, TWO_PI)), 3: float(rng.uniform(0, TWO_PI))}
         res = simultaneous_approx(phases, 0.1)
-        assert res.method == "brute"
+        assert res.method == "lattice"
         assert res.max_phase_error <= 0.1
         # self-verification with extra precision agrees
         assert abs(res.recompute_error() - res.max_phase_error) < 1e-10
+
+
+def test_few_primes_reach_accuracies_past_a_bounded_height_scan():
+    # a scan of the heights |t| <= 1e6 gets no closer than 6.049e-7 on the
+    # first set and refused the 3-prime sets at 1e-3
+    cases = [({2: 1.0, 3: 2.0}, 1e-7)]
+    rng = np.random.default_rng(35)
+    cases += [({p: float(rng.uniform(0, TWO_PI)) for p in (2, 3, 5)}, 1e-3)
+              for _ in range(5)]
+    for phases, accuracy in cases:
+        res = simultaneous_approx(phases, accuracy)
+        assert res.method == "lattice"
+        assert res.max_phase_error <= accuracy
+        assert res.recompute_error() <= accuracy
+        assert abs(res.recompute_error() - res.max_phase_error) < 1e-12
 
 
 def test_ten_primes_lattice():
@@ -282,7 +297,7 @@ def test_phases_for_ints_extended():
 
 def _reference_polished_height(q, primes, logs, targets, bits):
     base = phases_for_ints(q, primes, bits=bits)
-    tau = lattice._polish(float(q), logs, base, targets, halfwidth=0.5)
+    tau = lattice._polish(float(q), logs, base, targets)
     with mp.workprec(bits):
         t = mp.mpf(q) + mp.mpf(tau)
     return t, float(np.max(exact_phase_errors(t, primes, targets, bits)))
@@ -410,13 +425,16 @@ def test_lattice_refusal_counts_the_heights_it_tried():
     assert exc.value.best_error is None and exc.value.best_t is None
 
 
-def test_brute_refusal_shows_its_error_in_significant_digits():
+def test_lattice_refusal_shows_its_best_error_in_significant_digits():
     with pytest.raises(ApproxFailure) as exc:
-        simultaneous_approx({2: 1.0, 3: 2.0}, 1e-9)
+        simultaneous_approx({2: 1.0, 3: 2.0}, 1e-14)
     msg = str(exc.value)
-    assert re.fullmatch(r"brute scan best error (\S+) above accuracy 1e-09",
-                        msg), msg
-    shown = float(msg.split()[4])
+    m = re.fullmatch(r"lattice sweep best error (\S+) above accuracy 1e-14 "
+                     r"\((\d+) heights tried, (\d+) rejected by the window "
+                     r"test\)", msg)
+    assert m, msg
+    assert int(m.group(3)) < int(m.group(2))
+    shown = float(m.group(1))
     assert shown > 0
     assert abs(shown - exc.value.best_error) <= 1e-3 * exc.value.best_error
 
