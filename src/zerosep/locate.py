@@ -37,7 +37,7 @@ from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
                        winding_scan)
 from .precision import needed_bits, phases_for_ints
 from .steering import PhaseAssignment
-from .primes import factorize, primes_up_to
+from .primes import factorize, log_primes, primes_up_to
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,9 +124,7 @@ class AnchoredCombEvaluator:
         allp = np.unique(np.concatenate(
             ev._spec_primes + [np.array(coeff_primes, dtype=np.int64)]))
         base = phases_for_ints(self.t_anchor, allp, bits=self.bits)
-        # math.log, not np.log: the vectorized log may differ in the last bit,
-        # which would move every anchored value and certificate
-        logs = np.array([math.log(p) for p in allp.tolist()])
+        logs = log_primes(allp)
         spec_idx = [np.searchsorted(allp, ps) for ps in ev._spec_primes]
         self._spec_base = [base[i] for i in spec_idx]
         self._spec_logs = [logs[i] for i in spec_idx]

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from mpmath.libmp import isprime
 
 from .errors import DomainError
 from .primes import factorize
@@ -41,8 +42,9 @@ class PFiniteSeries:
         if len(seen) != len(set(seen)):
             raise DomainError("duplicate term indices")
         for p, coeffs in self.inverse_factors:
-            if not isinstance(p, int) or p < 2:
-                raise DomainError(f"inverse factor prime must be >= 2, got {p!r}")
+            # the anchored evaluator reads log p from the prime table
+            if not isinstance(p, int) or p < 2 or not isprime(p):
+                raise DomainError(f"inverse factor modulus must be a prime, got {p!r}")
             if len(coeffs) == 0:
                 raise DomainError("inverse factor needs at least one coefficient")
             # roots of c_d x^d + ... + c_1 x + 1 in x = p^-s; zero-free on

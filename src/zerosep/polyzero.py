@@ -290,33 +290,31 @@ def _circle_lipschitz(coeffs: np.ndarray, radius: float) -> float:
     return float(np.sum(ks * np.abs(coeffs[1:]) * radius ** (ks - 1)))
 
 
-def _certified_circle_min(coeffs: np.ndarray, radius: float, samples: int) -> float:
-    ts = radius * np.exp(2j * math.pi * np.arange(samples) / samples)
+ROUCHE_SAMPLES = 1024  # circle samples behind each certified minimum
+ROUCHE_RINGS = 8  # concentric rings of samples behind each certified disk minimum
+ROUCHE_ZERO_TOL = 1e-8  # relative |f(y)| under which y counts as a zero of f
+_ROUCHE_RING = np.exp(2j * math.pi * np.arange(ROUCHE_SAMPLES) / ROUCHE_SAMPLES)
+
+
+def _certified_circle_min(coeffs: np.ndarray, radius: float) -> float:
+    ts = radius * _ROUCHE_RING
     vals = np.abs(np.polyval(coeffs[::-1], ts))
     lip = _circle_lipschitz(coeffs, radius)
     # adjacent samples are 2 r sin(pi/m) apart; the min between samples can
     # undershoot by at most lip * half-arc
-    margin = lip * (math.pi * radius / samples)
+    margin = lip * (math.pi * radius / ROUCHE_SAMPLES)
     return float(np.min(vals) - margin)
 
 
-def _certified_disk_min(coeffs: np.ndarray, radius: float, rings: int,
-                        samples: int) -> float:
-    best = math.inf
+def _certified_disk_min(coeffs: np.ndarray, radius: float) -> float:
     lip = _circle_lipschitz(coeffs, radius)
-    pts = [0.0 + 0.0j]
-    for i in range(1, rings + 1):
-        r = radius * i / rings
-        pts.extend((r * np.exp(2j * math.pi * np.arange(samples) / samples)).tolist())
-    vals = np.abs(np.polyval(coeffs[::-1], np.array(pts)))
+    radii = radius * np.arange(1, ROUCHE_RINGS + 1) / ROUCHE_RINGS
+    pts = np.concatenate([[0.0 + 0.0j],
+                          (radii[:, None] * _ROUCHE_RING[None, :]).ravel()])
+    vals = np.abs(np.polyval(coeffs[::-1], pts))
     # the sample mesh of the ring/angle grid is at most this wide
-    mesh = max(radius / rings, math.pi * radius / samples)
-    best = float(np.min(vals) - lip * mesh)
-    return best
-
-
-ROUCHE_SAMPLES = 1024  # circle samples behind each certified minimum
-ROUCHE_ZERO_TOL = 1e-8  # relative |f(y)| under which y counts as a zero of f
+    mesh = max(radius / ROUCHE_RINGS, math.pi * radius / ROUCHE_SAMPLES)
+    return float(np.min(vals) - lip * mesh)
 
 
 def rouche_delta(f: ComplexPolynomial, g: ComplexPolynomial, y: Sequence[complex],
@@ -357,11 +355,11 @@ def rouche_delta(f: ComplexPolynomial, g: ComplexPolynomial, y: Sequence[complex
 
     for frac in (0.8, 0.6, 0.45, 0.3, 0.2, 0.12, 0.07, 0.04, 0.02):
         rad = frac * eps
-        gamma1 = _certified_circle_min(fr, rad, ROUCHE_SAMPLES)
+        gamma1 = _certified_circle_min(fr, rad)
         if gamma1 <= 0:
             continue
-        gamma2 = _certified_circle_min(gr, rad, ROUCHE_SAMPLES)
-        disk_min_g = _certified_disk_min(gr, rad, 8, ROUCHE_SAMPLES)
+        gamma2 = _certified_circle_min(gr, rad)
+        disk_min_g = _certified_disk_min(gr, rad)
         if gamma2 <= 0 or disk_min_g <= 0:
             continue
         delta = 0.9 * min(

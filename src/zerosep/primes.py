@@ -11,6 +11,8 @@ from .errors import DomainError
 # Grow-only cache: _primes holds all primes <= _limit.
 _primes: np.ndarray = np.array([], dtype=np.int64)
 _limit: int = 1
+# Grow-only, filled on demand: _logs[i] is log of the prime _primes[i].
+_logs: np.ndarray = np.array([], dtype=np.float64)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -50,6 +52,23 @@ def prime_indices(ps: np.ndarray) -> np.ndarray:
     if not np.all(hit):
         raise DomainError(f"{int(ps[~hit][0])} is not prime")
     return idx + 1
+
+
+def log_primes(ps: np.ndarray) -> np.ndarray:
+    """log p at an array of primes, read from a table filled on first use up
+    to the largest prime asked for.
+
+    The table holds math.log, not np.log: the vectorized log differs in the
+    last bit at a few primes, which would move every steered shift and every
+    anchored value built on it.
+    """
+    global _logs
+    idx = prime_indices(ps) - 1
+    top = int(np.max(idx)) + 1 if len(idx) else 0
+    if top > len(_logs):
+        fresh = _primes[len(_logs):top].tolist()
+        _logs = np.concatenate([_logs, [math.log(p) for p in fresh]])
+    return _logs[idx]
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -16,7 +16,7 @@ from .errors import (CertificateFailure, DomainError, DriftTooLarge,
                      Infeasible, MissingPhase, NonConvergence)
 from .euler import EulerProductSpec, local_logs
 from .polyzero import SeparatingZero, rouche_delta, univariate_roots
-from .primes import primes_up_to
+from .primes import log_primes, primes_up_to
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,34 +115,46 @@ class SteerOptions:
     restarts: int = 2
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise DomainError(f"tol must be positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if self.restarts < 1:
+            raise DomainError(f"restarts must be at least 1, got {self.restarts!r}")
 
-def _model(A: np.ndarray, pf: np.ndarray, sigma: float, thetas: np.ndarray,
-           exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Local log terms and their theta-derivatives, rows per target.
 
-    The linear stage keeps only the first-order term a(p) p^-sigma e^(-i theta);
-    the exact stage uses the closed-form local log.
+def _local_terms(C: np.ndarray, theta: np.ndarray,
+                 exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """x = C e^(-i theta) with C = a(p) p^-sigma, and the local log terms at
+    theta, rows per target.
+
+    The linear stage keeps only the first-order term x; the exact stage uses
+    the closed-form local log -log(1 - x).
     """
-    x = A * (pf ** (-sigma))[None, :] * np.exp(-1j * thetas)[None, :]
-    if exact:
-        logs = -np.log1p(-x)
-        derivs = -1j * x / (1.0 - x)
-    else:
-        logs = x
-        derivs = -1j * x
-    return logs, derivs
+    x = C * np.exp(-1j * theta)[None, :]
+    return x, (-np.log1p(-x) if exact else x)
 
 
-def _gauss_newton(A, pf, sigma, w, theta0, exact, max_iter, tol_log):
+def _gauss_newton(C, w, theta0, exact, max_iter, tol_log):
+    """Levenberg-damped Gauss-Newton on sum_p local terms = w; returns theta,
+    the iteration count and the summed local terms at theta.
+
+    The terms of an accepted trial point are kept for the next iteration, and
+    theta-derivatives are built only there.  Rows of ``C`` must be
+    C-contiguous: each residual sums them along axis 1.
+    """
     theta = theta0.copy()
     lam = 1e-8
     n_t = 2 * len(w)
+    x, logs = _local_terms(C, theta, exact)
+    total = logs.sum(axis=1)
     for it in range(1, max_iter + 1):
-        logs, derivs = _model(A, pf, sigma, theta, exact)
-        r = logs.sum(axis=1) - w
+        r = total - w
         rnorm = float(np.max(np.abs(r)))
         if rnorm <= tol_log:
-            return theta, it
+            return theta, it, total
+        derivs = -1j * x / (1.0 - x) if exact else -1j * x
         J = np.vstack([derivs.real, derivs.imag])  # 2N x n_p
         rv = np.concatenate([r.real, r.imag])
         M = J @ J.T
@@ -154,16 +166,16 @@ def _gauss_newton(A, pf, sigma, w, theta0, exact, max_iter, tol_log):
                 continue
             step = J.T @ u
             cand = theta + step
-            logs2, _ = _model(A, pf, sigma, cand, exact)
-            r2 = logs2.sum(axis=1) - w
-            if float(np.max(np.abs(r2))) < rnorm:
-                theta = cand
+            x2, logs2 = _local_terms(C, cand, exact)
+            total2 = logs2.sum(axis=1)
+            if float(np.max(np.abs(total2 - w))) < rnorm:
+                theta, x, total = cand, x2, total2
                 lam = max(lam * 0.3, 1e-12)
                 break
             lam *= 10
         else:
-            return theta, it
-    return theta, max_iter
+            return theta, it, total
+    return theta, max_iter, total
 
 
 def _branch_candidates(n: int, tries: int):
@@ -178,10 +190,8 @@ def _assignment(ps: np.ndarray, active: np.ndarray, theta: np.ndarray,
                 y: int) -> PhaseAssignment:
     """Shifts (theta_p mod 2*pi) / log(p) on the active primes of ps, zero on
     the others."""
-    # math.log, not np.log: they differ in the last bit at a few primes
     shifts = np.zeros(len(ps))
-    shifts[active] = np.mod(theta, TWO_PI) / np.array([math.log(p) for p in
-                                                       ps[active].tolist()])
+    shifts[active] = np.mod(theta, TWO_PI) / log_primes(ps[active])
     return PhaseAssignment(ps, shifts, y=y)
 
 
@@ -207,13 +217,14 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
     A_full = np.vstack([F.a_values(ps) for F in specs])
     active = np.any(A_full != 0, axis=0)
     psa = ps[active]
-    A = A_full[:, active]
-    pf = psa.astype(np.float64)
+    # column selection leaves the rows strided, and every residual sums them
+    A = np.ascontiguousarray(A_full[:, active])
     if len(psa) == 0:
         raise DomainError("no active primes in (y, P]")
 
     absA = np.abs(A)
-    psig = pf ** (-sigma)
+    psig = psa.astype(np.float64) ** (-sigma)
+    C = A * psig[None, :]
     budget = float(np.sum(np.min(absA, axis=0) * psig))
     # per-target reach: largest attainable |sum of local logs| along one ray
     budgets = tuple(float(np.sum(-np.log1p(-np.minimum(absA[j] * psig, 0.999999))))
@@ -229,9 +240,9 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
                 f"steer more primes or move sigma toward 1",
                 budget=budgets[j], demand=float(abs(w_base[j])))
 
-    def achieved_at(theta):
-        logs, _ = _model(A, pf, sigma, theta, exact=True)
-        achieved = np.exp(logs.sum(axis=1))
+    def fit_of(total):
+        """Achieved products and relative residuals from summed exact logs."""
+        achieved = np.exp(total)
         return achieved, np.abs(achieved / z - 1.0)
 
     def result(theta, fit, iters, converged):
@@ -242,7 +253,7 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
 
     # identity steering: zero shifts already on target
     zero_theta = np.zeros(len(psa))
-    fit = achieved_at(zero_theta)
+    fit = fit_of(_local_terms(C, zero_theta, exact=True)[1].sum(axis=1))
     if float(np.max(fit[1])) <= min(options.tol, 1e-9):
         return result(zero_theta, fit, 0, True)
 
@@ -263,11 +274,11 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
                         if abs(w[jstar]) > 0 else 0.0
                     break
             theta0 += rng.uniform(-INIT_NOISE, INIT_NOISE, len(psa))
-            theta_a, it_a = _gauss_newton(A, pf, sigma, w, theta0, False,
-                                          options.max_iter, tol_log)
-            theta_b, it_b = _gauss_newton(A, pf, sigma, w, theta_a, True,
-                                          options.max_iter, tol_log)
-            fit = achieved_at(theta_b)
+            theta_a, it_a, _ = _gauss_newton(C, w, theta0, False,
+                                             options.max_iter, tol_log)
+            theta_b, it_b, total = _gauss_newton(C, w, theta_a, True,
+                                                 options.max_iter, tol_log)
+            fit = fit_of(total)
             mres = float(np.max(fit[1]))
             if best is None or mres < best[0]:
                 best = (mres, theta_b, fit, it_a + it_b)

@@ -48,6 +48,9 @@ def test_inverse_factor_value_and_check():
     # its root at 2^-s = 1/3, i.e. |x| = 1/3 > 1/2? no: 1/3 < 1/2, rejected
     with pytest.raises(DomainError):
         PFiniteSeries.constant(1.0).times_inverse_factor(2, [-3.0])
+    # an inverse factor stands at a prime: 4 is refused
+    with pytest.raises(DomainError, match="must be a prime, got 4"):
+        PFiniteSeries.constant(1.0).times_inverse_factor(4, [-0.5])
 
 
 def test_anchored_value_matches_direct():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from zerosep import primes
 from zerosep.errors import DomainError
-from zerosep.primes import (prime_indices, prime_tail_bound, primes_up_to,
-                            sieve_primes)
+from zerosep.primes import (log_primes, prime_indices, prime_tail_bound,
+                            primes_up_to, sieve_primes)
 
 
 def test_sieve_small():
@@ -24,6 +27,27 @@ def test_prime_index():
         prime_indices(np.array([15]))
     with pytest.raises(DomainError):
         prime_indices(np.array([2, 9, 13]))
+
+
+def test_log_primes_is_math_log_before_and_after_the_sieve_grows(monkeypatch):
+    # empty caches, so the second request re-sieves past the first's limit
+    monkeypatch.setattr(primes, "_primes", np.array([], dtype=np.int64))
+    monkeypatch.setattr(primes, "_limit", 1)
+    monkeypatch.setattr(primes, "_logs", np.array([], dtype=np.float64))
+    for limit in (100, 200_000):
+        ps = primes_up_to(limit)
+        assert log_primes(ps).tolist() == [math.log(p) for p in ps.tolist()]
+        # unordered subsets read the same table
+        sub = ps[::-7]
+        assert log_primes(sub).tolist() == [math.log(p) for p in sub.tolist()]
+    assert primes._limit >= 200_000
+
+
+def test_log_primes_empty_and_non_prime():
+    out = log_primes(np.array([], dtype=np.int64))
+    assert out.dtype == np.float64 and out.shape == (0,)
+    with pytest.raises(DomainError, match="9 is not prime"):
+        log_primes(np.array([2, 9, 13]))
 
 
 @pytest.mark.parametrize("P,sigma", [(17, 1.1), (17, 2.0), (100, 1.5),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zerosep import steering
 from zerosep.characters import dirichlet_characters
 from zerosep.combalg import CombPolynomial, SeparationProblem, build_auxiliary
 from zerosep.errors import (DomainError, DriftTooLarge, Infeasible,
@@ -14,6 +15,8 @@ from zerosep.primes import primes_up_to
 from zerosep.steering import (PhaseAssignment, SteerOptions, SteeringTarget,
                               recompute_achieved, solve_phases,
                               track_zero_in_sigma)
+
+SIGMA = 1.01  # the Hurwitz builtins' working abscissa
 
 
 def test_target_validation():
@@ -62,6 +65,116 @@ def test_identity_steering():
     assert res.converged and res.iterations == 0
     assert np.all(res.assignment.shifts == 0.0)
     assert max(res.residuals) <= 1e-9
+
+
+@pytest.mark.parametrize("field,value", [("tol", 0.0), ("tol", -1.0),
+                                         ("max_iter", 0), ("restarts", 0)])
+def test_steer_options_refuse_values_outside_their_domain(field, value):
+    with pytest.raises(DomainError, match=field):
+        SteerOptions(**{field: value})
+
+
+def _reference_model(A, pf, sigma, thetas, exact):
+    """Local log terms and their theta-derivatives, rows per target, as the
+    kernel computed them when every point was evaluated afresh."""
+    x = A * (pf ** (-sigma))[None, :] * np.exp(-1j * thetas)[None, :]
+    if exact:
+        logs = -np.log1p(-x)
+        derivs = -1j * x / (1.0 - x)
+    else:
+        logs = x
+        derivs = -1j * x
+    return logs, derivs
+
+
+def _reference_gauss_newton(A, pf, sigma, w, theta0, exact, max_iter, tol_log):
+    """Gauss-Newton that evaluates each accepted point a second time, at the
+    head of the next iteration: the reference for ``steering._gauss_newton``."""
+    theta = theta0.copy()
+    lam = 1e-8
+    n_t = 2 * len(w)
+    for it in range(1, max_iter + 1):
+        logs, derivs = _reference_model(A, pf, sigma, theta, exact)
+        r = logs.sum(axis=1) - w
+        rnorm = float(np.max(np.abs(r)))
+        if rnorm <= tol_log:
+            return theta, it
+        J = np.vstack([derivs.real, derivs.imag])
+        rv = np.concatenate([r.real, r.imag])
+        M = J @ J.T
+        for _ in range(12):
+            try:
+                u = np.linalg.solve(M + lam * np.eye(n_t), -rv)
+            except np.linalg.LinAlgError:
+                lam *= 10
+                continue
+            step = J.T @ u
+            cand = theta + step
+            logs2, _ = _reference_model(A, pf, sigma, cand, exact)
+            r2 = logs2.sum(axis=1) - w
+            if float(np.max(np.abs(r2))) < rnorm:
+                theta = cand
+                lam = max(lam * 0.3, 1e-12)
+                break
+            lam *= 10
+        else:
+            return theta, it
+    return theta, max_iter
+
+
+def _hurwitz_mod3_specs():
+    return [lfunction_spec(chi) for chi in dirichlet_characters(3)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_matches_the_reference_kernel_bit_for_bit(seed):
+    ps = primes_up_to(20_000)
+    A_full = np.vstack([F.a_values(ps) for F in _hurwitz_mod3_specs()])
+    active = np.any(A_full != 0, axis=0)
+    A = np.ascontiguousarray(A_full[:, active])
+    pf = ps[active].astype(np.float64)
+    C = A * (pf ** (-SIGMA))[None, :]
+    rng = np.random.default_rng([seed, 3])
+    w = rng.uniform(0.0, 0.6, 2) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2))
+    theta0 = (np.angle(A[0]) - np.angle(w[0])
+              + rng.uniform(-steering.INIT_NOISE, steering.INIT_NOISE, len(pf)))
+    tol_log = 0.5e-8
+    ref_a = _reference_gauss_newton(A, pf, SIGMA, w, theta0, False, 120, tol_log)
+    got_a = steering._gauss_newton(C, w, theta0, False, 120, tol_log)
+    ref_b = _reference_gauss_newton(A, pf, SIGMA, w, ref_a[0], True, 120, tol_log)
+    got_b = steering._gauss_newton(C, w, got_a[0], True, 120, tol_log)
+    for (ref_theta, ref_it), (theta, it, total), exact in ((ref_a, got_a, False),
+                                                          (ref_b, got_b, True)):
+        assert it == ref_it and 1 < it < 120
+        assert np.array_equal(theta, ref_theta)
+        # the returned sums are those of a fresh evaluation at theta
+        logs, _ = _reference_model(A, pf, SIGMA, theta, exact)
+        assert np.array_equal(total, logs.sum(axis=1))
+
+
+def test_kernel_sums_c_contiguous_rows(monkeypatch):
+    # the active primes are a boolean column selection, which leaves strided
+    # rows; summing strided rows is a sequential reduction ~20x slower
+    seen = []
+    local_terms = steering._local_terms
+
+    def spy(C, theta, exact):
+        x, logs = local_terms(C, theta, exact)
+        seen.append((C.flags.c_contiguous and logs.flags.c_contiguous,
+                     C.shape[1]))
+        return x, logs
+
+    monkeypatch.setattr(steering, "_local_terms", spy)
+    y, P = 1, 2000
+    target = SteeringTarget((complex(math.exp(0.3)), complex(math.exp(-0.3))),
+                            R=2.0, sigma=SIGMA, eta=SIGMA - 1.0, y=y, P=P)
+    res = solve_phases(_hurwitz_mod3_specs(), target,
+                       options=SteerOptions(tol=1e-8, seed=0))
+    assert res.converged
+    assert len(seen) > 2
+    assert all(contiguous for contiguous, _ in seen)
+    # p = 3 (a(3) = 0 for both characters) was dropped from the columns
+    assert {cols for _, cols in seen} == {len(res.assignment.primes) - 1}
 
 
 def test_two_prime_grid_oracle():
