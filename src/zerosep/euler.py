@@ -14,6 +14,12 @@ from :func:`zerosep.precision.phases_for_ints`; the monomial combine lives in
 :func:`zerosep.combalg.combine`.  The auxiliary rewrite in
 :mod:`zerosep.combalg` enters the kernel at :func:`local_logs`; its head
 products are finite, so it skips :func:`truncated_exp`.
+
+The kernel's disk form is :func:`local_log_model`: a Taylor model of one
+spec's summed local logs on a disk around a centre, whose constant term is
+the :func:`local_logs` sum there, with an explicit bound for the Taylor
+remainder and the float rounding.  :func:`truncated_exp` takes that bound
+into the same log-domain budget as the prime tail.
 """
 
 from __future__ import annotations
@@ -159,11 +165,16 @@ def log_tail_bound(F: EulerProductSpec, P: float, sigma: float) -> float:
     return t1 + t2
 
 
+def _local_variables(F: EulerProductSpec, ps: np.ndarray, sigma: float,
+                     thetas: np.ndarray) -> np.ndarray:
+    """x_p = a(p) p^-sigma e^(-i theta_p), the argument of each local factor."""
+    return F.a_values(ps) * ps.astype(np.float64) ** (-sigma) * np.exp(-1j * thetas)
+
+
 def local_logs(F: EulerProductSpec, ps: np.ndarray, sigma: float,
                thetas: np.ndarray) -> np.ndarray:
     """log of each local factor at sigma with per-prime phase theta_p = t_p log p."""
-    x = F.a_values(ps) * ps.astype(np.float64) ** (-sigma) * np.exp(-1j * thetas)
-    return -np.log1p(-x)
+    return -np.log1p(-_local_variables(F, ps, sigma, thetas))
 
 
 def check_local_radius(F: EulerProductSpec, sigma: float) -> None:
@@ -175,21 +186,174 @@ def check_local_radius(F: EulerProductSpec, sigma: float) -> None:
                           f"(K_F * 2^-sigma = {F.K_F * 2.0 ** (-sigma):.4g} >= 1)")
 
 
-def truncated_exp(F: EulerProductSpec, logs: np.ndarray, sigma: float,
-                  P: int) -> EvalResult:
-    """exp of the summed local logs of the spec's primes up to P, with a
-    value-domain bound for the primes beyond P.
+def truncated_exp(F: EulerProductSpec, log_sum: complex, sigma: float,
+                  P: int, model_bound: float) -> EvalResult:
+    """exp of the spec's summed local logs up to P, with a value-domain bound
+    for the primes beyond P and for ``model_bound``, a log-domain error of
+    ``log_sum`` itself (0 for a direct sum, the bound of a
+    :class:`LocalLogModel` for a model value).
 
-    The log-domain prime tail is converted through |exp(w) - exp(w')| <=
-    |exp(w')| (exp|w - w'| - 1); a log-domain bound of 700 or more gives an
-    infinite bound instead of overflowing.  Refuses a spec past
+    Both log-domain bounds are converted together through |exp(w) - exp(w')|
+    <= |exp(w')| (exp|w - w'| - 1); a log-domain bound of 700 or more gives
+    an infinite bound instead of overflowing.  Refuses a spec past
     :func:`check_local_radius`.
     """
     check_local_radius(F, sigma)
-    e_log = log_tail_bound(F, P, sigma)
-    value = complex(np.exp(complex(np.sum(logs))))
+    e_log = log_tail_bound(F, P, sigma) + model_bound
+    value = complex(np.exp(log_sum))
     bound = abs(value) * math.expm1(e_log) if e_log < 700 else math.inf
     return EvalResult(value, bound)
+
+
+EPS = 2.0 ** -53  # unit roundoff of float64
+MODEL_MAX_ORDER = 64  # local_log_model refuses a disk that needs more terms
+
+
+def _gamma(n: int) -> float:
+    """n u / (1 - n u): the relative error bound of n float operations."""
+    return n * EPS / (1.0 - n * EPS)
+
+
+def _li_neg_table(n_max: int) -> np.ndarray:
+    """Row n holds the coefficients of u, u^2, ..., u^(n+1) in Li_{-n}(x),
+    u = x / (1 - x); entry k is k! S(n+1, k+1).
+
+    From Li_{-n-1} = x d/dx Li_{-n} = u (1 + u) d/du Li_{-n}."""
+    rows = [[1]]
+    for _ in range(n_max):
+        prev = rows[-1] + [0]
+        rows.append([(k + 1) * prev[k] + k * prev[k - 1] for k in range(len(prev))])
+    table = np.zeros((n_max + 1, n_max + 1))
+    for n, row in enumerate(rows):
+        table[n, :len(row)] = [float(c) for c in row]
+    return table
+
+
+_LI_NEG = _li_neg_table(MODEL_MAX_ORDER + 1)
+_FACTORIALS = np.array([float(math.factorial(m)) for m in range(1, MODEL_MAX_ORDER + 3)])
+# row K: the coefficients of Li_{-K} over (K+1)!, for the remainder R_K
+_R_TABLE = _LI_NEG / _FACTORIALS[:, None]
+# row m - 1: the coefficients of Li_{1-m} times (-1)^m / m!, for c_m
+_C_TABLE = _R_TABLE * np.where(np.arange(MODEL_MAX_ORDER + 2) % 2, 1.0, -1.0)[:, None]
+
+
+@dataclass(frozen=True)
+class LocalLogModel:
+    """Taylor model of one spec's summed local logs on a disk |w| <= radius
+    around a centre: ``coeffs[m]`` is c_m radius^m, and every value differs
+    from the exact sum by at most ``bound``."""
+
+    coeffs: tuple
+    radius: float
+    bound: float
+
+    def value(self, w: complex) -> complex:
+        """The summed local logs at offset w from the centre, by Horner's
+        rule in w / radius; exactly c_0 at w = 0."""
+        if abs(w) > self.radius:
+            raise DomainError(f"point at distance {abs(w):.6g} from the centre lies "
+                              f"outside the model's disk of radius {self.radius:.6g}")
+        z = w / self.radius
+        acc = 0j
+        for d in reversed(self.coeffs):
+            acc = acc * z + d
+        return acc
+
+
+def local_log_model(F: EulerProductSpec, ps: np.ndarray, sigma: float,
+                    thetas: np.ndarray, lam: np.ndarray, radius: float,
+                    phase_error: float) -> LocalLogModel:
+    """Taylor model in w of L(w) = sum_p -log(1 - x_p e^(-w lam_p)) on |w| <=
+    radius, where x_p is the local variable at (sigma, thetas) and lam_p =
+    log p: the spec's summed local logs at s + w for the centre s.
+
+    - c_0 is the sum of :func:`local_logs`, so the value at the centre is a
+      direct evaluation bit for bit.
+    - c_m = ((-1)^m / m!) sum_p lam_p^m Li_{1-m}(x_p), with Li_{-n}(x) =
+      sum_k k! S(n+1, k+1) u^(k+1) and u = x / (1 - x).
+    - The order K is the smallest whose Taylor remainder
+      sum_p ((radius lam_p)^(K+1) / (K+1)!) Li_{-K}(|x_p| p^radius) is at
+      most the rounding error of c_0.
+    - ``bound`` adds to that remainder explicit bounds on the rounding of
+      c_0 (the numpy log1p is taken to within 4u (1 + |log|) absolute), of
+      the other coefficient sums and of Horner's rule, on the phase error
+      ``phase_error`` of the thetas, and on lam_p standing for log p along
+      sigma.
+
+    Refuses a disk that reaches the local-factor radius (by
+    :func:`check_local_radius` at sigma - radius, or at any prime of ps) and
+    one that needs more than ``MODEL_MAX_ORDER`` terms.
+    """
+    if not radius > 0:
+        raise DomainError(f"model radius must be positive, got {radius}")
+    check_local_radius(F, sigma - radius)
+    x = _local_variables(F, ps, sigma, thetas)
+    logs = -np.log1p(-x)  # the expression local_logs returns
+    c0 = complex(np.sum(logs))  # as truncated_exp's callers sum them
+    n = len(ps)
+    rl = radius * lam
+    # |x_p| p^radius, the largest local variable on the disk, rounded up
+    y = np.abs(x)
+    y *= np.exp(rl)
+    y *= 1.0 + 16.0 * EPS
+    if n and y.max() >= 1.0:
+        raise DomainError(f"spec {F.label}: the disk of radius {radius:.6g} around "
+                          f"sigma = {sigma:.6g} reaches the local-factor radius")
+    v = y / (1.0 - y)  # Li_0(y): bounds |Li_0| and |u| on the disk
+    u = x / (1.0 - x)
+    au = np.abs(u)
+    alogs = np.abs(logs)
+    # relative error of each x_p: the phases, then pow, exp and two products
+    eps_x = phase_error + 8.0 * EPS
+    round0 = float(eps_x * au.sum() + 4.0 * EPS * n
+                   + (4.0 * EPS + _gamma(n)) * alogs.sum())
+    K, rems, powers = _model_order(rl, v, round0)
+    coeffs = [c0]
+    round_m = 0.0
+    if K:
+        up = np.empty((K, n), dtype=np.complex128)  # row k: u^(k+1)
+        up[0] = u
+        for k in range(1, K):
+            np.multiply(up[k - 1], u, out=up[k])
+        # row m - 1: (-1)^m / m! times the coefficients of Li_{1-m} in u
+        coeffs += ((powers[:K] @ up.T) * _C_TABLE[:K, :K]).sum(axis=1).tolist()
+        # rounding of c_m: the relative error of u_p raised to the power
+        # k + 1, then the powers, the products and the sums over p and k;
+        # the moduli of the terms sum to at most rems[m - 1], since |u_p| <= v_p
+        eta = float(1.0 + au.max()) * eps_x + 6.0 * EPS
+        gam = _gamma(n + 6 * K + 10)
+        round_m = sum((m * eta + gam) * r for m, r in enumerate(rems[:K].tolist(), 1))
+    horner = _gamma(8 * (K + 1)) * sum(abs(c) for c in coeffs)
+    # lam_p standing for log p along sigma, and the rounding of w / radius
+    shift = 3.0 * EPS * float(rl.dot(v))
+    bound = float(rems[K]) + round0 + round_m + horner + shift
+    return LocalLogModel(tuple(coeffs), float(radius), bound)
+
+
+def _model_order(rl: np.ndarray, v: np.ndarray, tol: float):
+    """Smallest K with remainder R_K = sum_p (rl_p^(K+1) / (K+1)!)
+    Li_{-K}(y_p) at most ``tol``, where v_p = y_p / (1 - y_p).
+
+    Returns K, the sums R_0..R_K and the rows rl^m, m = 1..K+1."""
+    rows = 8
+    powers = np.empty((rows, len(rl)))  # row m - 1: rl^m
+    vp = np.empty((rows, len(rl)))  # row k: v^(k+1)
+    powers[0], vp[0] = rl, v
+    rems = np.empty(MODEL_MAX_ORDER + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for K in range(MODEL_MAX_ORDER + 1):
+            if K == rows:
+                rows = MODEL_MAX_ORDER + 1
+                powers = np.concatenate([powers, np.empty((rows - K, len(rl)))])
+                vp = np.concatenate([vp, np.empty((rows - K, len(rl)))])
+            if K:
+                np.multiply(powers[K - 1], rl, out=powers[K])
+                np.multiply(vp[K - 1], v, out=vp[K])
+            rems[K] = (vp[:K + 1] @ powers[K]).dot(_R_TABLE[K, :K + 1])
+            if rems[K] <= tol:
+                return K, rems, powers
+    raise DomainError(f"no Taylor model of order <= {MODEL_MAX_ORDER} reaches the "
+                      f"rounding error {tol:.3g} on this disk")
 
 
 def eval_partial_euler(F: EulerProductSpec, s: complex, P: int) -> EvalResult:
@@ -201,7 +365,7 @@ def eval_partial_euler(F: EulerProductSpec, s: complex, P: int) -> EvalResult:
     ps = primes_up_to(P)
     ps = ps[F.support_mask(ps)]
     logs = local_logs(F, ps, sigma, phases_for_ints(s.imag, ps))
-    return truncated_exp(F, logs, sigma, P)
+    return truncated_exp(F, complex(np.sum(logs)), sigma, P, 0.0)
 
 
 def dirichlet_coefficients(F: EulerProductSpec, N: int) -> np.ndarray:

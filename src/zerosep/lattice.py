@@ -227,6 +227,7 @@ class ApproximationResult:
 
 
 WEIGHT_SWEEP = 16  # lattice sweep steps; step k allows |q| < 2^(8 + 7k)
+SWEEP_BITS = 8 + 7 * (WEIGHT_SWEEP - 1)  # log2 of the largest height the sweep tries
 PERIOD_SWEEP = 24  # the same sweep in almost_periods
 
 
@@ -238,7 +239,10 @@ def simultaneous_approx(phases: dict, accuracy: float) -> ApproximationResult:
     logarithms, one 2*pi row per prime) and sweep the generator weight until
     the nearest-plane decode plus continuum polish meets the accuracy.
     Raises ``DomainError`` naming a key that is not a prime, and
-    ``ApproxFailure`` with the best error achieved.
+    ``ApproxFailure`` with the best error achieved.  A height meeting n
+    phases to within the accuracy needs about n log2(pi / accuracy) bits, so
+    two or more primes demanding more than the sweep's ``SWEEP_BITS`` are
+    refused before any lattice is built.
     """
     if not (0 < accuracy < math.pi):
         raise DomainError("accuracy must lie in (0, pi)")
@@ -262,6 +266,11 @@ def simultaneous_approx(phases: dict, accuracy: float) -> ApproximationResult:
         return ApproximationResult(mp.mpf(t), err, "exact", tuple(map(int, primes)),
                                    tuple(map(float, targets)), bits)
 
+    demand = len(primes) * math.log2(math.pi / accuracy)
+    if demand > SWEEP_BITS:
+        raise ApproxFailure(
+            f"{len(primes)} primes at accuracy {accuracy} need a height of about "
+            f"{demand:.1f} bits, beyond the {SWEEP_BITS} bits the lattice sweep reaches")
     best_err, best_t = None, None
     tried = rejected = 0
     logs = np.log(primes.astype(np.float64))

@@ -11,6 +11,20 @@ which applies the shared kernel: :func:`zerosep.euler.local_logs` and
 :mod:`zerosep.combalg` enters the same kernel at
 :func:`zerosep.euler.local_logs`, for the primes up to its cutoff only.
 
+Locating reads an anchored evaluator through disk models.
+:meth:`AnchoredCombEvaluator.disk` builds one Taylor model of each spec's
+summed local logs around a centre (:func:`zerosep.euler.local_log_model`),
+so a point on the disk costs a Horner step per spec instead of a sum over
+every prime, and the model's bound joins the truncation budget.  Each Newton
+iterate of ``refine_zero`` gets a model of radius ``fd_step`` for its three
+evaluations, all its shrinking circles share one model at the centre, and
+``certify_noncoincidence`` reads its ring points from one model of the
+partner.  Only the start, the last iterate and the centre are evaluated
+directly.  :func:`_on_disk` is the one place that tells the two apart: any
+other callable (a closed form, ``CombEvaluator.at``) is called at every
+point as before.  A partner anchored by :meth:`AnchoredCombEvaluator.partner`
+shares the phases already reduced for the first combination.
+
 Zero certificates and strip counts both run on
 :func:`zerosep.polyzero.winding_scan`, the one argument-principle routine:
 ``refine_zero`` scans circles and adds only the boundary minimum and the
@@ -31,8 +45,8 @@ import numpy as np
 from .combalg import CombPolynomial, combine
 from .errors import (ArityMismatch, ContourTooClose, DomainError, MarginFailure,
                      NoZeroFound)
-from .euler import (EulerProductSpec, EvalResult, local_logs, log_tail_bound,
-                    truncated_exp)
+from .euler import (EPS, EulerProductSpec, EvalResult, local_log_model,
+                    local_logs, log_tail_bound, truncated_exp)
 from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
                        winding_scan)
 from .precision import needed_bits, phases_for_ints
@@ -92,7 +106,8 @@ class CombEvaluator:
 
     def _evaluate(self, sigma: float, spec_thetas, coeff_value) -> EvalResult:
         """The combination with spec j's phases ``spec_thetas[j]`` on its primes."""
-        evals = [truncated_exp(F, local_logs(F, ps, sigma, thetas), sigma, self.P)
+        evals = [truncated_exp(F, complex(np.sum(local_logs(F, ps, sigma, thetas))),
+                               sigma, self.P, 0.0)
                  for F, ps, thetas in zip(self.specs, self._spec_primes, spec_thetas)]
         return combine(self.f, evals, coeff_value)
 
@@ -107,12 +122,18 @@ class CombEvaluator:
         return AnchoredCombEvaluator(self, t_anchor, bits)
 
 
+ANCHOR_WINDOW = 10.0  # largest |offset| an anchored evaluator accepts
+
+
 class AnchoredCombEvaluator:
     """Combination evaluated at s = offset + i*(anchor + Im offset).
 
     The anchor is an exact extended-precision height; its phases at every
     relevant prime are reduced mod 2*pi once, so subsequent evaluations in a
-    unit-size window run in plain float arithmetic.
+    unit-size window run in plain float arithmetic.  :meth:`disk` builds a
+    Taylor model of every spec on a disk of offsets, and :meth:`partner`
+    anchors a second combination over the same specs at the same height
+    from the phases already reduced.
     """
 
     def __init__(self, ev: CombEvaluator, t_anchor, bits: Optional[int] = None):
@@ -120,7 +141,7 @@ class AnchoredCombEvaluator:
         self.bits = bits or needed_bits(t_anchor)
         with mp.workprec(self.bits):
             self.t_anchor = mp.mpf(t_anchor)
-        coeff_primes = sorted(set().union(*(c.support_primes for c, _ in ev.f.monomials)))
+        coeff_primes = _coeff_primes(ev)
         allp = np.unique(np.concatenate(
             ev._spec_primes + [np.array(coeff_primes, dtype=np.int64)]))
         base = phases_for_ints(self.t_anchor, allp, bits=self.bits)
@@ -132,9 +153,40 @@ class AnchoredCombEvaluator:
         self._base = dict(zip(coeff_primes, base[coeff_idx].tolist()))
         self._logs = dict(zip(coeff_primes, logs[coeff_idx].tolist()))
 
+    def partner(self, ev: CombEvaluator) -> "AnchoredCombEvaluator":
+        """``ev`` anchored at this height and precision, bit for bit as
+        ``ev.anchored(t_anchor, bits)``: the spec phases are shared, and only
+        coefficient primes of ev that are no spec or coefficient prime here
+        are reduced."""
+        if ev.specs != self.ev.specs or ev.P != self.ev.P:
+            raise DomainError("a partner must share the specs and the prime cutoff")
+        other = object.__new__(AnchoredCombEvaluator)
+        other.ev, other.bits, other.t_anchor = ev, self.bits, self.t_anchor
+        other._spec_base, other._spec_logs = self._spec_base, self._spec_logs
+        known = dict(self._base)
+        for ps, base in zip(ev._spec_primes, self._spec_base):
+            known.update(zip(ps.tolist(), base.tolist()))
+        coeff_primes = _coeff_primes(ev)
+        fresh = [p for p in coeff_primes if p not in known]
+        if fresh:
+            known.update(zip(fresh, phases_for_ints(
+                self.t_anchor, np.array(fresh, dtype=np.int64), bits=self.bits).tolist()))
+        logs = log_primes(np.array(coeff_primes, dtype=np.int64)).tolist()
+        other._base = {p: known[p] for p in coeff_primes}
+        other._logs = dict(zip(coeff_primes, logs))
+        return other
+
     def phase_of(self, p: int, dt: float) -> float:
         """Phase of a coefficient prime at offset height dt from the anchor."""
         return self._base[int(p)] + dt * self._logs[int(p)]
+
+    def _thetas(self, dt: float) -> list:
+        """Each spec's reduced phases at offset height dt."""
+        return [np.mod(base + dt * lg, TWO_PI)
+                for base, lg in zip(self._spec_base, self._spec_logs)]
+
+    def _coeff_value(self, sigma: float, dt: float):
+        return lambda c: c.value_anchored(sigma, lambda p: self.phase_of(p, dt))
 
     def __call__(self, offset: complex) -> EvalResult:
         offset = complex(offset)
@@ -142,13 +194,59 @@ class AnchoredCombEvaluator:
         dt = offset.imag
         if sigma <= 1:
             raise DomainError("evaluation requires Re(s) > 1")
-        if abs(dt) > 10.0:
+        if abs(dt) > ANCHOR_WINDOW:
             raise DomainError("anchored window is limited to |offset| <= 10")
-        thetas = [np.mod(base + dt * lg, TWO_PI)
-                  for base, lg in zip(self._spec_base, self._spec_logs)]
-        return self.ev._evaluate(
-            sigma, thetas,
-            lambda c: c.value_anchored(sigma, lambda p: self.phase_of(p, dt)))
+        return self.ev._evaluate(sigma, self._thetas(dt), self._coeff_value(sigma, dt))
+
+    def disk(self, center: complex, radius: float) -> "_DiskModel":
+        """The combination on the closed disk of offsets |s - center| <=
+        radius, from one :class:`zerosep.euler.LocalLogModel` per spec."""
+        return _DiskModel(self, complex(center), float(radius))
+
+
+def _coeff_primes(ev: CombEvaluator) -> list:
+    return sorted(set().union(*(c.support_primes for c, _ in ev.f.monomials)))
+
+
+class _DiskModel:
+    """An anchored combination on one disk of offsets.
+
+    Per spec, one Taylor model of the summed local logs around the centre
+    (:func:`zerosep.euler.local_log_model`); a point then costs a Horner
+    step per spec, the truncation bound and the coefficient series.  The
+    model's bound joins the prime tail in the log-domain budget, so every
+    value carries both; the value at the centre is the anchored evaluator's
+    bit for bit.  The disk is widened by a few units in the last place of
+    the centre, so the float points of a circle of the given radius fall
+    inside; any point beyond that is refused.
+    """
+
+    def __init__(self, anchored: AnchoredCombEvaluator, center: complex, radius: float):
+        sigma, dt = center.real, center.imag
+        if sigma - radius <= 1:
+            raise DomainError("the disk must stay inside Re(s) > 1")
+        if abs(dt) + radius > ANCHOR_WINDOW:
+            raise DomainError("anchored window is limited to |offset| <= 10")
+        self.anchored = anchored
+        self.center = center
+        radius += 4.0 * EPS * (abs(center) + radius)
+        ev = anchored.ev
+        # phase error of np.mod(base + dt * lg, TWO_PI) against the exact
+        # base + dt * lg: the rounded product and sum, and the rounding of
+        # 2*pi, subtracted up to |dt * lg| / 2*pi + 2 times
+        self.models = [
+            local_log_model(F, ps, sigma, thetas, lg, radius,
+                            4.0 * EPS * (TWO_PI + abs(dt) * (lg[-1] if len(lg) else 0.0)))
+            for F, ps, thetas, lg in zip(ev.specs, ev._spec_primes,
+                                         anchored._thetas(dt), anchored._spec_logs)]
+
+    def __call__(self, s: complex) -> EvalResult:
+        s = complex(s)
+        w = s - self.center
+        ev = self.anchored.ev
+        evals = [truncated_exp(F, m.value(w), s.real, ev.P, m.bound)
+                 for F, m in zip(ev.specs, self.models)]
+        return combine(ev.f, evals, self.anchored._coeff_value(s.real, s.imag))
 
 
 # --- zero certificates --------------------------------------------------------
@@ -264,6 +362,15 @@ def _circle_scan(H: Callable, circle: Circle, refinement: WindingParams):
     return int(winding), float(boundary_min), float(tail_max)
 
 
+def _on_disk(H: Callable, center: complex, radius: float) -> Callable:
+    """H on the closed disk around center: one Taylor model per spec for an
+    anchored evaluator, H itself (called at every point) for any other
+    callable."""
+    if isinstance(H, AnchoredCombEvaluator):
+        return H.disk(center, radius)
+    return H
+
+
 def refine_zero(H: Callable, s0: complex, r0: float,
                 params: RefineParams = RefineParams()) -> ZeroCertificate:
     """Newton-polish a zero of H near s0 and certify it by winding counts on
@@ -277,9 +384,10 @@ def refine_zero(H: Callable, s0: complex, r0: float,
     scale0 = max(best_abs, 1.0)
     for _ in range(params.newton_iters):
         h = params.fd_step * max(1.0, abs(s.imag) if abs(s.imag) < 10 else 1.0)
-        v0 = _as_eval(H(s)).value
-        vp = _as_eval(H(s + h)).value
-        vm = _as_eval(H(s - h)).value
+        Hs = _on_disk(H, s, h)
+        v0 = _as_eval(Hs(s)).value
+        vp = _as_eval(Hs(s + h)).value
+        vm = _as_eval(Hs(s - h)).value
         d = (vp - vm) / (2.0 * h)
         if abs(v0) < best_abs:
             best_s, best_abs = s, abs(v0)
@@ -301,12 +409,11 @@ def refine_zero(H: Callable, s0: complex, r0: float,
     at_center = _as_eval(H(center))
 
     found = None
-    for frac in params.shrink:
-        r = r0 * frac
-        if center.real - r <= 1.0:
-            continue
+    radii = [r0 * frac for frac in params.shrink if center.real - r0 * frac > 1.0]
+    Hc = _on_disk(H, center, max(radii)) if radii else H
+    for r in radii:
         try:
-            w, bmin, tmax = _circle_scan(H, Circle(center, r), WindingParams(
+            w, bmin, tmax = _circle_scan(Hc, Circle(center, r), WindingParams(
                 params.initial_samples, params.max_samples))
         except ContourTooClose:
             continue
@@ -351,7 +458,8 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCerti
         r = cert.radius * i / rings
         for k in range(samples):
             pts.append(cert.center + r * cmath.exp(2j * math.pi * k / samples))
-    vals = [_as_eval(g_comb(p)) for p in pts]
+    g_disk = _on_disk(g_comb, cert.center, cert.radius)
+    vals = [_as_eval(g_disk(p)) for p in pts]
     g_tail = max(v.abs_error_bound for v in vals)
     mesh = max(cert.radius / rings,
                math.pi * cert.radius / samples)

@@ -447,10 +447,9 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     def stage_noncoincidence():
         problem = state["problem"]
         cert = state["certificate"]
-        res = state["approx"]
         ev_g = CombEvaluator(problem.g_on_full_vars(), problem.variable_order,
                              P=config.locate_cutoff)
-        anchored_g = ev_g.anchored(res.t, bits=state["ev_f_anchored"].bits)
+        anchored_g = state["ev_f_anchored"].partner(ev_g)
         upgraded = certify_noncoincidence(cert, anchored_g)
         if upgraded.status != "certified":
             gmin = upgraded.g_min_on_disk

@@ -2,7 +2,11 @@
 
 Float64 keeps the reduced phase accurate to ~1e-9 radians up to |t| ~ 1e6.
 Beyond that the reduction runs in mpmath at a mantissa width that grows with
-log2|t|, so shifts as large as 1e30 and far beyond stay exact.
+log2|t|, so shifts as large as 1e30 and far beyond stay exact.  The
+logarithms log(n) it needs are kept in a grow-only table per working
+precision, so anchoring the same primes again at another height (a partner
+combination, a replicated window, the next benchmark op) reduces without
+recomputing them.
 """
 
 from __future__ import annotations
@@ -16,6 +20,10 @@ import numpy as np
 DEFAULT_BITS = 256
 FLOAT_SAFE_T = 1e6
 TWO_PI = 2.0 * math.pi
+
+# working precision -> {n: log n at that precision}; grow-only, and exact to
+# reuse because log(n) at one precision is always the same mpf
+_LOGS: dict[int, dict[int, mp.mpf]] = {}
 
 
 def needed_bits(t) -> int:
@@ -31,8 +39,9 @@ def phases_for_ints(t, ns: np.ndarray | Sequence[int],
     """Reduced phases t*log(n) mod 2*pi for integers n.
 
     Heights up to FLOAT_SAFE_T reduce in float64 straight from the integer
-    array.  Beyond that log(n) is computed at working precision, so the
-    product does not inherit float64 error in the logarithm.
+    array.  Beyond that log(n) is taken at working precision, so the product
+    does not inherit float64 error in the logarithm; each log(n) is computed
+    once per precision and then read from a table.
     """
     ns = np.asarray(ns)
     if isinstance(t, (int, float, mp.mpf)) and abs(t) <= FLOAT_SAFE_T:
@@ -43,8 +52,12 @@ def phases_for_ints(t, ns: np.ndarray | Sequence[int],
     with mp.workprec(bits):
         tm = mp.mpf(t)
         two_pi = 2 * mp.pi
+        logs = _LOGS.setdefault(bits, {})
         for i, n in enumerate(ns.tolist()):
-            r = mp.fmod(tm * mp.log(n), two_pi)
+            lg = logs.get(n)
+            if lg is None:
+                lg = logs[n] = mp.log(n)
+            r = mp.fmod(tm * lg, two_pi)
             if r < 0:
                 r += two_pi
             out[i] = float(r)

@@ -1,16 +1,22 @@
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosep.characters import dirichlet_characters
 from zerosep.combfile import SpecDecl
 from zerosep.errors import DomainError, ValidationFailure
 from zerosep.euler import (EulerProductSpec, dirichlet_coefficients,
                            eval_dirichlet_sum, eval_partial_euler,
-                           finite_euler_spec, lfunction_spec, local_logs,
-                           sparse_zeta_spec, validate_axioms, zeta_spec)
-from zerosep.primes import factorize, primes_up_to
+                           finite_euler_spec, lfunction_spec, local_log_model,
+                           local_logs, sparse_zeta_spec, validate_axioms,
+                           zeta_spec)
+from zerosep.precision import phases_for_ints
+from zerosep.primes import factorize, log_primes, primes_up_to
 
 
 def zeta_direct_oracle(s: complex, N: int = 2_000_000):
@@ -219,3 +225,72 @@ def test_dirichlet_coefficients_multiply_prime_power_values(decl):
         for p, k in factorize(n).items():
             expect *= complex(F.a_values(np.array([p]))[0]) ** k
         assert abs(a[n] - expect) <= 1e-12
+
+
+# --- disk Taylor models of the summed local logs ---------------------------
+
+MODEL_SPECS = [zeta_spec()] + [lfunction_spec(chi) for q in (3, 5)
+                               for chi in dirichlet_characters(q)]
+
+
+@st.composite
+def model_specs(draw):
+    """zeta, a character mod 3 or 5, or a finite product with |a| <= 1.5."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(MODEL_SPECS))
+    ps = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 29]), min_size=1,
+                       max_size=4, unique=True))
+    return finite_euler_spec("h", {
+        p: draw(st.floats(0.0, 1.5)) * cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0)))
+        for p in ps})
+
+
+def _local_log_reference(a, ps, sigma, thetas, lam, w):
+    """The summed local logs at offset w, in 120-bit arithmetic from the
+    float data: sigma + Re w exactly through p^-s, the phase theta_p +
+    Im(w) lam_p."""
+    with mp.workprec(120):
+        return mp.fsum(
+            -mp.log(1 - mp.mpc(ap) * mp.power(int(p), -(mp.mpf(sigma) + mp.mpf(w.real)))
+                    * mp.expj(-(mp.mpf(th) + mp.mpf(w.imag) * mp.mpf(lg))))
+            for ap, p, th, lg in zip(a.tolist(), ps.tolist(), thetas.tolist(),
+                                     lam.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(F=model_specs(), sigma=st.floats(1.001, 2.0), frac=st.floats(0.01, 1.0),
+       t=st.floats(0.0, 1e12), P=st.sampled_from([30, 500]),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=3))
+def test_local_log_model_stays_within_its_bound(F, sigma, frac, t, P, points):
+    radius = frac * (sigma - 1.0) / 2.0
+    ps = primes_up_to(P)
+    ps = ps[F.support_mask(ps)]
+    thetas = phases_for_ints(t, ps)
+    lam = log_primes(ps)
+    model = local_log_model(F, ps, sigma, thetas, lam, radius, 0.0)
+    a = F.a_values(ps)
+    # the centre is the direct sum, bit for bit
+    assert model.value(0j) == complex(np.sum(local_logs(F, ps, sigma, thetas)))
+    for rho, phi in points + [(1.0, 0.5)]:
+        w = radius * rho * cmath.exp(2j * math.pi * phi)
+        ref = _local_log_reference(a, ps, sigma, thetas, lam, w)
+        with mp.workprec(120):
+            err = abs(ref - mp.mpc(model.value(w)))
+        assert err <= model.bound, (float(err), model.bound, len(model.coeffs))
+
+
+def test_local_log_model_refuses_points_off_its_disk_and_disks_past_the_radius():
+    F = finite_euler_spec("big", {2: 1.5})
+    ps = np.array([2])
+    model = local_log_model(F, ps, 1.2, np.zeros(1), log_primes(ps), 0.1, 0.0)
+    assert model.value(0.1j) == model.value(0.1j)
+    with pytest.raises(DomainError, match="outside the model's disk"):
+        model.value(0.1 + 1e-6j)
+    # 1.5 * 2^-(1.2 - 0.65) >= 1: the disk reaches the local-factor radius
+    with pytest.raises(DomainError, match="local-factor radius"):
+        local_log_model(F, ps, 1.2, np.zeros(1), log_primes(ps), 0.65, 0.0)
+    # zeta's local variable at p = 2 reaches 1 on the line sigma = 0
+    z = zeta_spec()
+    with pytest.raises(DomainError, match="local-factor radius"):
+        local_log_model(z, ps, 1.2, np.zeros(1), log_primes(ps), 1.2, 0.0)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -415,14 +416,32 @@ def test_window_test_admits_the_verified_error_at_every_offset(data, n, q):
 
 
 def test_lattice_refusal_counts_the_heights_it_tried():
+    # five primes at 5e-7 demand 112.9 bits, just inside the sweep's reach
     with pytest.raises(ApproxFailure) as exc:
-        simultaneous_approx({2: 1, 3: 2, 5: 3, 7: 4, 11: 5}, 1e-8)
+        simultaneous_approx({2: 1, 3: 2, 5: 3, 7: 4, 11: 5}, 5e-7)
     msg = str(exc.value)
-    assert re.fullmatch(r"lattice sweep polished no height at accuracy 1e-08 "
+    assert re.fullmatch(r"lattice sweep polished no height at accuracy 5e-07 "
                         r"\((\d+) heights tried, \1 rejected by the window "
                         r"test\)", msg), msg
     assert "inf" not in msg
     assert exc.value.best_error is None and exc.value.best_t is None
+
+
+def test_approx_refuses_at_once_a_height_beyond_the_sweep():
+    # 20 primes at 0.02 demand 146 bits; the sweep's last budget is 113
+    phases = {int(p): 1.0 for p in primes_up_to(71)}
+    assert len(phases) == 20
+    start = time.perf_counter()
+    with pytest.raises(ApproxFailure) as exc:
+        simultaneous_approx(phases, 0.02)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == ("20 primes at accuracy 0.02 need a height of about "
+                              "145.9 bits, beyond the 113 bits the lattice sweep "
+                              "reaches")
+    assert lattice.SWEEP_BITS == 113
+    # five primes at 1e-8 (141.1 bits) no longer run the sweep either
+    with pytest.raises(ApproxFailure, match="141.1 bits"):
+        simultaneous_approx({2: 1, 3: 2, 5: 3, 7: 4, 11: 5}, 1e-8)
 
 
 def test_lattice_refusal_shows_its_best_error_in_significant_digits():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zerosep import locate
 from zerosep.combalg import CombPolynomial
 from zerosep.errors import (DomainError, MarginFailure, MissingPhase,
                             NoZeroFound)
@@ -265,3 +266,110 @@ def test_every_evaluator_refuses_a_spec_at_its_local_factor_radius():
             call()
     # right of the pole the local logs converge again
     assert abs(ev.at(complex(2.0, 0.0)).value - (1 / (1 - 0.75) - 1)) < 1e-12
+
+
+# --- disk models of an anchored evaluator ------------------------------------
+
+
+def _hurwitz_pair_with_a_zero(t, zero, P=500):
+    """f = L_0 - mu L_1 over the two characters mod 3, anchored at t, with
+    mu set so that f vanishes at the offset ``zero``."""
+    order = builtin_problem("hurwitz-1-3-vs-2-3").build_problem().variable_order
+    probe = CombEvaluator(CombPolynomial(2, ((c(1.0), (1, 0)),)), order, P).anchored(t)
+    ratio = CombEvaluator(CombPolynomial(2, ((c(1.0), (0, 1)),)), order, P).anchored(t)
+    mu = probe(zero).value / ratio(zero).value
+    f = CombPolynomial(2, ((c(1.0), (1, 0)), (c(-mu), (0, 1))))
+    return CombEvaluator(f, order, P).anchored(t), order
+
+
+def test_disk_model_agrees_with_the_anchored_evaluator():
+    anchored, _ = _hurwitz_pair_with_a_zero(1e12, complex(1.05, 0.3))
+    center, radius = complex(1.04, 0.31), 0.02
+    disk = anchored.disk(center, radius)
+    direct = anchored(center)
+    at_center = disk(center)
+    assert at_center.value == direct.value
+    assert direct.abs_error_bound < at_center.abs_error_bound
+    assert at_center.abs_error_bound < direct.abs_error_bound * (1 + 1e-9)
+    for k in range(16):
+        s = center + radius * cmath.exp(2j * math.pi * k / 16)
+        a, b = disk(s), anchored(s)
+        assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
+        assert b.abs_error_bound <= a.abs_error_bound <= b.abs_error_bound * (1 + 1e-9)
+
+
+def test_disk_model_refuses_points_off_the_disk_and_disks_it_cannot_model():
+    anchored, _ = _hurwitz_pair_with_a_zero(1e12, complex(1.05, 0.3))
+    disk = anchored.disk(complex(1.05, 0.3), 0.01)
+    with pytest.raises(DomainError, match="outside the model's disk"):
+        disk(complex(1.05, 0.3 + 0.0101))
+    with pytest.raises(DomainError, match="Re\\(s\\) > 1"):
+        anchored.disk(complex(1.05, 0.0), 0.05)
+    with pytest.raises(DomainError, match="anchored window"):
+        anchored.disk(complex(1.5, 9.99), 0.02)
+    F = finite_euler_spec("big", {2: 3.0})
+    f = CombPolynomial(1, ((c(1.0), (1,)), (c(-1.0), (0,))))
+    with pytest.raises(DomainError, match="local-factor radius"):
+        CombEvaluator(f, [F], 10).anchored(100.0).disk(complex(1.7, 0.0), 0.2)
+
+
+def test_refine_zero_from_disk_models_matches_the_direct_path():
+    # at sigma = 2 the prime tail beyond 500 leaves room to certify
+    anchored, order = _hurwitz_pair_with_a_zero(1e12, complex(2.0, 0.3))
+    s0, r0 = complex(2.001, 0.302), 0.02
+    model = refine_zero(anchored, s0, r0)
+    direct = refine_zero(lambda s: anchored(s), s0, r0)
+    assert model.winding == direct.winding == 1
+    assert model.status == direct.status == "certified"
+    assert abs(model.center - direct.center) <= 1e-9 * abs(direct.center)
+    for name in ("radius", "boundary_min", "tail_budget"):
+        a, b = getattr(model, name), getattr(direct, name)
+        assert abs(a - b) <= 1e-9 * abs(b), name
+    assert model.tail_budget >= direct.tail_budget
+    g = CombEvaluator(CombPolynomial(2, ((c(1.0), (1, 0)), (c(-1.0), (0, 1)))),
+                      order, 500)
+    g_anchored = anchored.partner(g)
+    m_nc = certify_noncoincidence(model, g_anchored)
+    d_nc = certify_noncoincidence(model, lambda s: g_anchored(s))
+    assert abs(m_nc.g_min_on_disk - d_nc.g_min_on_disk) <= 1e-9 * d_nc.g_min_on_disk
+    assert m_nc.status == d_nc.status
+    # without a zero nearby both paths refuse with the same text
+    problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
+    bare = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
+                         500).anchored(123456789012.5)
+    texts = []
+    for H in (bare, lambda s: bare(s)):
+        with pytest.raises(NoZeroFound) as exc:
+            refine_zero(H, complex(1.01, 0.0), 0.005)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+
+
+def test_partner_anchor_is_bit_identical_to_a_fresh_one(monkeypatch):
+    order = builtin_problem("hurwitz-1-3-vs-2-3").build_problem().variable_order
+    f = CombPolynomial(2, ((PFiniteSeries.from_terms({1: 1.0, 7: 0.5}), (1, 0)),
+                           (c(-1.0), (0, 1))))
+    g = CombPolynomial(2, ((c(1.0), (1, 0)),
+                           (PFiniteSeries.from_terms({1: 1.0, 7: 0.25, 503: -0.5}),
+                            (0, 1))))
+    t = 1e12
+    anchored_f = CombEvaluator(f, order, 500).anchored(t)
+    ev_g = CombEvaluator(g, order, 500)
+    fresh = ev_g.anchored(t, bits=anchored_f.bits)
+    reduced = []
+    real = locate.phases_for_ints
+
+    def spy(t, ns, bits=None):
+        reduced.extend(np.asarray(ns).tolist())
+        return real(t, ns, bits=bits)
+
+    monkeypatch.setattr(locate, "phases_for_ints", spy)
+    shared = anchored_f.partner(ev_g)
+    assert reduced == [503]  # 7 is a coefficient prime of f, 503 is past P
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        s = complex(rng.uniform(1.01, 1.5), rng.uniform(-5.0, 5.0))
+        a, b = shared(s), fresh(s)
+        assert a.value == b.value and a.abs_error_bound == b.abs_error_bound
+    with pytest.raises(DomainError, match="share the specs"):
+        anchored_f.partner(CombEvaluator(g, order, 400))
