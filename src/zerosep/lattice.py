@@ -7,9 +7,14 @@ polish) for two or more.  Every returned t is re-verified in extended
 precision.
 
 One lattice builder serves both :func:`simultaneous_approx` and
-:func:`almost_periods`: :func:`_approximation_lattice` builds and reduces the
-lattice for one step of the weight sweep, and :func:`_polished_height` turns
-an integer height into a polished t with its verified phase error.
+:func:`almost_periods`: :func:`_approximation_lattice` is the weight sweep.
+Step 0 reduces the raw lattice; each later step rebuilds the previous step's
+reduced rows at its own scale from their exact integer coordinates and
+reduces those, a basis of the new lattice that is nearly reduced already.
+The embedding decode of :func:`simultaneous_approx` appends the target to
+that step's reduced basis (Kannan, Math. Oper. Res. 12, 1987).
+:func:`_polished_height` turns an integer height into a polished t with its
+verified phase error.
 
 Most decoded heights cannot pass.  Before the grid polish and the
 extended-precision check, :func:`_window_admits` decides exactly whether any
@@ -49,13 +54,14 @@ TWO_PI = 2.0 * math.pi
 #
 # The basis rows b are exact integers and F holds their float64 images.  The
 # Gram-Schmidt data is plain lists kept one row at a time: row i (mu[i][:i],
-# the orthogonal row Q[i] and its squared norm B[i]) depends only on F[0..i].
-# lll_reduce keeps rows 0..k-1 in step with F[0..k-1] and recomputes row k
-# when the loop arrives at k and after each size-reduction step that changes
-# b[k].  A swap at k sends the loop back to k-1, which it recomputes on
-# arrival; only a swap at k = 1, where the loop stays, recomputes row 0 at
-# once.  At the dimensions used here (6-17) a numpy call per row operation
-# costs more than its arithmetic.
+# the orthogonal row Q[i] and its squared norm B[i]) depends only on F[0..i],
+# and each mu[i][j] only on F[i], Q[j] and B[j].  lll_reduce keeps rows
+# 0..k-1 in step with F[0..k-1] and recomputes row k when the loop arrives at
+# k.  Size reduction that changes b[k] recomputes only the next mu[k][j] it
+# reads, and row k once after the last step.  A swap at k sends the loop back
+# to k-1, which it recomputes on arrival; only a swap at k = 1, where the loop
+# stays, recomputes row 0 at once.  At the dimensions used here (6-17) a numpy
+# call per row operation costs more than its arithmetic.
 
 
 def _dot(x: Sequence[float], y: Sequence[float]) -> float:
@@ -99,12 +105,17 @@ def lll_reduce(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             raise NonConvergence(
                 f"LLL did not finish a {n}-dimensional basis in {max_ops} ops")
         _gs_row(F, Q, mu, B, k)
+        reduced = False
         for j in range(k - 1, -1, -1):
+            if reduced:  # mu[k][j] reads only F[k], Q[j] and B[j]
+                mu[k][j] = _dot(F[k], Q[j]) / B[j] if B[j] > 0 else 0.0
             q = int(round(mu[k][j]))
             if q != 0:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 F[k] = [float(x) for x in b[k]]
-                _gs_row(F, Q, mu, B, k)
+                reduced = True
+        if reduced:
+            _gs_row(F, Q, mu, B, k)
         if B[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
@@ -296,25 +307,39 @@ def simultaneous_approx(phases: dict, accuracy: float) -> ApproximationResult:
         best_error=best_err, best_t=best_t)
 
 
-def _approximation_lattice(primes: np.ndarray, accuracy: float, k: int):
-    """Step k of the weight sweep: the scale S, the generator weight, the
-    basis rows (one generator row of round(log(p) * S), one 2*pi*S row per
-    prime) and their LLL reduction.
+def _approximation_lattice(primes: np.ndarray, accuracy: float, steps: int):
+    """The weight sweep: yields, for k = 0 .. steps - 1, step k's scale S,
+    generator weight w and LLL-reduced basis, each step reduced from the
+    previous step's basis.
 
-    The generator budget |q| < 2^(8 + 7k) sets S = 2^16 * budget, so the
-    rounding of log(p) never eats the phase accuracy.
+    Step k's lattice has the generator row g = (round(log(p) * S), w) and one
+    row T e_i, T = round(2*pi*S), per prime.  The generator budget
+    |q| < 2^(8 + 7k) sets S = 2^16 * budget, so the rounding of log(p) never
+    eats the phase accuracy.  Every basis row is c*g + sum m_i T e_i for
+    integers (c, m), read back exactly from a reduced row as c = row[-1] / w
+    and m_i = (row[i] - c*L_i) / T.  Step 0 reduces the raw rows, whose
+    (c, m) are the identity; each later step rebuilds the previous reduced
+    rows from their (c, m) at its own S, L_i, T and w.  The (c, m) matrix
+    stays unimodular, so those rows are a basis of the new lattice, and one
+    that is nearly reduced already: the new lattice is the old one with its
+    prime columns scaled by about 2^7.
     """
     n = len(primes)
-    q_budget = 1 << (8 + 7 * k)
-    S = q_budget << 16
-    with mp.workprec(S.bit_length() + 16):
-        two_pi_s = int(mp.nint(2 * mp.pi * S))
-        log_s = [int(mp.nint(mp.log(int(p)) * S)) for p in primes]
-    w_scaled = max(int(accuracy * S / (4 * q_budget)), 1)
-    rows = [log_s + [w_scaled]]
-    for i in range(n):
-        rows.append([two_pi_s if j == i else 0 for j in range(n)] + [0])
-    return S, w_scaled, rows, lll_reduce(rows)
+    coords = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    for k in range(steps):
+        q_budget = 1 << (8 + 7 * k)
+        S = q_budget << 16
+        with mp.workprec(S.bit_length() + 16):
+            T = int(mp.nint(2 * mp.pi * S))
+            L = [int(mp.nint(mp.log(int(p)) * S)) for p in primes]
+        w = max(int(accuracy * S / (4 * q_budget)), 1)
+        red = lll_reduce([[c * x + m * T for x, m in zip(L, ms)] + [c * w]
+                          for c, *ms in coords])
+        yield S, w, red
+        coords = []
+        for row in red:
+            c = row[-1] // w
+            coords.append([c] + [(x - c * y) // T for x, y in zip(row, L)])
 
 
 def _polished_height(q: int, primes: np.ndarray, logs: np.ndarray,
@@ -341,9 +366,8 @@ def _lattice_generator_candidates(primes: np.ndarray, targets: np.ndarray,
     """
     n = len(primes)
     seen: set[int] = set()
-    for k in range(WEIGHT_SWEEP):
-        S, w_scaled, rows, red = _approximation_lattice(primes, accuracy, k)
-
+    for S, w_scaled, red in _approximation_lattice(primes, accuracy,
+                                                   WEIGHT_SWEEP):
         def q_of(coeffs) -> int:
             v_last = sum(c * r[-1] for c, r in zip(coeffs, red))
             return v_last // w_scaled
@@ -357,10 +381,11 @@ def _lattice_generator_candidates(primes: np.ndarray, targets: np.ndarray,
                 pert[lvl] += dd
                 cands.append(q_of(pert))
 
-        # embedding decode: append the target as a basis row with a small
-        # weight; a reduced vector using it once is target minus lattice point
+        # embedding decode: append the target as a row with a small weight
+        # to the reduced basis; a reduced vector using it once is the target
+        # minus a lattice point
         emb = max(int(accuracy * S / 2), 1)
-        rows_e = [r + [0] for r in rows]
+        rows_e = [r + [0] for r in red]
         rows_e.append(target_int[:n] + [0, emb])
         red_e = lll_reduce(rows_e)
         for row in red_e:
@@ -396,8 +421,8 @@ def almost_periods(t_star, P: int, accuracy: float, count: int = 3) -> list:
     tried: set = set()
     rejected = 0
     best_miss = None  # smallest error of a polished height above the accuracy
-    for k in range(PERIOD_SWEEP):
-        _, w_scaled, _, red = _approximation_lattice(primes, accuracy, k)
+    for _, w_scaled, red in _approximation_lattice(primes, accuracy,
+                                                   PERIOD_SWEEP):
         qs = {abs(int(row[-1])) // w_scaled for row in red} - {0}
         heights = {q * mult for q in qs for mult in range(1, max(2, count + 2))}
         for qq in sorted(heights - tried):

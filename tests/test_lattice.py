@@ -108,6 +108,56 @@ def _exact_gram_schmidt(rows):
     return mu, B
 
 
+def _coordinates(rows, basis):
+    """Exact rational X with rows = X * basis, for a square full-rank basis
+    (Gauss-Jordan on basis^T x = row^T, one right-hand side per row)."""
+    n = len(basis)
+    M = [[Fraction(basis[j][i]) for j in range(n)] +
+         [Fraction(r[i]) for r in rows] for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        M[col] = [x / M[col][col] for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [[M[i][n + k] for i in range(n)] for k in range(len(rows))]
+
+
+def _same_lattice(a, b):
+    """Whether two square integer bases generate the same lattice: each
+    one's rows have integer coordinates in the other."""
+    return all(x.denominator == 1 for X in (_coordinates(a, b), _coordinates(b, a))
+               for row in X for x in row)
+
+
+def _record_lll_inputs(monkeypatch):
+    """Spy on the LLL calls of the lattice module: the list it returns fills
+    with (input rows, reduced rows) pairs."""
+    calls = []
+    real = lattice.lll_reduce
+
+    def recording(rows):
+        rows = [list(r) for r in rows]
+        red = real(rows)
+        calls.append((rows, red))
+        return red
+
+    monkeypatch.setattr(lattice, "lll_reduce", recording)
+    return calls
+
+
+def test_same_lattice_tells_a_basis_change_from_a_sublattice():
+    basis = _basis_5x5()
+    unimodular = [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                  [0, 0, -3, 1, 0], [0, 0, 0, 0, -1]]
+    moved = [[sum(u * b[j] for u, b in zip(row, basis)) for j in range(5)]
+             for row in unimodular]
+    assert _same_lattice(moved, basis)
+    assert not _same_lattice([[2 * x for x in basis[0]]] + basis[1:], basis)
+
+
 def _basis_5x5():
     rng = np.random.default_rng(0)
     return (rng.integers(-50, 50, size=(5, 5)) +
@@ -142,10 +192,16 @@ def test_lll_matches_the_full_rebuild_reference(bits):
             assert lll_reduce(basis) == _reference_lll(basis)
 
 
-def test_lll_matches_the_reference_on_the_approximation_lattice():
+def test_lll_matches_the_reference_on_the_approximation_lattice(monkeypatch):
     primes = np.array([2, 5, 7, 11, 13])
     for k in range(6):
-        _, _, rows, red = lattice._approximation_lattice(primes, 0.02, k)
+        _, _, rows, red = _reference_approximation_lattice(primes, 0.02, k)
+        assert red == _reference_lll(rows)
+    # the sweep's own inputs: warm-started primal rows and embeddings
+    calls = _record_lll_inputs(monkeypatch)
+    simultaneous_approx({2: 1.0, 5: 2.0, 7: 3.0, 11: 4.0, 13: 5.0}, 0.02)
+    assert len(calls) >= 6
+    for rows, red in calls:
         assert red == _reference_lll(rows)
 
 
@@ -291,6 +347,92 @@ def test_phases_for_ints_extended():
     assert np.max(np.abs(ph - ph2)) < 1e-12
 
 
+# --- reference: the from-scratch sweep step and its candidate decodes (the
+# implementation the warm-started sweep replaced: every step reduces the raw
+# rows, and the embedding appends the target to the raw rows)
+
+
+def _reference_approximation_lattice(primes, accuracy, k):
+    n = len(primes)
+    q_budget = 1 << (8 + 7 * k)
+    S = q_budget << 16
+    with mp.workprec(S.bit_length() + 16):
+        two_pi_s = int(mp.nint(2 * mp.pi * S))
+        log_s = [int(mp.nint(mp.log(int(p)) * S)) for p in primes]
+    w_scaled = max(int(accuracy * S / (4 * q_budget)), 1)
+    rows = [log_s + [w_scaled]]
+    for i in range(n):
+        rows.append([two_pi_s if j == i else 0 for j in range(n)] + [0])
+    return S, w_scaled, rows, lll_reduce(rows)
+
+
+def _reference_generator_candidates(primes, targets, accuracy):
+    n = len(primes)
+    seen = set()
+    for k in range(lattice.WEIGHT_SWEEP):
+        S, w_scaled, rows, red = _reference_approximation_lattice(primes,
+                                                                  accuracy, k)
+
+        def q_of(coeffs):
+            return sum(c * r[-1] for c, r in zip(coeffs, red)) // w_scaled
+
+        target_int = [int(round(ph * S)) for ph in targets] + [0]
+        coeffs = babai_nearest_plane(red, target_int)
+        cands = [q_of(coeffs)]
+        for lvl in range(len(red) - 1, max(len(red) - 4, -1), -1):
+            for dd in (-1, 1):
+                pert = list(coeffs)
+                pert[lvl] += dd
+                cands.append(q_of(pert))
+        emb = max(int(accuracy * S / 2), 1)
+        rows_e = [r + [0] for r in rows]
+        rows_e.append(target_int[:n] + [0, emb])
+        for row in lll_reduce(rows_e):
+            if abs(row[-1]) == emb:
+                sign = 1 if row[-1] > 0 else -1
+                cands.append(-sign * (row[-2] // w_scaled))
+        for q in cands:
+            if q != 0 and q not in seen:
+                seen.add(q)
+                yield q
+
+
+@pytest.mark.parametrize("P, accuracy, steps", [(13, 0.02, 6), (29, 0.05, 5)])
+def test_each_sweep_step_reduces_a_basis_of_that_steps_lattice(monkeypatch, P,
+                                                               accuracy, steps):
+    primes = primes_up_to(P)
+    calls = _record_lll_inputs(monkeypatch)
+    sweep = list(lattice._approximation_lattice(primes, accuracy, steps))
+    assert len(calls) == len(sweep) == steps
+    for k, ((rows, red), (S, w, out)) in enumerate(zip(calls, sweep)):
+        S_ref, w_ref, raw, _ = _reference_approximation_lattice(primes,
+                                                                accuracy, k)
+        assert (S, w, out) == (S_ref, w_ref, red)
+        # step 0 reduces the raw rows, every later step a warm start
+        assert (rows == raw) == (k == 0)
+        assert _same_lattice(rows, raw)
+        assert _same_lattice(out, raw)
+
+
+def test_the_embedding_appends_the_target_to_the_reduced_basis(monkeypatch):
+    phases = {2: 0.3, 5: 4.1, 7: 2.2, 11: 5.9, 13: 1.7}
+    primes = np.array(sorted(phases))
+    n = len(primes)
+    calls = _record_lll_inputs(monkeypatch)
+    simultaneous_approx(phases, 0.02)
+    assert len(calls) % 2 == 0 and len(calls) >= 4
+    for k in range(len(calls) // 2):
+        (_, red), (rows_e, _) = calls[2 * k], calls[2 * k + 1]
+        S, _, raw, _ = _reference_approximation_lattice(primes, 0.02, k)
+        assert _same_lattice(red, raw)
+        # the embedding starts from the primal reduced rows, not the raw ones
+        assert rows_e[:n + 1] == [r + [0] for r in red]
+        target = [int(round(phases[p] * S)) for p in primes] + \
+            [0, max(int(0.02 * S / 2), 1)]
+        assert rows_e[n + 1:] == [target]
+        assert _same_lattice(rows_e, [r + [0] for r in raw] + [target])
+
+
 # --- reference: the lattice loops that polish every decoded height (the
 # implementation the window test and the ordered stop replaced; it must give
 # the same t, errors, precision and shifts)
@@ -309,7 +451,7 @@ def _reference_lattice_approx(phases, accuracy):
     targets = np.array([math.fmod(phases[int(p)], TWO_PI) % TWO_PI
                         for p in primes], dtype=np.float64)
     logs = np.log(primes.astype(np.float64))
-    for q in lattice._lattice_generator_candidates(primes, targets, accuracy):
+    for q in _reference_generator_candidates(primes, targets, accuracy):
         bits = needed_bits(q)
         t, err = _reference_polished_height(q, primes, logs, targets, bits)
         if err <= accuracy:
@@ -324,7 +466,8 @@ def _reference_almost_periods(t_star, P, accuracy, count):
     t_star_abs = abs(float(mp.mpf(t_star)))
     found = {}
     for k in range(24):
-        _, w_scaled, _, red = lattice._approximation_lattice(primes, accuracy, k)
+        _, w_scaled, _, red = _reference_approximation_lattice(primes,
+                                                               accuracy, k)
         qs = {abs(int(row[-1])) // w_scaled for row in red} - {0}
         for q in sorted(qs):
             for mult in range(1, max(2, count + 2)):
@@ -354,8 +497,18 @@ def test_lattice_approx_matches_the_unpruned_reference(n, seed):
             _reference_lattice_approx(phases, 0.02)
 
 
+@pytest.mark.parametrize("seed", [7, 161, 162])
+def test_lattice_approx_matches_the_reference_on_the_benchmark_primes(seed):
+    rng = np.random.default_rng([seed, 303])
+    for _ in range(4):
+        phases = {p: float(rng.uniform(0, TWO_PI)) for p in (2, 5, 7, 11, 13)}
+        res = simultaneous_approx(phases, 0.02)
+        assert (res.t, res.max_phase_error, res.precision_bits) == \
+            _reference_lattice_approx(phases, 0.02)
+
+
 @pytest.mark.parametrize("t_star, P, accuracy, count", [
-    (0, 7, 0.01, 3), (3.3e10, 7, 0.01, 3), (0, 13, 0.05, 2)])
+    (0, 7, 0.01, 3), (3.3e10, 7, 0.01, 3), (0, 13, 0.05, 2), (0, 50, 0.05, 1)])
 def test_almost_periods_match_the_unpruned_reference(t_star, P, accuracy, count):
     assert almost_periods(t_star, P, accuracy, count) == \
         _reference_almost_periods(t_star, P, accuracy, count)
