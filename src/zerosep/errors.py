@@ -122,7 +122,13 @@ class ApproxFailure(ZerosepError):
 
 
 class NoZeroFound(ZerosepError):
-    """Newton polishing diverged and every winding count was zero."""
+    """No circle wound around the best Newton point, and |H| there is not
+    numerically zero.
+
+    The message names where Newton stopped: at a raw step longer than its
+    remaining clipped steps can travel (the step, |H| and that distance), or
+    stalled after its last iteration (the smallest |H| reached).
+    """
 
 
 class MarginFailure(ZerosepError):

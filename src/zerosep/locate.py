@@ -19,11 +19,16 @@ every prime, and the model's bound joins the truncation budget.  Each Newton
 iterate of ``refine_zero`` gets a model of radius ``fd_step`` for its three
 evaluations, all its shrinking circles share one model at the centre, and
 ``certify_noncoincidence`` reads its ring points from one model of the
-partner.  Only the start, the last iterate and the centre are evaluated
-directly.  :func:`_on_disk` is the one place that tells the two apart: any
-other callable (a closed form, ``CombEvaluator.at``) is called at every
-point as before.  A partner anchored by :meth:`AnchoredCombEvaluator.partner`
-shares the phases already reduced for the first combination.
+partner.  Newton's steps are clipped to the certificate radius r0, so it
+stops as soon as a raw step exceeds what the clipped steps left can travel:
+the zero it points at is out of reach, and the circles around the best point
+found give the verdict.  Only the start, the last iterate and the centre are
+evaluated directly, each once; when Newton stops at once they are one point
+and one evaluation.  :func:`_on_disk` is the one place that tells the two
+apart: any other callable (a closed form, ``CombEvaluator.at``) is called at
+every point as before.  A partner anchored by
+:meth:`AnchoredCombEvaluator.partner` shares the phases already reduced for
+the first combination.
 
 Zero certificates and strip counts both run on
 :func:`zerosep.polyzero.winding_scan`, the one argument-principle routine:
@@ -375,14 +380,22 @@ def refine_zero(H: Callable, s0: complex, r0: float,
                 params: RefineParams = RefineParams()) -> ZeroCertificate:
     """Newton-polish a zero of H near s0 and certify it by winding counts on
     shrinking circles; fall back to numeric-only status when the circles
-    cannot be certified against the truncation budget."""
+    cannot be certified against the truncation budget.
+
+    Each Newton step is clipped to r0, so the steps left at iteration ``it``
+    travel at most ``(newton_iters - it) * r0``; a raw step beyond that
+    points at a zero out of reach, and Newton stops there.  The circles still
+    scan around the best point found and decide the verdict.
+    """
     s0 = complex(s0)
     if s0.real - r0 <= 1.0:
         raise DomainError("certification disk must stay inside Re(s) > 1")
+    start = _as_eval(H(s0))
     s = s0
-    best_s, best_abs = s0, abs(_as_eval(H(s0)).value)
+    best_s, best_abs = s0, abs(start.value)
     scale0 = max(best_abs, 1.0)
-    for _ in range(params.newton_iters):
+    out_of_reach = None
+    for it in range(params.newton_iters):
         h = params.fd_step * max(1.0, abs(s.imag) if abs(s.imag) < 10 else 1.0)
         Hs = _on_disk(H, s, h)
         v0 = _as_eval(Hs(s)).value
@@ -394,6 +407,13 @@ def refine_zero(H: Callable, s0: complex, r0: float,
         if d == 0:
             break
         step = -v0 / d
+        left = params.newton_iters - it
+        if abs(step) > left * r0:
+            out_of_reach = (
+                f"Newton's step {abs(step):.2g} at |H| = {abs(v0):.1e} exceeds the "
+                f"{left * r0:.2g} that {left} step{'s' if left > 1 else ''} of at "
+                f"most r0 = {r0:g} can travel")
+            break
         if abs(step) > r0:
             step *= r0 / abs(step)
         s_new = s + step
@@ -402,11 +422,13 @@ def refine_zero(H: Callable, s0: complex, r0: float,
         s = s_new
         if abs(step) < 1e-14 * max(1.0, abs(s)):
             break
-    v = _as_eval(H(s))
+    # each point is evaluated directly once: the start, the last iterate and
+    # the centre coincide when Newton stops at once
+    v = start if s == s0 else _as_eval(H(s))
     if abs(v.value) < best_abs:
         best_s, best_abs = s, abs(v.value)
     center = best_s
-    at_center = _as_eval(H(center))
+    at_center = v if center == s else start if center == s0 else _as_eval(H(center))
 
     found = None
     radii = [r0 * frac for frac in params.shrink if center.real - r0 * frac > 1.0]
@@ -425,6 +447,7 @@ def refine_zero(H: Callable, s0: complex, r0: float,
     if found is None:
         if not numeric_ok:
             raise NoZeroFound(
+                f"{out_of_reach}, and no circle wound" if out_of_reach else
                 f"Newton stalled at |H| = {best_abs:.3e} and no circle wound")
         return ZeroCertificate(center=center, radius=r0 * params.shrink[-1],
                                winding=0, boundary_min=0.0,

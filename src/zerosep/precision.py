@@ -1,12 +1,22 @@
 """Extended-precision reduction of t*log(p) modulo 2*pi for large vertical shifts.
 
 Float64 keeps the reduced phase accurate to ~1e-9 radians up to |t| ~ 1e6.
-Beyond that the reduction runs in mpmath at a mantissa width that grows with
-log2|t|, so shifts as large as 1e30 and far beyond stay exact.  The
-logarithms log(n) it needs are kept in a grow-only table per working
-precision, so anchoring the same primes again at another height (a partner
-combination, a replicated window, the next benchmark op) reduces without
-recomputing them.
+Beyond that the reduction runs in fixed-point integers (argument reduction
+with a stored table of bits, as in Payne and Hanek's radian reduction).  The
+height is rounded to the working precision of ``bits`` (a mantissa width that
+grows with log2|t|, so shifts as large as 1e30 and far beyond stay exact) and
+read as m*2^e; each log(n)/2*pi is stored as the integer
+l_n = floor(log(n)/2*pi * 2^F) with F = bits + 64 fraction bits.  The phase
+in turns is then the fraction of m*l_n*2^(e - F), a masked integer product,
+and one multiplication by 2*pi held to 128 fraction bits and one correctly
+rounded conversion to float give it in radians.  Truncating l_n costs at most
+|t|*2^-F <= 2^-160 turns, since bits >= log2|t| + 96 (``needed_bits``), and
+rounding 2*pi at most 2^-129 radians, so the float phase is the nearest float
+to the exact one unless that lies within 2^-128 radians of a rounding
+boundary.  The integers l_n are kept in a grow-only table per
+working precision, so anchoring the same primes again at another height (a
+partner combination, a replicated window, the next benchmark op) reduces
+without recomputing them.
 """
 
 from __future__ import annotations
@@ -21,9 +31,19 @@ DEFAULT_BITS = 256
 FLOAT_SAFE_T = 1e6
 TWO_PI = 2.0 * math.pi
 
-# working precision -> {n: log n at that precision}; grow-only, and exact to
-# reuse because log(n) at one precision is always the same mpf
-_LOGS: dict[int, dict[int, mp.mpf]] = {}
+# fraction bits of the fixed-point logs beyond the working precision
+_FIX_GUARD = 64
+# working precision bits -> {n: floor(log(n) / 2*pi * 2^(bits + _FIX_GUARD))};
+# grow-only, each entry computed once in mpmath at 64 bits more than it keeps
+_LOGS: dict[int, dict[int, int]] = {}
+# 2*pi with _TWO_PI_FRAC fraction bits, rounded to nearest: its error moves a
+# phase by at most 2^-129 radians
+_TWO_PI_FRAC = 128
+with mp.workprec(_TWO_PI_FRAC + 64):
+    _TWO_PI_FIX = int(mp.nint(mp.ldexp(2 * mp.pi, _TWO_PI_FRAC)))
+# largest bit length handed to the int -> float conversion, under the 1024
+# bits of float range; longer products keep their top bits and a sticky bit
+_FLOAT_INT_BITS = 1000
 
 
 def needed_bits(t) -> int:
@@ -39,29 +59,42 @@ def phases_for_ints(t, ns: np.ndarray | Sequence[int],
     """Reduced phases t*log(n) mod 2*pi for integers n.
 
     Heights up to FLOAT_SAFE_T reduce in float64 straight from the integer
-    array.  Beyond that log(n) is taken at working precision, so the product
-    does not inherit float64 error in the logarithm; each log(n) is computed
-    once per precision and then read from a table.
+    array.  Beyond that t is rounded to ``bits`` and each phase is reduced
+    in fixed-point integers against the table of log(n)/2*pi (see the module
+    docstring), so the product does not inherit float64 error in the
+    logarithm.
     """
     ns = np.asarray(ns)
     if isinstance(t, (int, float, mp.mpf)) and abs(t) <= FLOAT_SAFE_T:
         return np.mod(float(t) * np.log(ns.astype(np.float64)), TWO_PI)
     if bits is None:
         bits = needed_bits(t)
-    out = np.empty(len(ns), dtype=np.float64)
     with mp.workprec(bits):
-        tm = mp.mpf(t)
-        two_pi = 2 * mp.pi
-        logs = _LOGS.setdefault(bits, {})
-        for i, n in enumerate(ns.tolist()):
-            lg = logs.get(n)
-            if lg is None:
-                lg = logs[n] = mp.log(n)
-            r = mp.fmod(tm * lg, two_pi)
-            if r < 0:
-                r += two_pi
-            out[i] = float(r)
-    return out
+        sign, man, exp, _ = mp.mpf(t)._mpf_
+    m = -int(man) if sign else int(man)
+    # t*log(n)/2*pi = m*l_n * 2^-frac_bits; its low frac_bits bits are the
+    # fraction of a turn, also for negative m (two's complement)
+    frac_bits = bits + _FIX_GUARD - int(exp)
+    mask = (1 << max(frac_bits, 0)) - 1
+    xs = [(m * lg & mask) * _TWO_PI_FIX for lg in _fixed_logs(ns.tolist(), bits)]
+    drop = max(frac_bits + _TWO_PI_FIX.bit_length() - _FLOAT_INT_BITS, 0)
+    if drop:
+        sticky = (1 << drop) - 1
+        xs = [(x >> drop) | ((x & sticky) != 0) for x in xs]
+    return np.ldexp(np.array([float(x) for x in xs], dtype=np.float64),
+                    drop - frac_bits - _TWO_PI_FRAC)
+
+
+def _fixed_logs(ns: list, bits: int) -> list:
+    """floor(log(n)/2*pi * 2^(bits + _FIX_GUARD)) for each n, from the table."""
+    table = _LOGS.setdefault(bits, {})
+    fresh = [n for n in ns if n not in table]
+    if fresh:
+        with mp.workprec(bits + _FIX_GUARD + 64):
+            scale = mp.ldexp(1 / (2 * mp.pi), bits + _FIX_GUARD)
+            for n in fresh:
+                table[n] = int(mp.log(n) * scale)
+    return [table[n] for n in ns]
 
 
 def circle_distances(a: np.ndarray, b: np.ndarray | float = 0.0) -> np.ndarray:

@@ -4,13 +4,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerosep.characters import dirichlet_characters
 from zerosep.combfile import SpecDecl
 from zerosep.errors import DomainError, ValidationFailure
-from zerosep.euler import (EulerProductSpec, dirichlet_coefficients,
+from zerosep.euler import (EPS, EulerProductSpec, dirichlet_coefficients,
                            eval_dirichlet_sum, eval_partial_euler,
                            finite_euler_spec, lfunction_spec, local_log_model,
                            local_logs, sparse_zeta_spec, validate_axioms,
@@ -262,13 +262,18 @@ def _local_log_reference(a, ps, sigma, thetas, lam, w):
        t=st.floats(0.0, 1e12), P=st.sampled_from([30, 500]),
        points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                        min_size=1, max_size=3))
+# radius * exp(2 pi i phi) lands 1 ulp outside the disk of radius `radius`
+@example(F=MODEL_SPECS[0], sigma=1.001, frac=0.01171875, t=0.0, P=30,
+         points=[(1.0, 0.15625)])
 def test_local_log_model_stays_within_its_bound(F, sigma, frac, t, P, points):
     radius = frac * (sigma - 1.0) / 2.0
     ps = primes_up_to(P)
     ps = ps[F.support_mask(ps)]
     thetas = phases_for_ints(t, ps)
     lam = log_primes(ps)
-    model = local_log_model(F, ps, sigma, thetas, lam, radius, 0.0)
+    # widened by the few ulps _DiskModel adds, so the float points of the
+    # circle of radius `radius` lie inside the model's disk
+    model = local_log_model(F, ps, sigma, thetas, lam, radius * (1 + 4 * EPS), 0.0)
     a = F.a_values(ps)
     # the centre is the direct sum, bit for bit
     assert model.value(0j) == complex(np.sum(local_logs(F, ps, sigma, thetas)))

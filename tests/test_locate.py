@@ -110,6 +110,38 @@ def test_refine_zero_domain():
         refine_zero(H, 1.05, 0.2)  # disk would cross Re(s) = 1
 
 
+def _counting(H):
+    """H with a record of every point it is called at."""
+    calls = []
+
+    def counted(s):
+        calls.append(complex(s))
+        return H(s)
+    return counted, calls
+
+
+def test_refine_zero_stops_newton_when_the_zero_is_out_of_reach():
+    # the zero is 5 away, the 40 steps of at most r0 = 0.005 travel 0.2
+    s0, target = complex(1.5, 0.0), complex(1.5, 5.0)
+    H, calls = _counting(lambda s: EvalResult(s - target, 0.0))
+    with pytest.raises(NoZeroFound, match=r"^Newton's step 5 at \|H\| = 5\.0e\+00 "
+                       r"exceeds the 0\.2 that 40 steps of at most r0 = 0\.005 "
+                       r"can travel, and no circle wound$"):
+        refine_zero(H, s0, 0.005)
+    # the start once, then one Newton iteration: s0 and s0 +- fd_step; every
+    # other call is on a scan circle of radius at least r0 / 10
+    newton = [z for z in calls if abs(z - s0) < 1e-4]
+    assert newton == [s0, s0, s0 + 1e-6, s0 - 1e-6]
+
+
+def test_refine_zero_still_crawls_to_a_zero_within_reach():
+    s0, r0 = complex(1.5, 0.0), 0.005
+    target = s0 + 30j * r0
+    cert = refine_zero(lambda s: EvalResult(s - target, 0.0), s0, r0)
+    assert cert.status == "certified" and cert.winding == 1
+    assert abs(cert.center - target) < 1e-12
+
+
 def test_certify_noncoincidence_constant_partner():
     target = 1.2 + 1.0j
     Hf = lambda s: EvalResult(s - target, 0.0)
@@ -343,6 +375,24 @@ def test_refine_zero_from_disk_models_matches_the_direct_path():
             refine_zero(H, complex(1.01, 0.0), 0.005)
         texts.append(str(exc.value))
     assert texts[0] == texts[1]
+    assert "can travel, and no circle wound" in texts[0]
+
+
+def test_refine_zero_evaluates_a_start_it_never_leaves_once(monkeypatch):
+    problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
+    bare = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
+                         500).anchored(123456789012.5)
+    points = []
+    direct = locate.AnchoredCombEvaluator.__call__
+
+    def counted(self, offset):
+        points.append(offset)
+        return direct(self, offset)
+
+    monkeypatch.setattr(locate.AnchoredCombEvaluator, "__call__", counted)
+    with pytest.raises(NoZeroFound, match="can travel"):
+        refine_zero(bare, complex(1.01, 0.0), 0.005)
+    assert points == [complex(1.01, 0.0)]
 
 
 def test_partner_anchor_is_bit_identical_to_a_fresh_one(monkeypatch):
