@@ -63,23 +63,14 @@ def _heights(rng):
 def test_phases_for_ints_are_the_nearest_floats():
     rng = random.Random(18)
     ps = primes_up_to(200_000)
-    ns = np.concatenate([ps[:40], ps[40::211], ps[-3:]])
+    ns = np.concatenate([[1, 4, 6, 1000], ps[:40], ps[40::211], ps[-3:]])
     for t in _heights(rng):
         assert abs(t) > FLOAT_SAFE_T
-        bits = needed_bits(t)
-        got = phases_for_ints(t, ns, bits=bits)
-        assert got.dtype == np.float64
-        assert np.all((0 <= got) & (got < TWO_PI))
-        np.testing.assert_array_equal(got, _nearest_phases(t, ns, bits))
-
-
-def test_phases_for_ints_at_extra_precision_and_for_non_primes():
-    t = mp.mpf(10) ** 30 + mp.mpf("0.125")
-    ns = np.array([1, 4, 6, 1000, 99991])
-    for bits in (needed_bits(t), 512):
-        np.testing.assert_array_equal(phases_for_ints(t, ns, bits=bits),
-                                      _nearest_phases(t, ns, bits))
-    assert phases_for_ints(t, [1])[0] == 0.0
+        for bits in (needed_bits(t), needed_bits(t) + 256):
+            got = phases_for_ints(t, ns, bits=bits)
+            assert got.dtype == np.float64
+            assert np.all((0 <= got) & (got < TWO_PI))
+            np.testing.assert_array_equal(got, _nearest_phases(t, ns, bits))
 
 
 def test_phases_for_ints_match_the_mpmath_loop_at_locate_heights():
