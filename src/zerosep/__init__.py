@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .characters import Character, dirichlet_characters, export_character_table
 from .combalg import (AuxiliaryCombination, CombPolynomial, SeparationProblem,
-                      T0Search, build_auxiliary, find_nonvanishing_t0,
-                      support_prime)
+                      build_auxiliary, find_nonvanishing_t0, support_prime)
 from .errors import ZerosepError
 from .euler import (EulerProductSpec, EvalResult, eval_dirichlet_sum,
                     eval_partial_euler, finite_euler_spec, lfunction_spec,
@@ -34,7 +33,7 @@ from .steering import (PhaseAssignment, SteeringResult, SteeringTarget,
 
 __all__ = [
     "Character", "dirichlet_characters", "export_character_table",
-    "AuxiliaryCombination", "CombPolynomial", "SeparationProblem", "T0Search",
+    "AuxiliaryCombination", "CombPolynomial", "SeparationProblem",
     "build_auxiliary", "find_nonvanishing_t0", "support_prime", "ZerosepError",
     "EulerProductSpec", "EvalResult", "eval_dirichlet_sum", "eval_partial_euler",
     "finite_euler_spec", "lfunction_spec", "sparse_zeta_spec", "validate_axioms",

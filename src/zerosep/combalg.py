@@ -247,57 +247,47 @@ def build_auxiliary(problem: SeparationProblem) -> AuxiliaryCombination:
                                 problem.g_on_full_vars(), heads)
 
 
-@dataclass(frozen=True)
-class T0Search:
-    """Grid of heights scanned on Re(s) = 1 and the coefficient margin to
-    meet; the defaults are the values the separation pipeline runs with."""
-
-    t_min: float = 0.0
-    t_max: float = 40.0
-    grid: int = 400
-    margin: float = 1e-3
+# heights t0 is searched on along Re(s) = 1, and the coefficient margin to meet
+T0_MIN, T0_MAX = 0.0, 40.0
+T0_GRID = 400
+T0_MARGIN = 1e-3
 
 
-def find_nonvanishing_t0(aux: AuxiliaryCombination,
-                         search: T0Search = T0Search()) -> float:
+def find_nonvanishing_t0(aux: AuxiliaryCombination) -> float:
     """Height t0 at which every auxiliary coefficient stays off zero on the
     boundary line Re(s) = 1.
 
     Scans the grid, keeps the best minimum-modulus point, refines locally,
-    and fails loudly when the margin is unreachable so the caller can widen
-    the range.
+    and fails loudly when the margin is unreachable.
     """
-    if search.grid < 2:
-        raise DomainError("grid must have at least 2 points")
-
     def min_modulus(t: float) -> float:
         vals = aux.coefficient_values(complex(1.0, t))
         return min(abs(v) for v in vals)
 
-    ts = np.linspace(search.t_min, search.t_max, search.grid)
+    ts = np.linspace(T0_MIN, T0_MAX, T0_GRID)
     best_t, best_m = None, -1.0
     for t in ts:
         m = min_modulus(float(t))
-        if m >= search.margin:
+        if m >= T0_MARGIN:
             # first grid point meeting the margin wins
             return float(t)
         if m > best_m:
             best_t, best_m = float(t), m
     # local refinement around the best grid point
-    step = (search.t_max - search.t_min) / max(search.grid - 1, 1)
+    step = (T0_MAX - T0_MIN) / (T0_GRID - 1)
     t_center = best_t
     for _ in range(3):
         lo, hi = t_center - step, t_center + step
-        for t in np.linspace(max(lo, search.t_min), min(hi, search.t_max), 21):
+        for t in np.linspace(max(lo, T0_MIN), min(hi, T0_MAX), 21):
             m = min_modulus(float(t))
             if m > best_m:
                 t_center, best_m = float(t), m
         step /= 10.0
-    if best_m >= search.margin:
+    if best_m >= T0_MARGIN:
         return t_center
     raise SearchFailure(
-        f"no t in [{search.t_min}, {search.t_max}] reaches coefficient margin "
-        f"{search.margin} (best {best_m:.3e} at t = {best_t:.6f})",
+        f"no t in [{T0_MIN}, {T0_MAX}] reaches coefficient margin "
+        f"{T0_MARGIN} (best {best_m:.3e} at t = {best_t:.6f})",
         best_t=best_t, best_margin=best_m)
 
 

@@ -66,7 +66,7 @@ class CertificateFailure(ZerosepError):
 
 
 class ContourTooClose(ZerosepError):
-    """Sampled modulus on a contour dipped below the safe threshold."""
+    """A winding scan sampled an exact zero on its contour."""
 
 
 class RefinementExhausted(ContourTooClose):

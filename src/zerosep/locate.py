@@ -16,19 +16,18 @@ Locating reads an anchored evaluator through disk models.
 summed local logs around a centre (:func:`zerosep.euler.local_log_model`),
 so a point on the disk costs a Horner step per spec instead of a sum over
 every prime, and the model's bound joins the truncation budget.  Each Newton
-iterate of ``refine_zero`` gets a model of radius ``fd_step`` for its three
+iterate of ``refine_zero`` gets a model of radius ``FD_STEP`` for its three
 evaluations, all its shrinking circles share one model at the centre, and
 ``certify_noncoincidence`` reads its ring points from one model of the
 partner.  Newton's steps are clipped to the certificate radius r0, so it
 stops as soon as a raw step exceeds what the clipped steps left can travel:
 the zero it points at is out of reach, and the circles around the best point
-found give the verdict.  Only the start, the last iterate and the centre are
-evaluated directly, each once; when Newton stops at once they are one point
-and one evaluation.  :func:`_on_disk` is the one place that tells the two
-apart: any other callable (a closed form, ``CombEvaluator.at``) is called at
-every point as before.  A partner anchored by
-:meth:`AnchoredCombEvaluator.partner` shares the phases already reduced for
-the first combination.
+found give the verdict, down to the first circle that winds 0.  Only the
+start, the last iterate and the centre are evaluated directly, each once;
+when Newton stops at once they are one point and one evaluation.
+:func:`_on_disk` is the one place that tells the two apart: any other
+callable that returns an :class:`zerosep.euler.EvalResult` (a closed form,
+``CombEvaluator.at``) is called at every point.
 
 Zero certificates and strip counts both run on
 :func:`zerosep.polyzero.winding_scan`, the one argument-principle routine:
@@ -59,12 +58,6 @@ from .steering import PhaseAssignment
 from .primes import factorize, log_primes, primes_up_to
 
 TWO_PI = 2.0 * math.pi
-
-
-def _as_eval(v) -> EvalResult:
-    if isinstance(v, EvalResult):
-        return v
-    return EvalResult(complex(v), 0.0)
 
 
 # --- twisted evaluation -------------------------------------------------------
@@ -136,9 +129,7 @@ class AnchoredCombEvaluator:
     The anchor is an exact extended-precision height; its phases at every
     relevant prime are reduced mod 2*pi once, so subsequent evaluations in a
     unit-size window run in plain float arithmetic.  :meth:`disk` builds a
-    Taylor model of every spec on a disk of offsets, and :meth:`partner`
-    anchors a second combination over the same specs at the same height
-    from the phases already reduced.
+    Taylor model of every spec on a disk of offsets.
     """
 
     def __init__(self, ev: CombEvaluator, t_anchor, bits: Optional[int] = None):
@@ -157,29 +148,6 @@ class AnchoredCombEvaluator:
         coeff_idx = np.searchsorted(allp, coeff_primes)
         self._base = dict(zip(coeff_primes, base[coeff_idx].tolist()))
         self._logs = dict(zip(coeff_primes, logs[coeff_idx].tolist()))
-
-    def partner(self, ev: CombEvaluator) -> "AnchoredCombEvaluator":
-        """``ev`` anchored at this height and precision, bit for bit as
-        ``ev.anchored(t_anchor, bits)``: the spec phases are shared, and only
-        coefficient primes of ev that are no spec or coefficient prime here
-        are reduced."""
-        if ev.specs != self.ev.specs or ev.P != self.ev.P:
-            raise DomainError("a partner must share the specs and the prime cutoff")
-        other = object.__new__(AnchoredCombEvaluator)
-        other.ev, other.bits, other.t_anchor = ev, self.bits, self.t_anchor
-        other._spec_base, other._spec_logs = self._spec_base, self._spec_logs
-        known = dict(self._base)
-        for ps, base in zip(ev._spec_primes, self._spec_base):
-            known.update(zip(ps.tolist(), base.tolist()))
-        coeff_primes = _coeff_primes(ev)
-        fresh = [p for p in coeff_primes if p not in known]
-        if fresh:
-            known.update(zip(fresh, phases_for_ints(
-                self.t_anchor, np.array(fresh, dtype=np.int64), bits=self.bits).tolist()))
-        logs = log_primes(np.array(coeff_primes, dtype=np.int64)).tolist()
-        other._base = {p: known[p] for p in coeff_primes}
-        other._logs = dict(zip(coeff_primes, logs))
-        return other
 
     def phase_of(self, p: int, dt: float) -> float:
         """Phase of a coefficient prime at offset height dt from the anchor."""
@@ -333,24 +301,21 @@ class ZeroCertificate:
             precision_bits=int(rows["precision_bits"]), meta=meta)
 
 
-@dataclass(frozen=True)
-class RefineParams:
-    newton_iters: int = 40
-    fd_step: float = 1e-6
-    numeric_tol: float = 1e-8
-    initial_samples: int = 48
-    max_samples: int = 4096
-    shrink: tuple = (1.0, 0.6, 0.35, 0.2, 0.1)
+NEWTON_ITERS = 40  # Newton iterations refine_zero takes at most
+FD_STEP = 1e-6  # Newton's central-difference step, times |Im s| when 1 < |Im s| < 10
+NUMERIC_TOL = 1e-8  # |H| of a numeric-only zero, relative to max(|H(s0)|, 1)
+CIRCLE_WINDING = WindingParams(initial_samples=48, max_samples=4096)  # per circle
+SHRINK = (1.0, 0.6, 0.35, 0.2, 0.1)  # circle radii of refine_zero, as fractions of r0
 
 
-def _circle_scan(H: Callable, circle: Circle, refinement: WindingParams):
+def _circle_scan(H: Callable, circle: Circle):
     """Winding count from :func:`winding_scan`, then, over its samples, the
-    certified boundary minimum net of evaluation error and the largest
-    evaluation budget on the circle."""
-    winding, samples = winding_scan(H, circle, refinement)
+    boundary minimum net of evaluation error and of a margin from sampled
+    slopes, and the largest evaluation budget on the circle."""
+    winding, samples = winding_scan(H, circle, CIRCLE_WINDING)
     radius = circle.radius
     ts = sorted(samples)
-    vs = [_as_eval(samples[t]) for t in ts]
+    vs = [samples[t] for t in ts]
     tail_max = max(v.abs_error_bound for v in vs)
     # slope estimate between neighbors gives a Lipschitz margin for the gaps
     slopes = []
@@ -376,38 +341,40 @@ def _on_disk(H: Callable, center: complex, radius: float) -> Callable:
     return H
 
 
-def refine_zero(H: Callable, s0: complex, r0: float,
-                params: RefineParams = RefineParams()) -> ZeroCertificate:
+def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
     """Newton-polish a zero of H near s0 and certify it by winding counts on
     shrinking circles; fall back to numeric-only status when the circles
-    cannot be certified against the truncation budget.
+    cannot be certified against the truncation budget.  H maps a point to an
+    :class:`zerosep.euler.EvalResult`.
 
     Each Newton step is clipped to r0, so the steps left at iteration ``it``
-    travel at most ``(newton_iters - it) * r0``; a raw step beyond that
+    travel at most ``(NEWTON_ITERS - it) * r0``; a raw step beyond that
     points at a zero out of reach, and Newton stops there.  The circles still
-    scan around the best point found and decide the verdict.
+    scan around the best point found and decide the verdict.  H is analytic
+    in Re(s) > 1, so a circle that winds 0 holds no zero, and neither does
+    any smaller one: the ladder ends there.
     """
     s0 = complex(s0)
     if s0.real - r0 <= 1.0:
         raise DomainError("certification disk must stay inside Re(s) > 1")
-    start = _as_eval(H(s0))
+    start = H(s0)
     s = s0
     best_s, best_abs = s0, abs(start.value)
     scale0 = max(best_abs, 1.0)
     out_of_reach = None
-    for it in range(params.newton_iters):
-        h = params.fd_step * max(1.0, abs(s.imag) if abs(s.imag) < 10 else 1.0)
+    for it in range(NEWTON_ITERS):
+        h = FD_STEP * max(1.0, abs(s.imag) if abs(s.imag) < 10 else 1.0)
         Hs = _on_disk(H, s, h)
-        v0 = _as_eval(Hs(s)).value
-        vp = _as_eval(Hs(s + h)).value
-        vm = _as_eval(Hs(s - h)).value
+        v0 = Hs(s).value
+        vp = Hs(s + h).value
+        vm = Hs(s - h).value
         d = (vp - vm) / (2.0 * h)
         if abs(v0) < best_abs:
             best_s, best_abs = s, abs(v0)
         if d == 0:
             break
         step = -v0 / d
-        left = params.newton_iters - it
+        left = NEWTON_ITERS - it
         if abs(step) > left * r0:
             out_of_reach = (
                 f"Newton's step {abs(step):.2g} at |H| = {abs(v0):.1e} exceeds the "
@@ -424,32 +391,31 @@ def refine_zero(H: Callable, s0: complex, r0: float,
             break
     # each point is evaluated directly once: the start, the last iterate and
     # the centre coincide when Newton stops at once
-    v = start if s == s0 else _as_eval(H(s))
+    v = start if s == s0 else H(s)
     if abs(v.value) < best_abs:
         best_s, best_abs = s, abs(v.value)
     center = best_s
-    at_center = v if center == s else start if center == s0 else _as_eval(H(center))
+    at_center = v if center == s else start if center == s0 else H(center)
 
     found = None
-    radii = [r0 * frac for frac in params.shrink if center.real - r0 * frac > 1.0]
+    radii = [r0 * frac for frac in SHRINK if center.real - r0 * frac > 1.0]
     Hc = _on_disk(H, center, max(radii)) if radii else H
     for r in radii:
         try:
-            w, bmin, tmax = _circle_scan(Hc, Circle(center, r), WindingParams(
-                params.initial_samples, params.max_samples))
+            w, bmin, tmax = _circle_scan(Hc, Circle(center, r))
         except ContourTooClose:
             continue
-        if w >= 1:
-            found = (r, w, bmin, tmax)
-            if bmin > tmax:
-                break
-    numeric_ok = best_abs <= params.numeric_tol * scale0 or best_abs <= params.numeric_tol
+        if w < 1:
+            break
+        found = (r, w, bmin, tmax)
+        if bmin > tmax:
+            break
     if found is None:
-        if not numeric_ok:
+        if not best_abs <= NUMERIC_TOL * scale0:
             raise NoZeroFound(
                 f"{out_of_reach}, and no circle wound" if out_of_reach else
                 f"Newton stalled at |H| = {best_abs:.3e} and no circle wound")
-        return ZeroCertificate(center=center, radius=r0 * params.shrink[-1],
+        return ZeroCertificate(center=center, radius=r0 * SHRINK[-1],
                                winding=0, boundary_min=0.0,
                                tail_budget=at_center.abs_error_bound,
                                g_min_on_disk=None, status="numeric-only",
@@ -469,9 +435,10 @@ NONCOINCIDENCE_SAMPLES = 48  # points on each ring
 def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCertificate:
     """Lower-bound the partner combination on the closed certificate disk.
 
-    Dense ring sampling plus a finite-difference Lipschitz margin, minus the
-    partner's own truncation budget; a non-positive margin raises with the
-    achieved value.
+    Dense ring sampling, less a Lipschitz margin taken from the slopes
+    between sampled points and less the partner's own truncation budget; a
+    non-positive margin raises with the achieved value.  g_comb maps a point
+    to an :class:`zerosep.euler.EvalResult`.
     """
     if cert.winding < 1:
         raise DomainError("certificate must carry winding >= 1")
@@ -482,7 +449,7 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCerti
         for k in range(samples):
             pts.append(cert.center + r * cmath.exp(2j * math.pi * k / samples))
     g_disk = _on_disk(g_comb, cert.center, cert.radius)
-    vals = [_as_eval(g_disk(p)) for p in pts]
+    vals = [g_disk(p) for p in pts]
     g_tail = max(v.abs_error_bound for v in vals)
     mesh = max(cert.radius / rings,
                math.pi * cert.radius / samples)

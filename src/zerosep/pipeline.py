@@ -5,8 +5,11 @@ approx -> locate -> noncoincidence -> replicate (optional).  Every
 stage failure surfaces as a StageError naming the stage; run records are
 replayable from their embedded config and seeds.  Stability-steering moves
 exactly the primes that approx aligns, picked by :func:`_aligned_primes`.
-Values no run varies (t0 search, witness floor, steering limits) are the
-defaults of the layer that reads them, not :class:`PipelineConfig` fields.
+Values no run varies (the t0 search, the witness floor, steering limits and
+``refine_zero``'s Newton and circle settings) are constants or defaults of
+the layer that reads them, not :class:`PipelineConfig` fields.  Locate
+certifies on a disk of radius min(0.02, (sigma - 1)/2), and replicate aligns
+its shifts at ``approx_accuracy``.
 """
 
 from __future__ import annotations
@@ -58,10 +61,8 @@ class PipelineConfig:
     approx_accuracy: float = 0.02
     approx_max_primes: int = 24  # primes steered and then aligned
     locate_P: int = 0         # 0 = same as P (capped at 200000)
-    refine_radius: float = 0.0  # 0 = min(0.02, (sigma-1)/2)
     seed: int = 0
     replicate_count: int = 0
-    replicate_accuracy: float = 0.05
     out_dir: str = "."
 
     def to_json(self) -> str:
@@ -91,12 +92,11 @@ class PipelineConfig:
             raise DomainError("sigma must exceed 1")
         if self.P < 2 or self.approx_max_primes < 1 or self.zero_candidates < 1:
             raise DomainError("cutoffs and counts must be positive")
-        for name in ("approx_accuracy", "replicate_accuracy"):
-            if not 0 < getattr(self, name) < math.pi:
-                raise DomainError(f"{name} must lie in (0, pi)")
+        if not 0 < self.approx_accuracy < math.pi:
+            raise DomainError("approx_accuracy must lie in (0, pi)")
         if not self.steer_tol > 0:
             raise DomainError("steer_tol must be positive")
-        for name in ("replicate_count", "locate_P", "zero_margin", "refine_radius"):
+        for name in ("replicate_count", "locate_P", "zero_margin"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must not be negative")
 
@@ -236,8 +236,8 @@ BUILTIN_DEFAULTS: dict[str, dict] = {
     "charpair-mod5": dict(sigma=1.02, P=2_000_000, steer_tol=1e-6),
     "zeta-vs-sparse": dict(sigma=1.3, P=1_000_000, steer_tol=1e-6),
     "toy-finite-pair": dict(sigma=1.05, P=10, steer_tol=1e-9,
-                            approx_accuracy=0.01, replicate_accuracy=0.01,
-                            locate_P=10, zero_candidates=40, seed=5),
+                            approx_accuracy=0.01, locate_P=10,
+                            zero_candidates=40, seed=5),
 }
 
 
@@ -423,7 +423,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
                              P=config.locate_cutoff)
         anchored = ev_f.anchored(res.t)
         state["ev_f_anchored"] = anchored
-        r0 = config.refine_radius or min(0.02, (config.sigma - 1.0) / 2.0)
+        r0 = min(0.02, (config.sigma - 1.0) / 2.0)
         cert = refine_zero(anchored, complex(config.sigma, 0.0), r0)
         if cert.status != "certified":
             gap = (f"no circle wound (best |H| = {abs(cert.value_at_center):.3e})"
@@ -449,8 +449,9 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         cert = state["certificate"]
         ev_g = CombEvaluator(problem.g_on_full_vars(), problem.variable_order,
                              P=config.locate_cutoff)
-        anchored_g = state["ev_f_anchored"].partner(ev_g)
-        upgraded = certify_noncoincidence(cert, anchored_g)
+        anchored_f = state["ev_f_anchored"]
+        upgraded = certify_noncoincidence(
+            cert, ev_g.anchored(anchored_f.t_anchor, bits=anchored_f.bits))
         if upgraded.status != "certified":
             gmin = upgraded.g_min_on_disk
             raise MarginFailure(
@@ -465,11 +466,11 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         cert = state["certificate"]
         res = state["approx"]
         taus = almost_periods(res.t, int(state["approx_primes"][-1]),
-                              config.replicate_accuracy,
+                              config.approx_accuracy,
                               count=config.replicate_count)
         ev_f = state["ev_f_anchored"].ev
         drift = combination_drift_bound(
-            ev_f.f, ev_f.specs, config.sigma, config.replicate_accuracy,
+            ev_f.f, ev_f.specs, config.sigma, config.approx_accuracy,
             int(state["approx_primes"][-1]), config.locate_cutoff)
         # the re-search window grows by the drift bound but must stay in Re > 1
         r_rep = min(cert.radius + drift, 0.8 * (cert.center.real - 1.0))

@@ -416,7 +416,6 @@ class Rectangle:
 class WindingParams:
     initial_samples: int = 64
     max_samples: int = 65536
-    min_edge_modulus: float = 0.0
 
 
 def winding_scan(h: Callable, contour,
@@ -426,8 +425,8 @@ def winding_scan(h: Callable, contour,
 
     The one adaptive argument-principle scan: it bisects until every
     successive phase step is under pi/2, so the integer count is
-    unambiguous, and raises if the modulus dips below the edge threshold or
-    the sample cap is hit first.
+    unambiguous, and raises if h is exactly 0 at a sample or the sample cap
+    is hit first.
     """
     m0 = max(refinement.initial_samples, 8)
     params = [i / m0 for i in range(m0)] + [1.0]
@@ -438,10 +437,10 @@ def winding_scan(h: Callable, contour,
             return complex(samples[t])
         samples[t] = h(contour.point(t))
         v = complex(samples[t])
-        if abs(v) <= refinement.min_edge_modulus or v == 0:
+        if v == 0:
             raise ContourTooClose(
-                f"|h| = {abs(v):.3e} at contour parameter {t:.6f} is at or below "
-                f"the edge threshold {refinement.min_edge_modulus:.3e}")
+                f"h = 0 at contour parameter {t:.6f}: the contour passes "
+                "through a zero")
         return v
 
     for t in params:

@@ -117,7 +117,8 @@ def test_replicate_refuses_record_with_unknown_config_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", [
     "approx_weight_floor", "R", "y", "t0_min", "t0_max", "t0_grid", "t0_margin",
-    "zero_floor", "steer_iters", "steer_restarts", "precision_bits"])
+    "zero_floor", "steer_iters", "steer_restarts", "precision_bits", "refine_radius",
+    "replicate_accuracy"])
 def test_config_with_a_retired_key_is_a_parse_error(key):
     with pytest.raises(ParseError, match=f"unknown config keys: {key}$"):
         PipelineConfig.from_dict({key: 1})
@@ -127,9 +128,6 @@ def test_every_config_field_has_a_setter():
     # a field that no builtin, flag or config sets is a constant in disguise
     setters = {"problem"}.union(*BUILTIN_DEFAULTS.values())
     setters |= set(vars(cli.build_parser().parse_args(["separate"])))
-    # refine_radius is the locate-radius lever that tuning zeta-vs-sparse
-    # needs (ROADMAP direction 3)
-    setters.add("refine_radius")
     assert {f.name for f in fields(PipelineConfig)} <= setters
 
 
@@ -161,13 +159,11 @@ def test_config_with_no_witness_draws_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("field, value, message", [
     ("approx_accuracy", 4.0, "approx_accuracy must lie in (0, pi)"),
     ("approx_accuracy", 0.0, "approx_accuracy must lie in (0, pi)"),
-    ("replicate_accuracy", math.pi, "replicate_accuracy must lie in (0, pi)"),
     ("steer_tol", -1.0, "steer_tol must be positive"),
     ("steer_tol", 0.0, "steer_tol must be positive"),
     ("replicate_count", -2, "replicate_count must not be negative"),
     ("locate_P", -1, "locate_P must not be negative"),
     ("zero_margin", -1e-3, "zero_margin must not be negative"),
-    ("refine_radius", -0.01, "refine_radius must not be negative"),
 ])
 def test_config_out_of_domain_is_refused_before_any_stage(tmp_path, capsys, field,
                                                           value, message):

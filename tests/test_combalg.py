@@ -6,9 +6,9 @@ import pytest
 
 from zerosep import combalg
 from zerosep.characters import dirichlet_characters
-from zerosep.combalg import (CombPolynomial, SeparationProblem, T0Search,
-                             build_auxiliary, coprimality_sanity,
-                             find_nonvanishing_t0, support_prime)
+from zerosep.combalg import (CombPolynomial, SeparationProblem, build_auxiliary,
+                             coprimality_sanity, find_nonvanishing_t0,
+                             support_prime)
 from zerosep.errors import ArityMismatch, DomainError, SearchFailure
 from zerosep.euler import (eval_partial_euler, finite_euler_spec,
                            lfunction_spec, local_logs, zeta_spec)
@@ -207,14 +207,21 @@ def test_charpair_t0_search_is_pinned():
     assert margin == pytest.approx(0.06947445937780052, rel=1e-12)
 
 
-def test_find_t0_constant_coefficients():
+def _t0_search(monkeypatch, t_max, grid, margin):
+    """Search [0, t_max] on a grid of this many heights for this margin."""
+    for name, value in (("T0_MAX", t_max), ("T0_GRID", grid), ("T0_MARGIN", margin)):
+        monkeypatch.setattr(combalg, name, value)
+
+
+def test_find_t0_constant_coefficients(monkeypatch):
     prob = _toy_problem()
     aux = build_auxiliary(prob)
-    t0 = find_nonvanishing_t0(aux, T0Search(0.0, 10.0, 50, margin=0.5))
+    _t0_search(monkeypatch, 10.0, 50, 0.5)
+    t0 = find_nonvanishing_t0(aux)
     assert t0 == 0.0
 
 
-def test_find_t0_avoids_coefficient_zeros():
+def test_find_t0_avoids_coefficient_zeros(monkeypatch):
     # coefficient 1 - 2^(1-s) vanishes on the boundary line at 2*pi*k/log 2
     z = zeta_spec()
     oth = finite_euler_spec("oth", {3: 1.0})
@@ -223,14 +230,15 @@ def test_find_t0_avoids_coefficient_zeros():
     g = CombPolynomial(2, ((c(1.0), (1, 0)), (c(-2.0), (0, 1))))
     prob = SeparationProblem(f, g, (z, oth), (z, oth))
     aux = build_auxiliary(prob)
-    t0 = find_nonvanishing_t0(aux, T0Search(0.0, 12.0, 300, margin=0.4))
+    _t0_search(monkeypatch, 12.0, 300, 0.4)
+    t0 = find_nonvanishing_t0(aux)
     zeros = [2 * math.pi * k / math.log(2) for k in (0, 1)]
     assert all(abs(t0 - tz) > 0.2 for tz in zeros)
     vals = aux.coefficient_values(complex(1.0, t0))
     assert min(abs(v) for v in vals) >= 0.4
 
 
-def test_find_t0_failure_reports_best():
+def test_find_t0_failure_reports_best(monkeypatch):
     z = zeta_spec()
     oth = finite_euler_spec("oth", {3: 1.0})
     tiny = PFiniteSeries.constant(1e-6)
@@ -238,8 +246,9 @@ def test_find_t0_failure_reports_best():
     g = CombPolynomial(2, ((c(1.0), (1, 0)), (c(1.0), (0, 0))))
     prob = SeparationProblem(f, g, (z, oth), (z, oth))
     aux = build_auxiliary(prob)
+    _t0_search(monkeypatch, 1.0, 10, 0.5)
     with pytest.raises(SearchFailure) as err:
-        find_nonvanishing_t0(aux, T0Search(0.0, 1.0, 10, margin=0.5))
+        find_nonvanishing_t0(aux)
     assert err.value.best_margin is not None
     assert err.value.best_margin < 0.5
 

@@ -10,7 +10,7 @@ from zerosep.errors import (DomainError, MarginFailure, MissingPhase,
                             NoZeroFound)
 from zerosep.euler import (EvalResult, eval_partial_euler, finite_euler_spec,
                            log_tail_bound, zeta_spec)
-from zerosep.locate import (CombEvaluator, RefineParams, ZeroCertificate,
+from zerosep.locate import (CombEvaluator, ZeroCertificate,
                             certify_noncoincidence, combination_drift_bound,
                             count_zeros_in_strip, refine_zero, twisted_eval,
                             vertical_drift_log_bound)
@@ -100,8 +100,7 @@ def test_refine_zero_no_zero_on_euler_product():
     f = CombPolynomial(1, ((c(1.0), (1,)),))
     ev = CombEvaluator(f, [z], P=2000)
     with pytest.raises(NoZeroFound):
-        refine_zero(ev.at, 1.5 + 10.0j, 0.05,
-                    RefineParams(newton_iters=12, numeric_tol=1e-12))
+        refine_zero(ev.at, 1.5 + 10.0j, 0.05)
 
 
 def test_refine_zero_domain():
@@ -123,10 +122,26 @@ def test_refine_zero_stops_newton_when_the_zero_is_out_of_reach():
                        r"exceeds the 0\.2 that 40 steps of at most r0 = 0\.005 "
                        r"can travel, and no circle wound$"):
         refine_zero(H, s0, 0.005)
-    # the start once, then one Newton iteration: s0 and s0 +- fd_step; every
+    # the start once, then one Newton iteration: s0 and s0 +- FD_STEP; every
     # other call is on a scan circle of radius at least r0 / 10
     newton = [z for z in calls if abs(z - s0) < 1e-4]
     assert newton == [s0, s0, s0 + 1e-6, s0 - 1e-6]
+
+
+def test_refine_zero_stops_its_circles_at_the_first_that_winds_0(monkeypatch):
+    # H is analytic, so no circle inside one that winds 0 can wind either
+    target = complex(1.5, 5.0)
+    scans = []
+    real = locate._circle_scan
+
+    def spy(H, circle):
+        scans.append(circle.radius)
+        return real(H, circle)
+
+    monkeypatch.setattr(locate, "_circle_scan", spy)
+    with pytest.raises(NoZeroFound, match="no circle wound"):
+        refine_zero(lambda s: EvalResult(s - target, 0.0), complex(1.5, 0.0), 0.005)
+    assert scans == [0.005]
 
 
 def test_refine_zero_still_crawls_to_a_zero_within_reach():
@@ -205,7 +220,7 @@ def test_zero_on_a_strip_corner_is_flagged():
     assert len(result.flagged) == 1
     (a, b, c, d), reason = result.flagged[0]
     assert (a, c) == (1.05, 4.0) and b - a < 0.1 and d - c < 1.0
-    assert "edge threshold" in reason
+    assert reason.endswith("the contour passes through a zero")
 
 
 def test_elongated_cell_counts_both_zeros():
@@ -355,7 +370,7 @@ def test_refine_zero_from_disk_models_matches_the_direct_path():
     assert model.tail_budget >= direct.tail_budget
     g = CombEvaluator(CombPolynomial(2, ((c(1.0), (1, 0)), (c(-1.0), (0, 1)))),
                       order, 500)
-    g_anchored = anchored.partner(g)
+    g_anchored = g.anchored(anchored.t_anchor, bits=anchored.bits)
     m_nc = certify_noncoincidence(model, g_anchored)
     d_nc = certify_noncoincidence(model, lambda s: g_anchored(s))
     assert abs(m_nc.g_min_on_disk - d_nc.g_min_on_disk) <= 1e-9 * d_nc.g_min_on_disk
@@ -388,33 +403,3 @@ def test_refine_zero_evaluates_a_start_it_never_leaves_once(monkeypatch):
     with pytest.raises(NoZeroFound, match="can travel"):
         refine_zero(bare, complex(1.01, 0.0), 0.005)
     assert points == [complex(1.01, 0.0)]
-
-
-def test_partner_anchor_is_bit_identical_to_a_fresh_one(monkeypatch):
-    order = builtin_problem("hurwitz-1-3-vs-2-3").build_problem().variable_order
-    f = CombPolynomial(2, ((PFiniteSeries.from_terms({1: 1.0, 7: 0.5}), (1, 0)),
-                           (c(-1.0), (0, 1))))
-    g = CombPolynomial(2, ((c(1.0), (1, 0)),
-                           (PFiniteSeries.from_terms({1: 1.0, 7: 0.25, 503: -0.5}),
-                            (0, 1))))
-    t = 1e12
-    anchored_f = CombEvaluator(f, order, 500).anchored(t)
-    ev_g = CombEvaluator(g, order, 500)
-    fresh = ev_g.anchored(t, bits=anchored_f.bits)
-    reduced = []
-    real = locate.phases_for_ints
-
-    def spy(t, ns, bits=None):
-        reduced.extend(np.asarray(ns).tolist())
-        return real(t, ns, bits=bits)
-
-    monkeypatch.setattr(locate, "phases_for_ints", spy)
-    shared = anchored_f.partner(ev_g)
-    assert reduced == [503]  # 7 is a coefficient prime of f, 503 is past P
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        s = complex(rng.uniform(1.01, 1.5), rng.uniform(-5.0, 5.0))
-        a, b = shared(s), fresh(s)
-        assert a.value == b.value and a.abs_error_bound == b.abs_error_bound
-    with pytest.raises(DomainError, match="share the specs"):
-        anchored_f.partner(CombEvaluator(g, order, 400))

@@ -249,5 +249,4 @@ def test_winding_scan_returns_its_samples():
 
 def test_winding_too_close():
     with pytest.raises(ContourTooClose):
-        winding_number(lambda z: z - 1.0, Circle(0, 1),
-                       WindingParams(min_edge_modulus=1e-3))
+        winding_number(lambda z: z - 1.0, Circle(0, 1))
