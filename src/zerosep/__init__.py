@@ -10,13 +10,13 @@ explicit truncation budgets.
 
 __version__ = "0.1.0"
 
-from .characters import Character, dirichlet_characters, export_character_table
+from .characters import Character, dirichlet_characters
 from .combalg import (AuxiliaryCombination, CombPolynomial, SeparationProblem,
                       build_auxiliary, find_nonvanishing_t0, support_prime)
 from .errors import ZerosepError
 from .euler import (EulerProductSpec, EvalResult, eval_dirichlet_sum,
                     eval_partial_euler, finite_euler_spec, lfunction_spec,
-                    sparse_zeta_spec, validate_axioms, zeta_spec)
+                    sparse_zeta_spec, zeta_spec)
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
 from .lattice import (ApproximationResult, almost_periods, simultaneous_approx)
 from .locate import (CombEvaluator, ZeroCertificate, certify_noncoincidence,
@@ -32,12 +32,12 @@ from .steering import (PhaseAssignment, SteeringResult, SteeringTarget,
                        SteerOptions, solve_phases, track_zero_in_sigma)
 
 __all__ = [
-    "Character", "dirichlet_characters", "export_character_table",
-    "AuxiliaryCombination", "CombPolynomial", "SeparationProblem",
-    "build_auxiliary", "find_nonvanishing_t0", "support_prime", "ZerosepError",
+    "Character", "dirichlet_characters", "AuxiliaryCombination",
+    "CombPolynomial", "SeparationProblem", "build_auxiliary",
+    "find_nonvanishing_t0", "support_prime", "ZerosepError",
     "EulerProductSpec", "EvalResult", "eval_dirichlet_sum", "eval_partial_euler",
-    "finite_euler_spec", "lfunction_spec", "sparse_zeta_spec", "validate_axioms",
-    "zeta_spec", "hurwitz_as_combination", "hurwitz_eval", "ApproximationResult",
+    "finite_euler_spec", "lfunction_spec", "sparse_zeta_spec", "zeta_spec",
+    "hurwitz_as_combination", "hurwitz_eval", "ApproximationResult",
     "almost_periods", "simultaneous_approx", "CombEvaluator", "ZeroCertificate",
     "certify_noncoincidence", "count_zeros_in_strip", "refine_zero",
     "twisted_eval", "PFiniteSeries", "PipelineConfig", "RunRecord",

@@ -1,14 +1,12 @@
 """Dirichlet characters built on unit-group generators with exact root-of-unity data.
 
 A character mod q is stored as an integer exponent on each generator of
-(Z/qZ)*, so group operations (product, conjugate, power) are exact integer
-arithmetic and character values only touch floating point in the final
-exp(2*pi*i*k/e) call.
+(Z/qZ)*, so its identity is exact integer data and its values only touch
+floating point in the final exp(2*pi*i*k/e) call.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -116,7 +114,6 @@ class Character:
     """
 
     modulus: int
-    generators: tuple[int, ...]
     orders: tuple[int, ...]
     exponents: tuple[int, ...]
     _values: np.ndarray = field(repr=False, compare=False, default=None)
@@ -156,17 +153,6 @@ class Character:
             return np.ones(len(ns), dtype=np.complex128)
         return self._table()[np.mod(np.asarray(ns, dtype=np.int64), q)]
 
-    def conj(self) -> "Character":
-        exps = tuple((-m) % d for m, d in zip(self.exponents, self.orders))
-        return Character(self.modulus, self.generators, self.orders, exps)
-
-    def __mul__(self, other: "Character") -> "Character":
-        if self.modulus != other.modulus:
-            raise DomainError("character product needs a common modulus")
-        exps = tuple((a + b) % d for a, b, d in
-                     zip(self.exponents, other.exponents, self.orders))
-        return Character(self.modulus, self.generators, self.orders, exps)
-
     def __hash__(self):
         return hash((self.modulus, self.exponents))
 
@@ -175,20 +161,9 @@ def dirichlet_characters(q: int) -> list[Character]:
     """All phi(q) characters mod q, principal character first."""
     if q < 1:
         raise DomainError("modulus must be positive")
-    gens, orders = unit_group(q)
-    chars = [Character(q, gens, orders, exps)
+    _, orders = unit_group(q)
+    chars = [Character(q, orders, exps)
              for exps in product(*(range(d) for d in orders))]
     chars.sort(key=lambda c: (not c.is_principal,) + c.exponents)
     return chars
 
-
-def export_character_table(q: int, path: str) -> None:
-    """CSV rows (q, character index, n, Re, Im) for all characters mod q."""
-    chars = dirichlet_characters(q)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "index", "n", "re", "im"])
-        for idx, chi in enumerate(chars):
-            for n in range(q):
-                v = chi.value(n)
-                writer.writerow([q, idx, n, repr(v.real), repr(v.imag)])

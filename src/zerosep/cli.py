@@ -1,8 +1,8 @@
 """Command line front end.
 
-Subcommands: characters, validate, hurwitz, steer, approx, separate,
-replicate, count.  Pipeline failures exit with the failing stage's code
-(see ``zerosep separate --help``); other library errors exit 1.
+Subcommands: characters, hurwitz, steer, approx, separate, replicate,
+count.  Pipeline failures exit with the failing stage's code (see
+``zerosep separate --help``); other library errors exit 1.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .characters import dirichlet_characters, export_character_table
-from .combfile import SpecDecl
+from .characters import dirichlet_characters
+from .combfile import read_text
 from .errors import ParseError, StageError, ZerosepError
-from .euler import validate_axioms
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
 from .lattice import simultaneous_approx
 from .locate import CombEvaluator, count_zeros_in_strip
@@ -37,19 +36,6 @@ def _parse_fields(text: str, sep: str, types: tuple, what: str) -> tuple:
     raise ParseError(f"bad {what}: {text!r}")
 
 
-def _spec_from_name(name: str):
-    if name == "zeta":
-        return SpecDecl(name, "riemann_zeta", ()).build()
-    if name == "sparse_Z":
-        return SpecDecl(name, "sparse_Z", ()).build()
-    if name.startswith("dirichlet_L:"):
-        _, q, idx = _parse_fields(name, ":", (str, int, int),
-                                  "dirichlet_L:<q>:<index> spec")
-        return SpecDecl(name, "dirichlet_L", (q, idx)).build()
-    raise ParseError(
-        f"unknown spec {name!r}; use zeta, sparse_Z, or dirichlet_L:<q>:<index>")
-
-
 def _parse_complex(text: str) -> complex:
     types = (float, float) if "," in text else (float,)
     return complex(*_parse_fields(text, ",", types, "complex value re[,im]"))
@@ -61,22 +47,6 @@ def cmd_characters(args) -> int:
     for i, chi in enumerate(chars):
         row = " ".join(f"{chi.value(n):+.3f}" for n in range(args.modulus or 1))
         print(f"chi_{i}: {row}")
-    if args.csv:
-        export_character_table(args.modulus, args.csv)
-        print(f"wrote {args.csv}")
-    return 0
-
-
-def cmd_validate(args) -> int:
-    F = _spec_from_name(args.spec)
-    report = validate_axioms(F, args.prime_limit, args.depth)
-    print(f"spec {F.label}: max |a(p)| = {report.max_ap:.6f} at p = "
-          f"{report.argmax_prime} (bound {report.prime_bound})")
-    for x, s in report.higher_sum_checkpoints:
-        print(f"  higher-power sum through {x}: {s:.8f}")
-    print(f"prime-coefficient bound: {'ok' if report.prime_bound_ok else 'VIOLATED'}")
-    print(f"higher-power sum stabilizing: {'ok' if report.higher_sum_ok else 'NO'}")
-    report.raise_if_failed()
     return 0
 
 
@@ -130,17 +100,9 @@ def cmd_approx(args) -> int:
     return 0
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ZerosepError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _config_from_args(args) -> PipelineConfig:
     if getattr(args, "config", None):
-        config = PipelineConfig.from_json(_read_text(args.config))
+        config = PipelineConfig.from_json(read_text(args.config))
     elif getattr(args, "builtin", None):
         config = builtin_config(args.builtin)
     elif getattr(args, "file", None):
@@ -184,7 +146,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    record = RunRecord.from_json(_read_text(args.record))
+    record = RunRecord.from_json(read_text(args.record))
     config = replace(record.config, replicate_count=args.count)
     new_record = run_separation_pipeline(config)
     rep = new_record.stage("replicate")
@@ -215,17 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "products in Re(s) > 1.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("characters", help="print or export a character table")
+    p = sub.add_parser("characters", help="print a character table")
     p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--csv", help="write the table to this CSV path")
     p.set_defaults(fn=cmd_characters)
-
-    p = sub.add_parser("validate", help="scan a spec's coefficient bounds")
-    p.add_argument("--spec", required=True,
-                   help="zeta | sparse_Z | dirichlet_L:<q>:<index>")
-    p.add_argument("--prime-limit", type=int, default=100_000, dest="prime_limit")
-    p.add_argument("--depth", type=int, default=12)
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("hurwitz", help="compare the shifted zeta sum with its "
                                        "character combination")

@@ -18,7 +18,8 @@ Grammar (line oriented, '#' comments, blank lines ignored)::
 ``inv`` clause attaches reciprocal finite Euler factors to the coefficient,
 one ``|``-separated group per factor, listing the polynomial coefficients in
 p^-s ascending.  Serialization is canonical, so parsing and serializing
-round-trips byte-identically.
+round-trips byte-identically.  A malformed line raises ``ParseError`` with
+its line number, and an unreadable file ``ZerosepError`` with its path.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from .characters import dirichlet_characters
 from .combalg import CombPolynomial, SeparationProblem
-from .errors import ParseError
+from .errors import ParseError, ZerosepError
 from .euler import (EulerProductSpec, finite_euler_spec, lfunction_spec,
                     sparse_zeta_spec, zeta_spec)
 from .pfinite import PFiniteSeries
@@ -117,68 +118,81 @@ def _serialize_coeff(series: PFiniteSeries) -> str:
     return body
 
 
+def _key_values(tokens: list) -> dict:
+    bad = [t for t in tokens if "=" not in t]
+    if bad:
+        raise ValueError(f"{bad[0]!r} is not key=value")
+    return dict(t.split("=", 1) for t in tokens)
+
+
+def _parse_line(s: str, section, decls: list, polys: dict):
+    """Parse one stripped content line into ``decls`` or ``polys``; returns
+    the section the next line belongs to."""
+    if s.startswith("["):
+        if s == "[specs]":
+            return "specs"
+        if s.startswith("[poly ") and s.endswith("]"):
+            pname = s[6:-1].strip()
+            if pname not in ("f", "g"):
+                raise ParseError(f"polynomial must be named f or g, got {pname!r}")
+            polys[pname] = {"vars": None, "monos": []}
+            return ("poly", pname)
+        raise ParseError(f"unknown section {s!r}")
+    if section == "specs":
+        if " = " not in s:
+            raise ParseError(f"bad spec line: {s!r}")
+        name, rhs = (x.strip() for x in s.split(" = ", 1))
+        if not name or any(ch in name for ch in "= \t"):
+            raise ParseError(f"bad spec name {name!r}")
+        parts = rhs.split()
+        kind = parts[0]
+        kv = _key_values(parts[1:])
+        if kind in ("riemann_zeta", "sparse_Z"):
+            decls.append(SpecDecl(name, kind, ()))
+        elif kind == "dirichlet_L":
+            decls.append(SpecDecl(name, kind,
+                                  (int(kv["modulus"]), int(kv["index"]))))
+        elif kind == "finite_euler":
+            entries = []
+            for part in kv["primes"].split(","):
+                p_s, re_s, im_s = part.split(":")
+                entries.append((int(p_s), _parse_complex(re_s, im_s)))
+            decls.append(SpecDecl(name, kind, tuple(entries)))
+        else:
+            raise ParseError(f"unknown spec kind {kind!r}")
+    elif isinstance(section, tuple):
+        pname = section[1]
+        if s.startswith("vars"):
+            _, rhs = s.split("=", 1)
+            polys[pname]["vars"] = tuple(rhs.split())
+        elif s.startswith("mono "):
+            fields = _key_values(s[5:].split())
+            exps = tuple(int(x) for x in fields["exps"].split(","))
+            coeff = _parse_coeff(fields["coeff"], fields.get("inv"))
+            polys[pname]["monos"].append((coeff, exps))
+        else:
+            raise ParseError(f"bad polynomial line: {s!r}")
+    else:
+        raise ParseError(f"line outside any section: {s!r}")
+    return section
+
+
 def parse_combination(text: str) -> CombinationFile:
-    lines = [ln.rstrip() for ln in text.splitlines()]
-    content = [ln for ln in lines if ln.strip() and not
-               (ln.strip().startswith("#") and ln.strip() != HEADER)]
-    if not content or content[0].strip() != HEADER:
+    stripped = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)]
+    content = [(n, s) for n, s in stripped
+               if s and (s == HEADER or not s.startswith("#"))]
+    if not content or content[0][1] != HEADER:
         raise ParseError(f"missing header line {HEADER!r}")
     section = None
     decls: list[SpecDecl] = []
     polys: dict[str, dict] = {}
-    for ln in content[1:]:
-        s = ln.strip()
-        if s.startswith("["):
-            if s == "[specs]":
-                section = "specs"
-            elif s.startswith("[poly ") and s.endswith("]"):
-                pname = s[6:-1].strip()
-                if pname not in ("f", "g"):
-                    raise ParseError(f"polynomial must be named f or g, got {pname!r}")
-                polys[pname] = {"vars": None, "monos": []}
-                section = ("poly", pname)
-            else:
-                raise ParseError(f"unknown section {s!r}")
-            continue
-        if section == "specs":
-            if " = " not in s:
-                raise ParseError(f"bad spec line: {s!r}")
-            name, rhs = (x.strip() for x in s.split(" = ", 1))
-            if not name or any(ch in name for ch in "= \t"):
-                raise ParseError(f"bad spec name {name!r}")
-            parts = rhs.split()
-            kind = parts[0]
-            kv = dict(p.split("=", 1) for p in parts[1:])
-            if kind in ("riemann_zeta", "sparse_Z"):
-                decls.append(SpecDecl(name, kind, ()))
-            elif kind == "dirichlet_L":
-                decls.append(SpecDecl(name, kind,
-                                      (int(kv["modulus"]), int(kv["index"]))))
-            elif kind == "finite_euler":
-                entries = []
-                for part in kv["primes"].split(","):
-                    p_s, re_s, im_s = part.split(":")
-                    entries.append((int(p_s), _parse_complex(re_s, im_s)))
-                decls.append(SpecDecl(name, kind, tuple(entries)))
-            else:
-                raise ParseError(f"unknown spec kind {kind!r}")
-        elif isinstance(section, tuple):
-            pname = section[1]
-            if s.startswith("vars"):
-                _, rhs = s.split("=", 1)
-                polys[pname]["vars"] = tuple(rhs.split())
-            elif s.startswith("mono "):
-                fields = {}
-                for tok in s[5:].split():
-                    k, v = tok.split("=", 1)
-                    fields[k] = v
-                exps = tuple(int(x) for x in fields["exps"].split(","))
-                coeff = _parse_coeff(fields["coeff"], fields.get("inv"))
-                polys[pname]["monos"].append((coeff, exps))
-            else:
-                raise ParseError(f"bad polynomial line: {s!r}")
-        else:
-            raise ParseError(f"line outside any section: {s!r}")
+    for n, s in content[1:]:
+        try:
+            section = _parse_line(s, section, decls, polys)
+        except KeyError as exc:
+            raise ParseError(f"line {n}: {s!r} lacks {exc.args[0]}=") from exc
+        except ValueError as exc:
+            raise ParseError(f"line {n}: {s!r}: {exc}") from exc
     if "f" not in polys or "g" not in polys:
         raise ParseError("both [poly f] and [poly g] are required")
     names = [d.name for d in decls]
@@ -211,7 +225,15 @@ def serialize_combination(cf: CombinationFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str) -> str:
+    """The file's text, or ``ZerosepError`` naming the path."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ZerosepError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_combination(path: str) -> CombinationFile:
-    with open(path) as fh:
-        return parse_combination(fh.read())
+    return parse_combination(read_text(path))
 

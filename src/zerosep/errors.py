@@ -15,19 +15,6 @@ class ArityMismatch(ZerosepError):
     """Polynomial variable count does not match the supplied spec list."""
 
 
-class ValidationFailure(ZerosepError):
-    """A declared coefficient bound or convergence property failed a scan.
-
-    Carries the name of the violated property and the prime at which it
-    first failed, when applicable.
-    """
-
-    def __init__(self, message: str, prop: str = "", prime: int | None = None):
-        super().__init__(message)
-        self.prop = prop
-        self.prime = prime
-
-
 class SearchFailure(ZerosepError):
     """A grid search did not reach the requested margin.
 
@@ -126,8 +113,9 @@ class NoZeroFound(ZerosepError):
     numerically zero.
 
     The message names where Newton stopped: at a raw step longer than its
-    remaining clipped steps can travel (the step, |H| and that distance), or
-    stalled after its last iteration (the smallest |H| reached).
+    remaining clipped steps can travel (the step, |H| and that distance), at
+    a step from the Re(s) clamp that points past the half-plane boundary
+    Re s = 1, or stalled after its last iteration (the smallest |H| reached).
     """
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .characters import Character
-from .errors import DomainError, ValidationFailure
+from .errors import DomainError
 from .precision import FLOAT_SAFE_T, phases_for_ints
 from .primes import prime_indices, prime_tail_bound, primes_up_to
 
@@ -433,77 +433,3 @@ def eval_dirichlet_sum(F: EulerProductSpec, s: complex, N: int) -> EvalResult:
         terms = a[nz] * nz.astype(np.float64) ** (-sigma) * np.exp(-1j * phases)
     value = complex(np.sum(terms))
     return EvalResult(value, dirichlet_tail_bound(F, N, sigma))
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Scan results for the declared coefficient bound and higher-power sum."""
-
-    label: str
-    prime_limit: int
-    depth: int
-    max_ap: float
-    argmax_prime: int
-    prime_bound: float
-    prime_bound_ok: bool
-    first_violation_prime: Optional[int]
-    higher_sum_checkpoints: list  # (X, partial sum)
-    higher_sum_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.prime_bound_ok and self.higher_sum_ok
-
-    def raise_if_failed(self) -> None:
-        if not self.prime_bound_ok:
-            raise ValidationFailure(
-                f"prime coefficient bound violated for {self.label}: "
-                f"|a({self.first_violation_prime})| exceeds {self.prime_bound}",
-                prop="prime-coefficient-bound", prime=self.first_violation_prime)
-        if not self.higher_sum_ok:
-            raise ValidationFailure(
-                f"higher prime-power sum for {self.label} is not stabilizing "
-                f"below {self.prime_limit}", prop="higher-power-sum")
-
-
-def validate_axioms(F: EulerProductSpec, prime_limit: int = 100_000,
-                    depth: int = 12) -> AxiomReport:
-    """Scan |a(p)| against K_F and track sum_p sum_{2<=k<=depth} |b(p^k)|/p^k
-    at checkpoints."""
-    if prime_limit < 2:
-        raise DomainError("prime limit must be at least 2")
-    ps = primes_up_to(prime_limit)
-    av = np.abs(F.a_values(ps))
-    imax = int(np.argmax(av))
-    tol = 1e-9 * max(F.K_F, 1.0)
-    viol = np.flatnonzero(av > F.K_F + tol)
-    first_viol = int(ps[viol[0]]) if len(viol) else None
-
-    # higher-power partial sums at geometric checkpoints
-    n_checks = 8
-    checkpoints = sorted({int(round(2 * (prime_limit / 2) ** (j / n_checks)))
-                          for j in range(1, n_checks + 1)})
-    contrib = np.zeros(len(ps), dtype=np.float64)
-    pf = ps.astype(np.float64)
-    for k in range(2, depth + 1):
-        contrib += (av ** k / k) * pf ** (-float(k))
-    cum = np.cumsum(contrib)
-    sums = []
-    for cx in checkpoints:
-        i = int(np.searchsorted(ps, cx, side="right"))
-        sums.append((cx, float(cum[i - 1]) if i else 0.0))
-    gains = [sums[0][1]] + [sums[i][1] - sums[i - 1][1] for i in range(1, len(sums))]
-    half = len(gains) // 2
-    first_half, second_half = sum(gains[:half]), sum(gains[half:])
-    higher_ok = second_half <= max(0.5 * first_half, 1e-9)
-
-    return AxiomReport(
-        label=F.label, prime_limit=int(prime_limit), depth=int(depth),
-        max_ap=float(av[imax]) if len(av) else 0.0,
-        argmax_prime=int(ps[imax]) if len(ps) else 0,
-        prime_bound=F.K_F,
-        prime_bound_ok=first_viol is None,
-        first_violation_prime=first_viol,
-        higher_sum_checkpoints=sums,
-        higher_sum_ok=higher_ok,
-    )

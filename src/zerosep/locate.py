@@ -248,13 +248,31 @@ class ZeroCertificate:
     precision_bits: int = 53
     meta: dict = field(default_factory=dict)
 
+    def gap(self) -> Optional[str]:
+        """None when the record's own numbers make the zero ``certified``,
+        else the first condition it misses: a circle that winds, then a
+        boundary minimum above the tail budget, then, when recorded, a
+        partner minimum above the tail budget.
+
+        This is the one statement of the rule in the package.  It subtracts
+        the evaluation budget twice: ``boundary_min`` and ``g_min_on_disk``
+        are already net of each sample's error bound.  ``zsbench``'s
+        ``margins_certify`` holds a copy of the rule, so moving to a single
+        subtraction waits for a change that may edit the benchmark.
+        """
+        if self.winding < 1:
+            return f"no circle wound (best |H| = {abs(self.value_at_center):.3e})"
+        if not self.boundary_min > self.tail_budget:
+            return (f"boundary minimum {self.boundary_min:.3e} does not exceed "
+                    f"tail budget {self.tail_budget:.3e}")
+        if self.g_min_on_disk is not None and \
+                not self.g_min_on_disk > self.tail_budget:
+            return (f"partner minimum on the disk {self.g_min_on_disk:.3e} does "
+                    f"not exceed tail budget {self.tail_budget:.3e}")
+        return None
+
     def consistent(self) -> bool:
-        if self.status == "certified":
-            ok = self.winding >= 1 and self.boundary_min > self.tail_budget
-            if self.g_min_on_disk is not None:
-                ok = ok and self.g_min_on_disk > self.tail_budget
-            return ok
-        return True
+        return self.status != "certified" or self.gap() is None
 
     def to_text(self) -> str:
         c, v = complex(self.center), complex(self.value_at_center)
@@ -349,10 +367,13 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
 
     Each Newton step is clipped to r0, so the steps left at iteration ``it``
     travel at most ``(NEWTON_ITERS - it) * r0``; a raw step beyond that
-    points at a zero out of reach, and Newton stops there.  The circles still
-    scan around the best point found and decide the verdict.  H is analytic
-    in Re(s) > 1, so a circle that winds 0 holds no zero, and neither does
-    any smaller one: the ladder ends there.
+    points at a zero out of reach, and Newton stops there.  An iterate that
+    would come within r0/4 of Re s = 1 is clamped to Re s = 1 + 0.3*r0;
+    from there, a raw step that points past Re s = 1 aims at a zero outside
+    the half-plane, and Newton stops too.  The circles still scan around the
+    best point found and decide the verdict (:meth:`ZeroCertificate.gap`).
+    H is analytic in Re(s) > 1, so a circle that winds 0 holds no zero, and
+    neither does any smaller one: the ladder ends there.
     """
     s0 = complex(s0)
     if s0.real - r0 <= 1.0:
@@ -361,7 +382,8 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
     s = s0
     best_s, best_abs = s0, abs(start.value)
     scale0 = max(best_abs, 1.0)
-    out_of_reach = None
+    clamp = 1.0 + 0.3 * r0
+    stop = None
     for it in range(NEWTON_ITERS):
         h = FD_STEP * max(1.0, abs(s.imag) if abs(s.imag) < 10 else 1.0)
         Hs = _on_disk(H, s, h)
@@ -376,16 +398,21 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
         step = -v0 / d
         left = NEWTON_ITERS - it
         if abs(step) > left * r0:
-            out_of_reach = (
+            stop = (
                 f"Newton's step {abs(step):.2g} at |H| = {abs(v0):.1e} exceeds the "
                 f"{left * r0:.2g} that {left} step{'s' if left > 1 else ''} of at "
                 f"most r0 = {r0:g} can travel")
+            break
+        if s.real == clamp and (s + step).real <= 1.0:
+            stop = (f"Newton's step {abs(step):.2g} at |H| = {abs(v0):.1e} from "
+                    f"the clamp at Re s = {clamp:g} points past the half-plane "
+                    f"boundary Re s = 1")
             break
         if abs(step) > r0:
             step *= r0 / abs(step)
         s_new = s + step
         if s_new.real - 0.25 * r0 <= 1.0:
-            s_new = complex(1.0 + 0.3 * r0, s_new.imag)
+            s_new = complex(clamp, s_new.imag)
         s = s_new
         if abs(step) < 1e-14 * max(1.0, abs(s)):
             break
@@ -407,24 +434,22 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
             continue
         if w < 1:
             break
-        found = (r, w, bmin, tmax)
-        if bmin > tmax:
-            break
-    if found is None:
-        if not best_abs <= NUMERIC_TOL * scale0:
-            raise NoZeroFound(
-                f"{out_of_reach}, and no circle wound" if out_of_reach else
-                f"Newton stalled at |H| = {best_abs:.3e} and no circle wound")
-        return ZeroCertificate(center=center, radius=r0 * SHRINK[-1],
-                               winding=0, boundary_min=0.0,
-                               tail_budget=at_center.abs_error_bound,
-                               g_min_on_disk=None, status="numeric-only",
-                               value_at_center=at_center.value)
-    r, w, bmin, tmax = found
-    return ZeroCertificate(center=center, radius=r, winding=w,
-                           boundary_min=bmin, tail_budget=tmax,
-                           g_min_on_disk=None,
-                           status="certified" if bmin > tmax else "numeric-only",
+        found = ZeroCertificate(center=center, radius=r, winding=w,
+                                boundary_min=bmin, tail_budget=tmax,
+                                g_min_on_disk=None, status="numeric-only",
+                                value_at_center=at_center.value)
+        if found.gap() is None:
+            return replace(found, status="certified")
+    if found is not None:
+        return found
+    if not best_abs <= NUMERIC_TOL * scale0:
+        raise NoZeroFound(
+            f"{stop}, and no circle wound" if stop else
+            f"Newton stalled at |H| = {best_abs:.3e} and no circle wound")
+    return ZeroCertificate(center=center, radius=r0 * SHRINK[-1],
+                           winding=0, boundary_min=0.0,
+                           tail_budget=at_center.abs_error_bound,
+                           g_min_on_disk=None, status="numeric-only",
                            value_at_center=at_center.value)
 
 
@@ -464,10 +489,8 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCerti
     if gmin <= 0:
         raise MarginFailure(
             f"non-coincidence margin {gmin:.3e} is not positive", margin=gmin)
-    certified = (cert.winding >= 1 and cert.boundary_min > cert.tail_budget
-                 and gmin > cert.tail_budget)
-    return replace(cert, g_min_on_disk=float(gmin),
-                   status="certified" if certified else "numeric-only")
+    out = replace(cert, g_min_on_disk=float(gmin))
+    return replace(out, status="numeric-only" if out.gap() else "certified")
 
 
 # --- vertical replication ------------------------------------------------------

@@ -90,13 +90,6 @@ class PFiniteSeries:
             ps.add(p)
         return frozenset(ps)
 
-    def scaled(self, lam: complex) -> "PFiniteSeries":
-        lam = complex(lam)
-        if lam == 0:
-            return PFiniteSeries((), (), self.description)
-        return PFiniteSeries(tuple((n, a * lam) for n, a in self.terms),
-                             self.inverse_factors, self.description)
-
     # --- evaluation --------------------------------------------------------
 
     def value(self, s: complex) -> complex:

@@ -425,11 +425,8 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         state["ev_f_anchored"] = anchored
         r0 = min(0.02, (config.sigma - 1.0) / 2.0)
         cert = refine_zero(anchored, complex(config.sigma, 0.0), r0)
-        if cert.status != "certified":
-            gap = (f"no circle wound (best |H| = {abs(cert.value_at_center):.3e})"
-                   if cert.winding < 1 else
-                   f"boundary minimum {cert.boundary_min:.3e} does not exceed "
-                   f"tail budget {cert.tail_budget:.3e}")
+        gap = cert.gap()
+        if gap:
             raise MarginFailure(f"no certified zero: {gap}",
                                 margin=cert.boundary_min - cert.tail_budget)
         cert = replace(cert, anchor=mpf_to_text(anchored.t_anchor),
@@ -452,11 +449,9 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         anchored_f = state["ev_f_anchored"]
         upgraded = certify_noncoincidence(
             cert, ev_g.anchored(anchored_f.t_anchor, bits=anchored_f.bits))
-        if upgraded.status != "certified":
-            gmin = upgraded.g_min_on_disk
-            raise MarginFailure(
-                f"partner minimum on the disk {gmin:.3e} does not exceed tail "
-                f"budget {cert.tail_budget:.3e}", margin=gmin - cert.tail_budget)
+        gap = upgraded.gap()
+        if gap:
+            raise MarginFailure(gap, margin=upgraded.g_min_on_disk - cert.tail_budget)
         upgraded = replace(upgraded, meta=dict(cert.meta, partner="g"))
         record.certificates[-1] = upgraded
         state["certificate"] = upgraded

@@ -1,11 +1,9 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 
-from zerosep.characters import (dirichlet_characters, euler_phi,
-                                export_character_table, unit_group)
+from zerosep.characters import dirichlet_characters, euler_phi, unit_group
 from zerosep.errors import DomainError
 
 
@@ -66,16 +64,6 @@ def test_orthogonality_exact_to_1e12():
         assert np.max(np.abs(G - euler_phi(q) * np.eye(len(chars)))) < 1e-12
 
 
-def test_group_closure():
-    for q in (5, 8, 12):
-        chars = dirichlet_characters(q)
-        keys = {c.exponents for c in chars}
-        for a in chars:
-            for b in chars:
-                assert (a * b).exponents in keys
-            assert a.conj().exponents in keys
-
-
 def test_vectorized_matches_scalar():
     for q in (7, 8):
         for chi in dirichlet_characters(q):
@@ -92,15 +80,3 @@ def test_unit_group_structure():
     assert orders == (4,)
     with pytest.raises(DomainError):
         unit_group(0)
-
-
-def test_csv_export(tmp_path):
-    path = tmp_path / "chars.csv"
-    export_character_table(5, str(path))
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["q", "index", "n", "re", "im"]
-    assert len(rows) == 1 + 4 * 5
-    # spot value: chi_1(2) = i
-    hit = [r for r in rows[1:] if r[1] == "1" and r[2] == "2"]
-    assert abs(float(hit[0][3])) < 1e-12 and abs(float(hit[0][4]) - 1) < 1e-12

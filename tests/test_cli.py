@@ -14,6 +14,17 @@ from zerosep.pipeline import (BUILTIN_DEFAULTS, STAGE_EXIT_CODES, PipelineConfig
 from zerosep.primes import primes_up_to
 
 
+TOY_A = "toyA = finite_euler primes=2:1.0:0.0,3:1.0:0.0"
+TOY_FILE = ("# zerosep combination file v1\n[specs]\n" + TOY_A + "\n"
+            "toyB = finite_euler primes=5:1.0:0.0,7:1.0:0.0\n"
+            "[poly f]\nvars = toyA toyB\n"
+            "mono exps=1,1 coeff=1:1.0:0.0\n"
+            "mono exps=0,0 coeff=1:-1.2349469153094004:0.0\n"
+            "[poly g]\nvars = toyA toyB\n"
+            "mono exps=1,0 coeff=1:1.0:0.0\n"
+            "mono exps=0,1 coeff=1:-1.0:0.0\n")
+
+
 def _separate(seed, out_dir):
     return cli.main(["separate", "--builtin", "toy-finite-pair", "--replicate", "3",
                      "--seed", str(seed), "--out-dir", str(out_dir)])
@@ -212,10 +223,20 @@ def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
 
+def _count_file(spec_a):
+    """``count`` on the toy file with toyA declared as ``spec_a``; the test
+    writes the file text that stands in the argument list."""
+    return ["count", "--file", TOY_FILE.replace(TOY_A, spec_a),
+            "--sigma-range", "1.1:1.2", "--t-range", "0:1"]
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["validate", "--spec", "dirichlet_L:5:9"], "character index 9 out of range mod 5"),
-    (["validate", "--spec", "dirichlet_L:5:-1"], "character index -1 out of range mod 5"),
-    (["validate", "--spec", "dirichlet_L:5"], "bad dirichlet_L:<q>:<index> spec"),
+    (_count_file("toyA = dirichlet_L modulus=5 index=9"),
+     "character index 9 out of range mod 5"),
+    (_count_file("toyA = dirichlet_L modulus=5 index=-1"),
+     "character index -1 out of range mod 5"),
+    (_count_file("toyA = dirichlet_L modulus=five index=1"),
+     "line 3: 'toyA = dirichlet_L modulus=five index=1': invalid literal for int()"),
     (["approx", "--phases", "2:1.0,3"], "bad phase p:theta: '3'"),
     (["count", "--builtin", "toy-finite-pair", "--sigma-range", "1.1",
       "--t-range", "0:1"], "bad range lo:hi: '1.1'"),
@@ -227,7 +248,11 @@ def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
     (["approx", "--phases", "4:1.0,6:2.0,9:0.5"], "phase key 4 is not a prime"),
     (["approx", "--phases", "2:1.0,2:3.0"], "prime 2 is given more than one phase"),
 ])
-def test_malformed_cli_value_exits_1_with_an_error_line(capsys, argv, message):
+def test_malformed_cli_value_exits_1_with_an_error_line(tmp_path, capsys, argv,
+                                                        message):
+    if argv[:2] == ["count", "--file"]:
+        (tmp_path / "x.comb").write_text(argv[2])
+        argv = argv[:2] + [str(tmp_path / "x.comb")] + argv[3:]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -236,15 +261,7 @@ def test_malformed_cli_value_exits_1_with_an_error_line(capsys, argv, message):
 def test_spec_past_its_local_factor_radius_is_refused_at_load(tmp_path):
     # 3 * 2^-1.05 ~ 1.45: toyA's local log series at p = 2 diverges at sigma
     path = tmp_path / "big.comb"
-    path.write_text("# zerosep combination file v1\n[specs]\n"
-                    "toyA = finite_euler primes=2:3.0:0.0,3:1.0:0.0\n"
-                    "toyB = finite_euler primes=5:1.0:0.0,7:1.0:0.0\n"
-                    "[poly f]\nvars = toyA toyB\n"
-                    "mono exps=1,1 coeff=1:1.0:0.0\n"
-                    "mono exps=0,0 coeff=1:-1.2349469153094004:0.0\n"
-                    "[poly g]\nvars = toyA toyB\n"
-                    "mono exps=1,0 coeff=1:1.0:0.0\n"
-                    "mono exps=0,1 coeff=1:-1.0:0.0\n")
+    path.write_text(TOY_FILE.replace("primes=2:1.0:0.0", "primes=2:3.0:0.0"))
     assert cli.main(["separate", "--file", str(path), "--sigma", "1.05", "--P", "10",
                      "--out-dir", str(tmp_path)]) == 20
     last = _failed_stage(tmp_path)
@@ -252,6 +269,30 @@ def test_spec_past_its_local_factor_radius_is_refused_at_load(tmp_path):
     assert last["data"]["error"] == (
         "spec toyA: prime coefficient bound K_F = 3 reaches the local-factor "
         "radius at sigma = 1.05 (K_F * 2^-sigma = 1.449 >= 1)")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (TOY_A, "toyA = dirichlet_L modulus=5",
+     "line 3: 'toyA = dirichlet_L modulus=5' lacks index="),
+    ("coeff=1:-1.0:0.0", "coeff=1:-1", "line 12: 'mono exps=0,1 coeff=1:-1': "
+     "not enough values to unpack (expected 3, got 2)"),
+    ("exps=1,1", "exps=1,x", "line 7: 'mono exps=1,x coeff=1:1.0:0.0': "
+     "invalid literal for int() with base 10: 'x'"),
+    ("mono exps=1,0", "mono exps=1,0 weight", "line 11: 'mono exps=1,0 weight "
+     "coeff=1:1.0:0.0': 'weight' is not key=value"),
+    (None, None, "cannot read {path}: No such file or directory"),
+], ids=["no index", "short coefficient", "non-integer exponent",
+        "token without =", "absent path"])
+def test_malformed_or_missing_combination_file_is_refused_at_load(tmp_path, old,
+                                                                  new, message):
+    path = tmp_path / "problem.comb"
+    if old is not None:
+        path.write_text(TOY_FILE.replace(old, new))
+    assert cli.main(["separate", "--file", str(path),
+                     "--out-dir", str(tmp_path)]) == 20
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "load"
+    assert last["data"]["error"] == message.format(path=path)
 
 
 def test_hurwitz_prints_the_combination_value(capsys):

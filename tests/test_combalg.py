@@ -54,8 +54,9 @@ def test_coefficient_series_enters_product():
 
 def test_linearity_in_coefficients():
     ser = c(1.0 + 2.0j)
+    five_ser = PFiniteSeries.from_terms({1: 5.0 * (1.0 + 2.0j)})
     f1 = CombPolynomial(1, ((ser, (1,)), (c(3.0), (0,))))
-    f2 = CombPolynomial(1, ((ser.scaled(5.0), (1,)), (c(3.0), (0,))))
+    f2 = CombPolynomial(1, ((five_ser, (1,)), (c(3.0), (0,))))
     z = zeta_spec()
     s = 1.5 + 1j
     v1 = CombEvaluator(f1, [z], 1000).at(s).value - 3.0

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from zerosep.characters import dirichlet_characters
 from zerosep.combfile import SpecDecl
-from zerosep.errors import DomainError, ValidationFailure
+from zerosep.errors import DomainError
 from zerosep.euler import (EPS, EulerProductSpec, dirichlet_coefficients,
                            eval_dirichlet_sum, eval_partial_euler,
                            finite_euler_spec, lfunction_spec, local_log_model,
-                           local_logs, sparse_zeta_spec, validate_axioms,
-                           zeta_spec)
+                           local_logs, sparse_zeta_spec, zeta_spec)
 from zerosep.precision import phases_for_ints
 from zerosep.primes import factorize, log_primes, primes_up_to
 
@@ -117,32 +116,6 @@ def test_conjugate_symmetry_real_coefficients():
     a = eval_partial_euler(F, s, 5000)
     b = eval_partial_euler(F, s.conjugate(), 5000)
     assert abs(a.value.conjugate() - b.value) < 1e-13 * abs(a.value)
-
-
-def test_validate_axioms_zeta():
-    rep = validate_axioms(zeta_spec(), 100_000, depth=20)
-    assert rep.passed
-    assert abs(rep.max_ap - 1.0) < 1e-12
-    # oracle: sum_p sum_{k>=2} 1/(k p^k) = sum_p (-log(1-1/p) - 1/p)
-    ps = primes_up_to(100_000).astype(float)
-    oracle = float(np.sum(-np.log1p(-1.0 / ps) - 1.0 / ps))
-    final = rep.higher_sum_checkpoints[-1][1]
-    assert abs(final - oracle) < 1e-3
-
-
-def test_validate_axioms_sparse_passes():
-    rep = validate_axioms(sparse_zeta_spec(), 10_000)
-    assert rep.passed and rep.max_ap == 1.0
-
-
-def test_validate_axioms_detects_violation():
-    bad = EulerProductSpec(label="bad", a_vec=lambda ps: ps ** 0.1, K_F=1.0)
-    rep = validate_axioms(bad, 1000)
-    assert not rep.prime_bound_ok
-    assert rep.first_violation_prime == 2
-    with pytest.raises(ValidationFailure) as err:
-        rep.raise_if_failed()
-    assert err.value.prime == 2
 
 
 def test_finite_spec_exact_eval():

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,28 @@ def test_refine_zero_stops_newton_when_the_zero_is_out_of_reach():
     assert newton == [s0, s0, s0 + 1e-6, s0 - 1e-6]
 
 
+def test_refine_zero_stops_at_the_clamp_when_newton_points_past_re_s_1():
+    # the zero at Re s = 0.99 lies outside the half-plane; three clipped
+    # steps reach the clamp at Re s = 1 + 0.3 * r0, and the next raw step
+    # points past Re s = 1 from there
+    s0, r0, target = complex(1.05, 0.0), 0.02, complex(0.99, 0.0)
+    calls = []
+
+    def H(s):
+        calls.append(complex(s))
+        return EvalResult(s - target, 0.0)
+
+    with pytest.raises(NoZeroFound, match=r"^Newton's step 0\.016 at \|H\| = "
+                       r"1\.6e-02 from the clamp at Re s = 1\.006 points past the "
+                       r"half-plane boundary Re s = 1, and no circle wound$"):
+        refine_zero(H, s0, r0)
+    # one Newton iteration at the clamp, then the last iterate once; every
+    # other call is on a scan circle of radius at least r0 / 10
+    clamp = complex(1.0 + 0.3 * r0, 0.0)
+    assert [z for z in calls if abs(z - clamp) < 1e-4] == \
+        [clamp, clamp + 1e-6, clamp - 1e-6, clamp]
+
+
 def test_refine_zero_stops_its_circles_at_the_first_that_winds_0(monkeypatch):
     # H is analytic, so no circle inside one that winds 0 can wind either
     target = complex(1.5, 5.0)
@@ -169,6 +192,28 @@ def test_certify_noncoincidence_same_function_fails():
     with pytest.raises(MarginFailure) as err:
         certify_noncoincidence(cert, Hf)
     assert err.value.margin <= 0
+
+
+@pytest.mark.parametrize("changes, gap", [
+    ({}, None),
+    ({"winding": 0}, "no circle wound (best |H| = 1.000e-15)"),
+    ({"boundary_min": 1e-7},
+     "boundary minimum 1.000e-07 does not exceed tail budget 1.000e-07"),
+    ({"g_min_on_disk": None}, None),
+    ({"g_min_on_disk": 0.0},
+     "partner minimum on the disk 0.000e+00 does not exceed tail budget 1.000e-07"),
+    ({"winding": 0, "boundary_min": 0.0, "g_min_on_disk": 0.0},
+     "no circle wound (best |H| = 1.000e-15)"),
+])
+def test_certificate_gap_names_the_first_condition_it_misses(changes, gap):
+    cert = ZeroCertificate(center=1.05 + 0.25j, radius=0.01, winding=1,
+                           boundary_min=1e-3, tail_budget=1e-7,
+                           g_min_on_disk=0.2, status="certified",
+                           value_at_center=1e-15 + 0j)
+    cert = replace(cert, **changes)
+    assert cert.gap() == gap
+    assert cert.consistent() == (gap is None)
+    assert replace(cert, status="numeric-only").consistent()
 
 
 def test_certificate_text_round_trip():

@@ -67,9 +67,3 @@ def test_validation_rejects_bad_terms():
         PFiniteSeries(((0, 1.0),), ())
     with pytest.raises(DomainError):
         PFiniteSeries(((2, 1.0), (2, 2.0)), ())
-
-
-def test_scaled():
-    ser = PFiniteSeries.from_terms({1: 1.0, 2: -2.0})
-    doubled = ser.scaled(2.0)
-    assert abs(doubled.value(2.0) - 2 * ser.value(2.0)) < 1e-15
