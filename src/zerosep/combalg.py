@@ -319,8 +319,8 @@ def coprimality_sanity(f: CombPolynomial, g: CombPolynomial, seed: int = 0) -> b
         if len(rf) <= 1 or len(rg) <= 1:
             shared_lines += 1
             continue
-        roots_f = univariate_roots(rf).roots
-        roots_g = univariate_roots(rg).roots
+        roots_f = univariate_roots(rf)
+        roots_g = univariate_roots(rg)
         close = any(abs(a - b) < SANITY_ROOT_TOL * max(1.0, abs(a))
                     for a in roots_f for b in roots_g)
         if close:

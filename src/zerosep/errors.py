@@ -109,8 +109,8 @@ class ApproxFailure(ZerosepError):
 
 
 class NoZeroFound(ZerosepError):
-    """No circle wound around the best Newton point, and |H| there is not
-    numerically zero.
+    """No circle wound around the best Newton point, so no zero is claimed
+    there, however small |H| is.
 
     The message names where Newton stopped: at a raw step longer than its
     remaining clipped steps can travel (the step, |H| and that distance), at

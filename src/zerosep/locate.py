@@ -1,7 +1,9 @@
 """Certified zero location for combinations of Euler products: twisted
 evaluation at a steered shift table (a check on steering that the pipeline
 does not run), Newton polishing with winding certification, non-coincidence
-margins, and vertical replication windows.
+margins and strip counts.  The pipeline's locate and replicate stages share
+one routine around ``refine_zero``; replicate runs it at each height
+t + tau_k, for the almost periods tau_k of the aligned primes.
 
 The twisted, pointwise and anchored evaluators differ only in how they reduce
 the per-prime phases; all three then run :meth:`CombEvaluator._evaluate`,
@@ -50,12 +52,12 @@ from .combalg import CombPolynomial, combine
 from .errors import (ArityMismatch, ContourTooClose, DomainError, MarginFailure,
                      NoZeroFound)
 from .euler import (EPS, EulerProductSpec, EvalResult, local_log_model,
-                    local_logs, log_tail_bound, truncated_exp)
+                    local_logs, truncated_exp)
 from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
                        winding_scan)
 from .precision import needed_bits, phases_for_ints
 from .steering import PhaseAssignment
-from .primes import factorize, log_primes, primes_up_to
+from .primes import log_primes, primes_up_to
 
 TWO_PI = 2.0 * math.pi
 
@@ -321,7 +323,6 @@ class ZeroCertificate:
 
 NEWTON_ITERS = 40  # Newton iterations refine_zero takes at most
 FD_STEP = 1e-6  # Newton's central-difference step, times |Im s| when 1 < |Im s| < 10
-NUMERIC_TOL = 1e-8  # |H| of a numeric-only zero, relative to max(|H(s0)|, 1)
 CIRCLE_WINDING = WindingParams(initial_samples=48, max_samples=4096)  # per circle
 SHRINK = (1.0, 0.6, 0.35, 0.2, 0.1)  # circle radii of refine_zero, as fractions of r0
 
@@ -361,8 +362,9 @@ def _on_disk(H: Callable, center: complex, radius: float) -> Callable:
 
 def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
     """Newton-polish a zero of H near s0 and certify it by winding counts on
-    shrinking circles; fall back to numeric-only status when the circles
-    cannot be certified against the truncation budget.  H maps a point to an
+    shrinking circles.  A circle that winds but whose margins miss the
+    truncation budget gives a ``numeric-only`` certificate; when no circle
+    winds, ``NoZeroFound`` is raised.  H maps a point to an
     :class:`zerosep.euler.EvalResult`.
 
     Each Newton step is clipped to r0, so the steps left at iteration ``it``
@@ -381,7 +383,6 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
     start = H(s0)
     s = s0
     best_s, best_abs = s0, abs(start.value)
-    scale0 = max(best_abs, 1.0)
     clamp = 1.0 + 0.3 * r0
     stop = None
     for it in range(NEWTON_ITERS):
@@ -442,15 +443,9 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
             return replace(found, status="certified")
     if found is not None:
         return found
-    if not best_abs <= NUMERIC_TOL * scale0:
-        raise NoZeroFound(
-            f"{stop}, and no circle wound" if stop else
-            f"Newton stalled at |H| = {best_abs:.3e} and no circle wound")
-    return ZeroCertificate(center=center, radius=r0 * SHRINK[-1],
-                           winding=0, boundary_min=0.0,
-                           tail_budget=at_center.abs_error_bound,
-                           g_min_on_disk=None, status="numeric-only",
-                           value_at_center=at_center.value)
+    raise NoZeroFound(
+        f"{stop}, and no circle wound" if stop else
+        f"Newton stalled at |H| = {best_abs:.3e} and no circle wound")
 
 
 NONCOINCIDENCE_RINGS = 6  # concentric rings certify_noncoincidence samples
@@ -491,81 +486,6 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCerti
             f"non-coincidence margin {gmin:.3e} is not positive", margin=gmin)
     out = replace(cert, g_min_on_disk=float(gmin))
     return replace(out, status="numeric-only" if out.gap() else "certified")
-
-
-# --- vertical replication ------------------------------------------------------
-
-
-DRIFT_SERIES_TERMS = 40  # terms of the local log series vertical_drift_log_bound sums
-
-
-def vertical_drift_log_bound(F: EulerProductSpec, sigma: float, accuracy: float,
-                             P_align: int) -> float:
-    """Bound for |log F(s + i tau) - log F(s)| when tau*log(p) sits within
-    ``accuracy`` of 0 mod 2*pi for every prime p <= P_align."""
-    ps = primes_up_to(P_align)
-    ps = ps[F.support_mask(ps)]
-    total = 0.0
-    if len(ps):
-        pf = ps.astype(np.float64)
-        absa = np.abs(F.a_values(ps))
-        for k in range(1, DRIFT_SERIES_TERMS + 1):
-            total += float(np.sum((absa ** k / k) * pf ** (-k * sigma)
-                                  * np.minimum(k * accuracy, 2.0)))
-    total += 2.0 * log_tail_bound(F, P_align, sigma)
-    return total
-
-
-def combination_drift_bound(f: CombPolynomial, specs: Sequence[EulerProductSpec],
-                            sigma: float, accuracy: float, P_align: int,
-                            P: int) -> float:
-    """Value-domain bound for |H(s + i tau) - H(s)| near the certificate.
-
-    Combines per-spec log drifts with the coefficient drift of the
-    prime-finite coefficients (each smooth index n moves by at most
-    Omega(n) * accuracy in phase).  Each |F_j| on Re(s) = sigma is bounded by
-    exp of its summed |local logs| up to P plus its log tail (drift inflates
-    the bound by the log bound itself).  An exponent of 700 or more gives an
-    infinite bound, never NaN.
-    """
-    spec_logs = [vertical_drift_log_bound(F, sigma, accuracy, P_align)
-                 for F in specs]
-    ps = primes_up_to(P)
-    pw = ps.astype(np.float64) ** (-sigma)
-    mags = [_exp(float(np.sum(-np.log1p(-np.abs(F.a_values(ps)) * pw)))
-                 + log_tail_bound(F, P, sigma)) for F in specs]
-    total = 0.0
-    for coeff, exps in f.monomials:
-        cval = abs(coeff.value(complex(sigma, 0.0)))
-        coeff_drift = 0.0
-        for n, a in (coeff.terms or ((1, 0.0),)):
-            if n > 1:
-                omega = sum(factorize(n).values())
-                coeff_drift += abs(a) * n ** (-sigma) * min(omega * accuracy, 2.0)
-        for p, _ in coeff.inverse_factors:
-            # inverse factors are zero-free on the closed half-plane, so their
-            # drift is controlled by the same phase accuracy at prime p
-            coeff_drift += cval * min(accuracy, 2.0)
-        prod_mag = 1.0
-        log_drift = 0.0
-        for j, a_j in enumerate(exps):
-            if a_j:
-                mag = mags[j] * _exp(spec_logs[j])
-                prod_mag *= mag ** a_j if a_j * math.log(mag) < 700 else math.inf
-                log_drift += a_j * spec_logs[j]
-        growth = math.expm1(log_drift) if log_drift < 700 else math.inf
-        total += _product(cval, prod_mag, growth) + _product(coeff_drift, prod_mag)
-    return total
-
-
-def _exp(x: float) -> float:
-    """e^x, or inf from x = 700 on (as :func:`zerosep.euler.truncated_exp`)."""
-    return math.exp(x) if x < 700 else math.inf
-
-
-def _product(*factors: float) -> float:
-    """Product of nonnegative factors; 0 when one is 0, also beside an inf."""
-    return 0.0 if 0.0 in factors else math.prod(factors)
 
 
 # --- strip counting -------------------------------------------------------------

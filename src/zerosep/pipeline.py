@@ -7,9 +7,12 @@ replayable from their embedded config and seeds.  Stability-steering moves
 exactly the primes that approx aligns, picked by :func:`_aligned_primes`.
 Values no run varies (the t0 search, the witness floor, steering limits and
 ``refine_zero``'s Newton and circle settings) are constants or defaults of
-the layer that reads them, not :class:`PipelineConfig` fields.  Locate
-certifies on a disk of radius min(0.02, (sigma - 1)/2), and replicate aligns
-its shifts at ``approx_accuracy``.
+the layer that reads them, not :class:`PipelineConfig` fields.  Locate and
+replicate run one routine, :func:`_locate_at`: locate at the approx height t,
+replicate at t + tau_k for each almost period tau_k of the aligned primes at
+``approx_accuracy``.  It certifies from offset sigma on a disk of radius
+min(0.02, (sigma - 1)/2), and a replicated height counts as a success only
+when its zero is ``certified``.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from .errors import (DomainError, EmptyRecord, MarginFailure, NoZeroFound,
 from .euler import check_local_radius
 from .hurwitz import hurwitz_as_combination
 from .lattice import almost_periods, simultaneous_approx
-from .locate import (CombEvaluator, ZeroCertificate,
-                     combination_drift_bound, certify_noncoincidence,
-                     refine_zero)
+from .locate import (AnchoredCombEvaluator, CombEvaluator, ZeroCertificate,
+                     certify_noncoincidence, refine_zero)
 from .pfinite import PFiniteSeries
 from .polyzero import SeparatingZero, find_separating_zero
 from .precision import mpf_to_text, needed_bits
@@ -289,6 +291,21 @@ def _aligned_primes(specs, y: int, P: int, count: int) -> np.ndarray:
     return ps[active][:count]
 
 
+def _locate_at(ev_f: CombEvaluator, t, sigma: float
+               ) -> tuple[AnchoredCombEvaluator, ZeroCertificate]:
+    """Locate's routine at height t, which locate runs at the approx height
+    and replicate at each t + tau_k: anchor f at t, run ``refine_zero`` from
+    offset sigma on r0 = min(0.02, (sigma - 1)/2), and raise
+    ``MarginFailure`` naming the gap unless the zero is ``certified``."""
+    anchored = ev_f.anchored(t)
+    cert = refine_zero(anchored, complex(sigma, 0.0), min(0.02, (sigma - 1.0) / 2.0))
+    gap = cert.gap()
+    if gap:
+        raise MarginFailure(f"no certified zero: {gap}",
+                            margin=cert.boundary_min - cert.tail_budget)
+    return anchored, cert
+
+
 # --- the pipeline ----------------------------------------------------------------
 
 
@@ -385,7 +402,6 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
                         "drift": tracked.drift, "delta": tracked.delta,
                         "tracked_z": list(tracked.z),
                         "residuals": list(steer.residuals),
-                        "budget": steer.budget,
                         "budgets_per_target": list(steer.budgets_per_target),
                         "iterations": steer.iterations}
             except ZerosepError as exc:
@@ -421,14 +437,8 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         res = state["approx"]
         ev_f = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
                              P=config.locate_cutoff)
-        anchored = ev_f.anchored(res.t)
+        anchored, cert = _locate_at(ev_f, res.t, config.sigma)
         state["ev_f_anchored"] = anchored
-        r0 = min(0.02, (config.sigma - 1.0) / 2.0)
-        cert = refine_zero(anchored, complex(config.sigma, 0.0), r0)
-        gap = cert.gap()
-        if gap:
-            raise MarginFailure(f"no certified zero: {gap}",
-                                margin=cert.boundary_min - cert.tail_budget)
         cert = replace(cert, anchor=mpf_to_text(anchored.t_anchor),
                        precision_bits=anchored.bits,
                        meta={"problem": config.problem, "P": config.locate_cutoff,
@@ -458,27 +468,17 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         return {"status": upgraded.status, "g_min_on_disk": upgraded.g_min_on_disk}
 
     def stage_replicate():
-        cert = state["certificate"]
         res = state["approx"]
         taus = almost_periods(res.t, int(state["approx_primes"][-1]),
                               config.approx_accuracy,
                               count=config.replicate_count)
         ev_f = state["ev_f_anchored"].ev
-        drift = combination_drift_bound(
-            ev_f.f, ev_f.specs, config.sigma, config.approx_accuracy,
-            int(state["approx_primes"][-1]), config.locate_cutoff)
-        # the re-search window grows by the drift bound but must stay in Re > 1
-        r_rep = min(cert.radius + drift, 0.8 * (cert.center.real - 1.0))
-        r_rep = max(r_rep, 0.5 * cert.radius)
         outcomes = []
         for tau in taus:
             with mp.workprec(max(needed_bits(res.t), needed_bits(tau)) + 32):
                 t_new = mp.mpf(res.t) + mp.mpf(tau)
-            anchored = ev_f.anchored(t_new)
             try:
-                c2 = refine_zero(anchored,
-                                 complex(cert.center.real, 0.0),
-                                 r_rep)
+                _, c2 = _locate_at(ev_f, t_new, config.sigma)
                 outcomes.append({"tau": tau, "status": c2.status,
                                  "center": c2.center,
                                  "abs_value": abs(c2.value_at_center)})
@@ -486,7 +486,6 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
                 outcomes.append({"tau": tau, "status": "failed",
                                  "error": str(exc)})
         return {"taus": taus, "outcomes": outcomes,
-                "drift_bound": drift, "window_radius": r_rep,
                 "successes": sum(1 for o in outcomes if o["status"] != "failed")}
 
     run_stage("load", stage_load)

@@ -97,32 +97,16 @@ class ComplexPolynomial:
         return ComplexPolynomial(self.num_vars, tuple(m for m in mono if m[0] != 0))
 
 
-# --- univariate roots (simultaneous iteration) ------------------------------
+# --- univariate roots ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootResult:
-    roots: tuple[complex, ...]          # all roots with multiplicity, flat
-    residuals: tuple[float, ...]
+def univariate_roots(coeffs) -> tuple[complex, ...]:
+    """All complex roots, with multiplicity, of the polynomial whose
+    coefficients are ascending in the variable.
 
-
-def _polyval(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-ROOT_TOL = 1e-14  # relative step at which the simultaneous iteration stops
-ROOT_MAX_ITER = 400
-
-
-def univariate_roots(coeffs) -> RootResult:
-    """All complex roots by simultaneous (Ehrlich-Aberth) iteration.
-
-    Coefficients are ascending in the variable.  Roots at the origin are
-    stripped first; the remaining roots are polished jointly with no
-    deflation.  A multiple root comes back as that many nearby roots.
+    Roots at the origin are stripped first.  Degrees 1 and 2 are solved in
+    closed form, higher degrees by ``np.roots`` (companion-matrix
+    eigenvalues).  A multiple root comes back as that many nearby roots.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     if len(c) == 0 or not np.any(c != 0):
@@ -147,39 +131,8 @@ def univariate_roots(coeffs) -> RootResult:
         qq = -(a1 + disc) / 2 if abs(a1 + disc) >= abs(a1 - disc) else -(a1 - disc) / 2
         roots.extend([qq / a2, a0 / qq] if qq != 0 else [0.0, 0.0])
     elif deg >= 3:
-        cn = c / c[-1]
-        r_cauchy = 1.0 + float(np.max(np.abs(cn[:-1])))
-        r0 = min(r_cauchy, 2.0 * max(float(np.max(np.abs(cn[:-1])) ** (1.0 / deg)), 0.5))
-        angles = 2.0 * math.pi * np.arange(deg) / deg + 0.4
-        z = r0 * np.exp(1j * angles) * (1.0 + 0.05 * np.cos(3 * angles))
-        dc = cn[1:] * np.arange(1, deg + 1)
-        for _ in range(ROOT_MAX_ITER):
-            pv = np.polyval(cn[::-1], z)
-            dv = np.polyval(dc[::-1], z)
-            w = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.1)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            sums = np.sum(1.0 / diff, axis=1)
-            denom = 1.0 - w * sums
-            step = np.where(np.abs(denom) > 1e-300, w / denom, w)
-            z = z - step
-            if np.max(np.abs(step) / (1.0 + np.abs(z))) < ROOT_TOL:
-                break
-        # deflation-free polish on the original (scaled) coefficients
-        for _ in range(3):
-            pv = np.polyval(c[::-1], z)
-            dv = np.polyval((c[1:] * np.arange(1, deg + 1))[::-1], z)
-            upd = np.where(np.abs(dv) > 1e-300, pv / np.where(dv == 0, 1, dv), 0)
-            znew = z - upd
-            keep = np.abs(np.polyval(c[::-1], znew)) <= np.abs(pv)
-            z = np.where(keep, znew, z)
-        roots.extend(z.tolist())
-
-    flat = tuple(roots)
-    # original polynomial is scale * t^nzero * (stripped poly)
-    residuals = tuple(float(abs(r) ** nzero * abs(_polyval(c, r)) * scale)
-                      for r in flat)
-    return RootResult(flat, residuals)
+        roots.extend(np.roots(c[::-1]).tolist())
+    return tuple(roots)
 
 
 # --- separating zeros --------------------------------------------------------
@@ -241,8 +194,7 @@ def find_separating_zero(f: ComplexPolynomial, g: ComplexPolynomial,
         if len(np.trim_zeros(coeffs, "b")) <= 1:
             diag["no_roots"] += 1
             continue
-        result = univariate_roots(coeffs)
-        for t in result.roots:
+        for t in univariate_roots(coeffs):
             x = y + t * u
             scale = max(f.coeff_scale, 1e-300) * max(1.0, float(np.max(np.abs(x)))) ** f.degree
             fres = abs(f.evaluate(x))

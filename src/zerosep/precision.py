@@ -15,7 +15,7 @@ rounding 2*pi at most 2^-129 radians, so the float phase is the nearest float
 to the exact one unless that lies within 2^-128 radians of a rounding
 boundary.  The integers l_n are kept in a grow-only table per
 working precision, so anchoring the same primes again at another height (a
-partner combination, a replicated window, the next benchmark op) reduces
+partner combination, a replicated height, the next benchmark op) reduces
 without recomputing them.
 """
 

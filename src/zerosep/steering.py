@@ -97,7 +97,6 @@ class SteeringResult:
     residuals: tuple[float, ...]
     iterations: int
     converged: bool
-    budget: float
     budgets_per_target: tuple[float, ...]
 
 
@@ -202,8 +201,9 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
 
     Works in the log domain with explicit branch integers: stage A runs
     Gauss-Newton on the first-order phase model, stage B re-runs it on the
-    closed-form local logs.  Raises ``Infeasible`` when the first-order
-    reachability budget cannot cover the demanded log norms, and
+    closed-form local logs.  Raises ``Infeasible`` when a target's log norm
+    exceeds its reachability budget, the largest |sum of local logs| its
+    spec attains along one ray, and
     ``NonConvergence`` (carrying the best attempt) when iteration stalls.
     """
     N = len(specs)
@@ -225,7 +225,6 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
     absA = np.abs(A)
     psig = psa.astype(np.float64) ** (-sigma)
     C = A * psig[None, :]
-    budget = float(np.sum(np.min(absA, axis=0) * psig))
     # per-target reach: largest attainable |sum of local logs| along one ray
     budgets = tuple(float(np.sum(-np.log1p(-np.minimum(absA[j] * psig, 0.999999))))
                     for j in range(N))
@@ -236,7 +235,7 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
         if abs(w_base[j]) > budgets[j] * (1.0 + 1e-9) + 1e-12:
             raise Infeasible(
                 f"target {j} demands log norm {abs(w_base[j]):.4f} beyond its "
-                f"reachability budget {budgets[j]:.4f} (joint budget {budget:.4f}); "
+                f"reachability budget {budgets[j]:.4f}; "
                 f"steer more primes or move sigma toward 1",
                 budget=budgets[j], demand=float(abs(w_base[j])))
 
@@ -249,7 +248,7 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
         achieved, resid = fit
         return SteeringResult(_assignment(ps, active, theta, target.y),
                               tuple(achieved), tuple(map(float, resid)), iters,
-                              converged, budget, budgets)
+                              converged, budgets)
 
     # identity steering: zero shifts already on target
     zero_theta = np.zeros(len(psa))
@@ -314,8 +313,8 @@ class TrackedZero:
     moved: float
 
 
-def track_zero_in_sigma(aux: AuxiliaryCombination, x, R: float, sigma: float,
-                        seed: int = 0) -> TrackedZero:
+def track_zero_in_sigma(aux: AuxiliaryCombination, x: SeparatingZero, R: float,
+                        sigma: float, seed: int = 0) -> TrackedZero:
     """Move the boundary-line witness zero to sigma > 1 along its own line.
 
     Verifies that the coefficient drift between the two evaluation heights
@@ -325,8 +324,7 @@ def track_zero_in_sigma(aux: AuxiliaryCombination, x, R: float, sigma: float,
     """
     if aux.t0 is None:
         raise DomainError("auxiliary combination has no t0 set")
-    xs = np.asarray(x.x if isinstance(x, SeparatingZero) else x,
-                    dtype=np.complex128)
+    xs = np.asarray(x.x, dtype=np.complex128)
     if R < 2:
         raise DomainError("R must be at least 2")
     mods = np.abs(xs)
@@ -342,20 +340,11 @@ def track_zero_in_sigma(aux: AuxiliaryCombination, x, R: float, sigma: float,
             f"coefficient drift {drift:.3e} exceeds stability radius "
             f"{cert.delta:.3e}; reduce sigma - 1", drift=drift, delta=cert.delta)
     f2, g2 = aux.f_poly_at(s2), aux.g_poly_at(s2)
-    if isinstance(x, SeparatingZero):
-        base, direction = x.base, x.direction
-        t_seed = x.line_parameter
-    else:
-        rng = np.random.default_rng(seed)
-        direction = rng.normal(size=len(xs)) + 1j * rng.normal(size=len(xs))
-        direction = direction / np.linalg.norm(direction)
-        base, t_seed = xs, 0.0 + 0.0j
-    coeffs = f2.restrict(base, direction)
-    roots = univariate_roots(coeffs).roots
+    roots = univariate_roots(f2.restrict(x.base, x.direction))
     if not roots:
         raise CertificateFailure("restriction of the shifted polynomial has no roots")
-    t_new = min(roots, key=lambda t: abs(t - t_seed))
-    z = base + t_new * direction
+    t_new = min(roots, key=lambda t: abs(t - x.line_parameter))
+    z = x.base + t_new * x.direction
     moved = float(np.max(np.abs(z - xs)))
     if moved >= 1.0 / R:
         raise CertificateFailure(

@@ -3,11 +3,11 @@ import json
 import math
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from zerosep import cli
+from zerosep import cli, pipeline
 from zerosep.errors import ParseError
 from zerosep.pipeline import (BUILTIN_DEFAULTS, STAGE_EXIT_CODES, PipelineConfig,
                               RunRecord)
@@ -104,6 +104,41 @@ def test_steering_refusal_quotes_the_lowest_demand_candidates(tmp_path):
     assert re.findall(r"candidate (\d+):", error) == ["0", "1", "2"]
     assert error.startswith("all 12 witness candidates failed")
     assert "of the 24 active primes in (1, 89]" in error
+
+
+def test_toy_steering_refusal_names_the_reachability_budget_alone(tmp_path):
+    # the toy specs share no prime, so no joint first-order budget is quoted
+    assert _separate(6, tmp_path) == 24
+    error = _failed_stage(tmp_path)["data"]["error"]
+    assert "target 1 demands log norm 0.5929 beyond its reachability budget " \
+        "0.3428; steer more primes" in error
+    assert "joint budget" not in error
+
+
+def test_replicate_counts_only_certified_zeros(tmp_path, monkeypatch):
+    # a replicated circle that winds but whose margin misses the tail budget
+    # is a numeric-only zero: a miss that records its gap, not a success
+    real = pipeline.refine_zero
+    certs = []
+
+    def numeric_only_after_locate(H, s0, r0):
+        cert = real(H, s0, r0)
+        if certs:
+            cert = replace(cert, status="numeric-only", tail_budget=cert.boundary_min)
+        certs.append(cert)
+        return cert
+
+    monkeypatch.setattr(pipeline, "refine_zero", numeric_only_after_locate)
+    assert _separate(5, tmp_path) == 0
+    with open(tmp_path / "run_record.json") as fh:
+        replicate = json.load(fh)["stages"][-1]
+    assert replicate["name"] == "replicate" and replicate["status"] == "ok"
+    assert len(certs) == 4 and all(c.winding == 1 for c in certs)
+    assert replicate["data"]["successes"] == 0
+    for outcome in replicate["data"]["outcomes"]:
+        assert outcome["status"] == "failed"
+        assert re.fullmatch(r"no certified zero: boundary minimum (\S+) does not "
+                            r"exceed tail budget \1", outcome["error"])
 
 
 def test_certificate_footer_names_the_locate_cutoff(tmp_path):

@@ -10,11 +10,10 @@ from zerosep.combalg import CombPolynomial
 from zerosep.errors import (DomainError, MarginFailure, MissingPhase,
                             NoZeroFound)
 from zerosep.euler import (EvalResult, eval_partial_euler, finite_euler_spec,
-                           log_tail_bound, zeta_spec)
+                           zeta_spec)
 from zerosep.locate import (CombEvaluator, ZeroCertificate,
-                            certify_noncoincidence, combination_drift_bound,
-                            count_zeros_in_strip, refine_zero, twisted_eval,
-                            vertical_drift_log_bound)
+                            certify_noncoincidence, count_zeros_in_strip,
+                            refine_zero, twisted_eval)
 from zerosep.pfinite import PFiniteSeries
 from zerosep.pipeline import builtin_problem
 from zerosep.primes import primes_up_to
@@ -102,6 +101,13 @@ def test_refine_zero_no_zero_on_euler_product():
     ev = CombEvaluator(f, [z], P=2000)
     with pytest.raises(NoZeroFound):
         refine_zero(ev.at, 1.5 + 10.0j, 0.05)
+
+
+def test_refine_zero_refuses_a_tiny_value_no_circle_winds_around():
+    # a small |H| is no zero: without a winding circle there is no certificate
+    with pytest.raises(NoZeroFound, match=r"^Newton stalled at \|H\| = 1\.000e-12 "
+                       r"and no circle wound$"):
+        refine_zero(lambda s: EvalResult(1e-12 + 0j, 0.0), 1.5, 0.01)
 
 
 def test_refine_zero_domain():
@@ -280,20 +286,6 @@ def test_strip_domain():
         count_zeros_in_strip(lambda s: s, (0.9, 2.0), (0.0, 1.0))
 
 
-def test_vertical_drift_bound_dominates():
-    # the bound covers the observed shift of log F for aligned phases
-    z = zeta_spec()
-    sigma, acc, P_align = 1.3, 0.05, 50
-    bound = vertical_drift_log_bound(z, sigma, acc, P_align)
-    from zerosep.lattice import almost_periods
-    taus = almost_periods(0.0, P_align, acc, count=1)
-    s = complex(sigma, 5.0)
-    v1 = eval_partial_euler(z, s, 50).value
-    v2 = eval_partial_euler(z, complex(sigma, 5.0 + float(taus[0])), 50).value
-    drift = abs(cmath.log(v2 / v1))
-    assert drift <= bound
-
-
 def test_evaluators_near_the_boundary_give_an_infinite_bound():
     # at Re(s) = 1.0001 the prime tail beyond P = 5000 exceeds the overflow
     # guard: every evaluator returns a finite value with an infinite bound
@@ -311,29 +303,6 @@ def test_evaluators_near_the_boundary_give_an_infinite_bound():
         assert r.abs_error_bound == math.inf
     for r in results[1:]:
         assert abs(r.value - results[0].value) < 1e-9 * abs(results[0].value)
-
-
-def test_combination_drift_bound_covers_each_monomial_term():
-    # hurwitz-1-3-vs-2-3's f at sigma 1.01: each |F_j| bound is about e^9.8
-    # and each log drift about 47, so no fixed cap on either may bind
-    problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
-    f, order = problem.f_on_full_vars(), problem.variable_order
-    sigma, acc, P_align, P = 1.01, 0.05, 59, 200_000
-    bound = combination_drift_bound(f, order, sigma, acc, P_align, P)
-    ps = primes_up_to(P)
-    for coeff, exps in f.monomials:
-        F = order[exps.index(1)]
-        log_mag = float(np.sum(-np.log1p(-np.abs(F.a_values(ps)) * ps ** -sigma)))
-        log_mag += log_tail_bound(F, P, sigma)
-        drift = vertical_drift_log_bound(F, sigma, acc, P_align)
-        term = abs(coeff.value(sigma)) * math.exp(log_mag + drift) * math.expm1(drift)
-        assert term > 1e45
-        assert bound >= term
-    # exponents from 700 on give inf, neither NaN nor OverflowError: at
-    # Re(s) = 1.0001, and from a power |F_0|^20 of about e^1100
-    assert combination_drift_bound(f, order, 1.0001, acc, P_align, 5000) == math.inf
-    f20 = CombPolynomial(2, ((c(1.0), (20, 0)), (c(-1.0), (0, 1))))
-    assert combination_drift_bound(f20, order, sigma, acc, P_align, P) == math.inf
 
 
 def test_every_evaluator_refuses_a_spec_at_its_local_factor_radius():

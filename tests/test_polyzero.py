@@ -18,14 +18,14 @@ from zerosep.polyzero import (Circle, ComplexPolynomial, Rectangle,
 
 def test_roots_quadratic():
     r = univariate_roots([1, 0, 1])  # 1 + z^2
-    got = sorted(r.roots, key=lambda z: z.imag)
+    got = sorted(r, key=lambda z: z.imag)
     assert abs(got[0] + 1j) < 1e-12 and abs(got[1] - 1j) < 1e-12
 
 
 def test_roots_triple_cluster():
     r = univariate_roots([-1, 3, -3, 1])  # (z-1)^3
-    assert len(r.roots) == 3
-    assert all(abs(z - 1) < 1e-4 for z in r.roots)
+    assert len(r) == 3
+    assert all(abs(z - 1) < 1e-4 for z in r)
 
 
 def test_roots_constructed_degree_12():
@@ -35,7 +35,7 @@ def test_roots_constructed_degree_12():
     for t in true:
         coeffs = np.convolve(coeffs, [-t, 1.0])
     r = univariate_roots(coeffs)
-    rec = sorted(r.roots, key=lambda z: (z.real, z.imag))
+    rec = sorted(r, key=lambda z: (z.real, z.imag))
     exp = sorted(true, key=lambda z: (z.real, z.imag))
     assert max(abs(a - b) for a, b in zip(rec, exp)) < 1e-8
 
@@ -47,9 +47,9 @@ def test_roots_vieta():
         coeffs = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
         coeffs[-1] += 2.0  # keep the leading coefficient away from zero
         r = univariate_roots(coeffs)
-        ssum = sum(r.roots)
+        ssum = sum(r)
         sprod = 1.0 + 0.0j
-        for z in r.roots:
+        for z in r:
             sprod *= z
         assert abs(ssum - (-coeffs[-2] / coeffs[-1])) < 1e-8 * (1 + abs(ssum))
         expect_prod = (-1) ** d * coeffs[0] / coeffs[-1]
@@ -64,8 +64,10 @@ def test_roots_degenerate_inputs():
 
 
 def test_roots_residuals_reported():
-    r = univariate_roots([6, -5, 1])  # (z-2)(z-3)
-    assert all(res < 1e-10 for res in r.residuals)
+    coeffs = [6, -5, 1]  # (z-2)(z-3)
+    r = univariate_roots(coeffs)
+    assert len(r) == 2
+    assert all(abs(np.polyval(coeffs[::-1], z)) < 1e-10 for z in r)
 
 
 # --- separating zeros -----------------------------------------------------------

@@ -10,7 +10,7 @@ from zerosep.errors import (DomainError, DriftTooLarge, Infeasible,
                             MissingPhase, NonConvergence)
 from zerosep.euler import finite_euler_spec, lfunction_spec, zeta_spec
 from zerosep.pfinite import PFiniteSeries
-from zerosep.polyzero import find_separating_zero
+from zerosep.polyzero import SeparatingZero, find_separating_zero
 from zerosep.primes import primes_up_to
 from zerosep.steering import (PhaseAssignment, SteerOptions, SteeringTarget,
                               recompute_achieved, solve_phases,
@@ -290,8 +290,10 @@ def test_track_zero_constant_coefficients_is_identity():
 
 def test_track_zero_annulus_precondition():
     aux = _tracked_setup()
-    bad = np.array([10.0 + 0j, 0.1 + 0j])
-    with pytest.raises(DomainError):
+    x = np.array([10.0 + 0j, 0.1 + 0j])
+    bad = SeparatingZero(x=x, base=x, direction=np.array([1.0 + 0j, 0j]),
+                         line_parameter=0j)
+    with pytest.raises(DomainError, match="witness coordinates must satisfy"):
         track_zero_in_sigma(aux, bad, 2.0, 1.05)
 
 
