@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: characters, hurwitz, steer, approx, separate, replicate,
-count.  Pipeline failures exit with the failing stage's code (see
-``zerosep separate --help``); other library errors exit 1.
+count.  ``replicate`` reads t and the aligned primes from a run record's
+approx stage; it runs no stage again.  Pipeline failures exit with the
+failing stage's code (see ``zerosep separate --help``); other library
+errors exit 1.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from dataclasses import replace
 
 from .characters import dirichlet_characters
 from .combfile import read_text
-from .errors import ParseError, StageError, ZerosepError
+from .errors import EmptyRecord, ParseError, StageError, ZerosepError
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
 from .lattice import simultaneous_approx
 from .locate import CombEvaluator, count_zeros_in_strip
 from .pipeline import (STAGE_EXIT_CODES, PipelineConfig, RunRecord,
-                       builtin_config, export_certificate,
-                       run_separation_pipeline, _load_problem)
+                       builtin_config, export_certificate, replicate_heights,
+                       run_separation_pipeline, _json_safe, _load_problem)
+from .precision import mpf_from_text
 from .steering import SteerOptions, SteeringTarget, solve_phases
 
 
@@ -147,10 +150,13 @@ def cmd_separate(args) -> int:
 
 def cmd_replicate(args) -> int:
     record = RunRecord.from_json(read_text(args.record))
-    config = replace(record.config, replicate_count=args.count)
-    new_record = run_separation_pipeline(config)
-    rep = new_record.stage("replicate")
-    print(json.dumps(rep.data, indent=2, default=str))
+    approx = next((st for st in record.stages if st.name == "approx"), None)
+    if approx is None or approx.status != "ok":
+        raise EmptyRecord("run record has no ok 'approx' stage to replicate from")
+    data = replicate_heights(_load_problem(record.config), record.config,
+                             mpf_from_text(approx.data["t"]),
+                             approx.data["primes"][-1], args.count)
+    print(json.dumps(_json_safe(data), indent=2, default=str))
     return 0
 
 
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steer-tol", type=float, dest="steer_tol")
     p.set_defaults(fn=cmd_separate)
 
-    p = sub.add_parser("replicate", help="re-run replication from a run record")
+    p = sub.add_parser("replicate", help="replicate a run record's zero")
     p.add_argument("--record", required=True)
     p.add_argument("--count", type=int, default=3)
     p.set_defaults(fn=cmd_replicate)

@@ -114,24 +114,19 @@ class NoZeroFound(ZerosepError):
 
     The message names where Newton stopped: at a raw step longer than its
     remaining clipped steps can travel (the step, |H| and that distance), at
-    a step from the Re(s) clamp that points past the half-plane boundary
-    Re s = 1, or stalled after its last iteration (the smallest |H| reached).
+    a step that would bring the next iterate within the difference step of
+    the half-plane boundary Re s = 1 (the raw step and |H|), or stalled after
+    its last iteration (the smallest |H| reached).
     """
 
 
 class MarginFailure(ZerosepError):
-    """A certificate margin did not clear its threshold.
-
-    ``margin`` is the achieved value, or its shortfall against the threshold.
-    """
-
-    def __init__(self, message: str, margin: float = 0.0):
-        super().__init__(message)
-        self.margin = margin
+    """A certificate margin did not clear its threshold; the message is the
+    gap :meth:`zerosep.locate.ZeroCertificate.gap` names."""
 
 
 class EmptyRecord(ZerosepError):
-    """Run record has no certificate or numeric result to export."""
+    """Run record lacks the certificate or the stage result a command reads."""
 
 
 class StageError(ZerosepError):

@@ -79,7 +79,6 @@ def hurwitz_as_combination(a: int, q: int) -> tuple[CombPolynomial,
         if abs(c.imag) < 1e-15:
             c = complex(c.real, 0.0)
         exps = tuple(1 if i == j else 0 for i in range(n))
-        mono.append((PFiniteSeries.constant(c, description=f"conj(chi_{j}({a}))"),
-                     exps))
+        mono.append((PFiniteSeries.constant(c), exps))
     poly = CombPolynomial(n, tuple(mono))
     return poly, specs, DroppedPrefactor(base=q, scale=euler_phi(q))

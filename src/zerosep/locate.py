@@ -23,10 +23,12 @@ evaluations, all its shrinking circles share one model at the centre, and
 ``certify_noncoincidence`` reads its ring points from one model of the
 partner.  Newton's steps are clipped to the certificate radius r0, so it
 stops as soon as a raw step exceeds what the clipped steps left can travel:
-the zero it points at is out of reach, and the circles around the best point
-found give the verdict, down to the first circle that winds 0.  Only the
-start, the last iterate and the centre are evaluated directly, each once;
-when Newton stops at once they are one point and one evaluation.
+the zero it points at is out of reach.  Its one half-plane rule stops it
+too when the next iterate would come within ``FD_STEP`` of Re s = 1.  Either
+way, the circles around the best point found that fit inside Re s > 1 give
+the verdict, down to the first circle that winds 0.  Only the start, the
+last iterate and the centre are evaluated directly, each once; when Newton
+stops at once they are one point and one evaluation.
 :func:`_on_disk` is the one place that tells the two apart: any other
 callable that returns an :class:`zerosep.euler.EvalResult` (a closed form,
 ``CombEvaluator.at``) is called at every point.
@@ -49,8 +51,7 @@ import mpmath as mp
 import numpy as np
 
 from .combalg import CombPolynomial, combine
-from .errors import (ArityMismatch, ContourTooClose, DomainError, MarginFailure,
-                     NoZeroFound)
+from .errors import ArityMismatch, ContourTooClose, DomainError, NoZeroFound
 from .euler import (EPS, EulerProductSpec, EvalResult, local_log_model,
                     local_logs, truncated_exp)
 from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
@@ -69,17 +70,17 @@ def twisted_eval(f: CombPolynomial, specs: Sequence[EulerProductSpec],
                  sigma: float, assignment: PhaseAssignment, P: int) -> EvalResult:
     """Combination value with an independent vertical shift at every prime.
 
-    Primes at or below the fill boundary use the fill shift (which also fixes
-    the height at which the prime-finite coefficients are read); primes in
-    (y, P] take their assigned shifts.  The error bound covers the dropped
-    primes beyond P exactly as in the pointwise evaluator.
+    Primes at or below y are unshifted, and the prime-finite coefficients
+    are read at Im s = 0; primes in (y, P] take their assigned shifts.  The
+    error bound covers the dropped primes beyond P exactly as in the
+    pointwise evaluator.
     """
     if sigma <= 1:
         raise DomainError("twisted evaluation requires sigma > 1")
     ev = CombEvaluator(f, specs, P)
     ps = primes_up_to(P)
     thetas = assignment.phases(ps)
-    s0 = complex(sigma, assignment.fill_value)
+    s0 = complex(sigma, 0.0)
     return ev._evaluate(sigma, [thetas[F.support_mask(ps)] for F in ev.specs],
                         lambda c: c.value(s0))
 
@@ -322,7 +323,7 @@ class ZeroCertificate:
 
 
 NEWTON_ITERS = 40  # Newton iterations refine_zero takes at most
-FD_STEP = 1e-6  # Newton's central-difference step, times |Im s| when 1 < |Im s| < 10
+FD_STEP = 1e-6  # Newton's central-difference step; iterates keep this far from Re s = 1
 CIRCLE_WINDING = WindingParams(initial_samples=48, max_samples=4096)  # per circle
 SHRINK = (1.0, 0.6, 0.35, 0.2, 0.1)  # circle radii of refine_zero, as fractions of r0
 
@@ -369,13 +370,14 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
 
     Each Newton step is clipped to r0, so the steps left at iteration ``it``
     travel at most ``(NEWTON_ITERS - it) * r0``; a raw step beyond that
-    points at a zero out of reach, and Newton stops there.  An iterate that
-    would come within r0/4 of Re s = 1 is clamped to Re s = 1 + 0.3*r0;
-    from there, a raw step that points past Re s = 1 aims at a zero outside
-    the half-plane, and Newton stops too.  The circles still scan around the
-    best point found and decide the verdict (:meth:`ZeroCertificate.gap`).
-    H is analytic in Re(s) > 1, so a circle that winds 0 holds no zero, and
-    neither does any smaller one: the ladder ends there.
+    points at a zero out of reach, and Newton stops there.  The one
+    half-plane rule: Newton also stops when the clipped step would bring the
+    next iterate within ``FD_STEP`` of Re s = 1, where its differences would
+    leave the half-plane.  The circles then scan around the best point found,
+    each one only if it stays inside Re s > 1, and decide the verdict
+    (:meth:`ZeroCertificate.gap`).  H is analytic in Re(s) > 1, so a circle
+    that winds 0 holds no zero, and neither does any smaller one: the ladder
+    ends there.
     """
     s0 = complex(s0)
     if s0.real - r0 <= 1.0:
@@ -383,15 +385,11 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
     start = H(s0)
     s = s0
     best_s, best_abs = s0, abs(start.value)
-    clamp = 1.0 + 0.3 * r0
     stop = None
     for it in range(NEWTON_ITERS):
-        h = FD_STEP * max(1.0, abs(s.imag) if abs(s.imag) < 10 else 1.0)
-        Hs = _on_disk(H, s, h)
+        Hs = _on_disk(H, s, FD_STEP)
         v0 = Hs(s).value
-        vp = Hs(s + h).value
-        vm = Hs(s - h).value
-        d = (vp - vm) / (2.0 * h)
+        d = (Hs(s + FD_STEP).value - Hs(s - FD_STEP).value) / (2.0 * FD_STEP)
         if abs(v0) < best_abs:
             best_s, best_abs = s, abs(v0)
         if d == 0:
@@ -404,18 +402,14 @@ def refine_zero(H: Callable, s0: complex, r0: float) -> ZeroCertificate:
                 f"{left * r0:.2g} that {left} step{'s' if left > 1 else ''} of at "
                 f"most r0 = {r0:g} can travel")
             break
-        if s.real == clamp and (s + step).real <= 1.0:
-            stop = (f"Newton's step {abs(step):.2g} at |H| = {abs(v0):.1e} from "
-                    f"the clamp at Re s = {clamp:g} points past the half-plane "
+        clipped = step * (r0 / abs(step)) if abs(step) > r0 else step
+        if (s + clipped).real - FD_STEP <= 1.0:
+            stop = (f"Newton's step {abs(step):.2g} at |H| = {abs(v0):.1e} would "
+                    f"bring the next iterate within {FD_STEP:g} of the half-plane "
                     f"boundary Re s = 1")
             break
-        if abs(step) > r0:
-            step *= r0 / abs(step)
-        s_new = s + step
-        if s_new.real - 0.25 * r0 <= 1.0:
-            s_new = complex(clamp, s_new.imag)
-        s = s_new
-        if abs(step) < 1e-14 * max(1.0, abs(s)):
+        s += clipped
+        if abs(clipped) < 1e-14 * max(1.0, abs(s)):
             break
     # each point is evaluated directly once: the start, the last iterate and
     # the centre coincide when Newton stops at once
@@ -456,9 +450,12 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCerti
     """Lower-bound the partner combination on the closed certificate disk.
 
     Dense ring sampling, less a Lipschitz margin taken from the slopes
-    between sampled points and less the partner's own truncation budget; a
-    non-positive margin raises with the achieved value.  g_comb maps a point
-    to an :class:`zerosep.euler.EvalResult`.
+    between sampled points and less the partner's own truncation budget.
+    The bound is recorded as ``g_min_on_disk``, and
+    :meth:`ZeroCertificate.gap` decides the status: a bound that does not
+    clear the tail budget, a non-positive one included, gives
+    ``numeric-only``.  g_comb maps a point to an
+    :class:`zerosep.euler.EvalResult`.
     """
     if cert.winding < 1:
         raise DomainError("certificate must carry winding >= 1")
@@ -481,9 +478,6 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCerti
             slopes.append(abs(vals[i + 1].value - vals[i].value) / ds)
     lip = 1.5 * max(slopes) if slopes else 0.0
     gmin = min(abs(v.value) for v in vals) - lip * (mesh / 2.0) - g_tail
-    if gmin <= 0:
-        raise MarginFailure(
-            f"non-coincidence margin {gmin:.3e} is not positive", margin=gmin)
     out = replace(cert, g_min_on_disk=float(gmin))
     return replace(out, status="numeric-only" if out.gap() else "certified")
 
@@ -499,41 +493,34 @@ class StripCount:
 
 
 STRIP_WINDING = WindingParams(initial_samples=32, max_samples=8192)  # per cell
+STRIP_MAX_DEPTH = 2  # times a cell whose boundary cannot be resolved is split
 
 
 def count_zeros_in_strip(H: Callable, sigma_range: tuple, t_range: tuple,
-                         subdivision=4, max_depth: int = 2) -> StripCount:
-    """Sum of winding numbers over a subdivided rectangle in Re(s) > 1.
+                         subdivision: int = 4) -> StripCount:
+    """Sum of winding numbers over a rectangle in Re(s) > 1, cut into
+    ``subdivision`` cells each way.
 
-    Cells whose boundary cannot be resolved are split up to ``max_depth``
-    times and flagged (not fatal) if still unresolved.
+    Cells whose boundary cannot be resolved are split up to
+    ``STRIP_MAX_DEPTH`` times and flagged (not fatal) if still unresolved.
     """
     s_lo, s_hi = float(sigma_range[0]), float(sigma_range[1])
     if s_lo <= 1:
         raise DomainError("strip must sit inside Re(s) > 1")
     t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    if isinstance(subdivision, int):
-        n_s = n_t = subdivision
-    else:
-        n_s, n_t = subdivision
-
-    total = 0
+    n = subdivision
+    work = [(s_lo + (s_hi - s_lo) * i / n, s_lo + (s_hi - s_lo) * (i + 1) / n,
+             t_lo + (t_hi - t_lo) * j / n, t_lo + (t_hi - t_lo) * (j + 1) / n, 0)
+            for i in range(n) for j in range(n)]
+    total = cells = 0
     flagged = []
-    cells = 0
-    work = []
-    for i in range(n_s):
-        for j in range(n_t):
-            work.append((s_lo + (s_hi - s_lo) * i / n_s,
-                         s_lo + (s_hi - s_lo) * (i + 1) / n_s,
-                         t_lo + (t_hi - t_lo) * j / n_t,
-                         t_lo + (t_hi - t_lo) * (j + 1) / n_t, 0))
     while work:
         a, b, c, d, depth = work.pop()
         cells += 1
         try:
             total += winding_number(H, Rectangle(a, b, c, d), STRIP_WINDING)
         except ContourTooClose as exc:
-            if depth < max_depth:
+            if depth < STRIP_MAX_DEPTH:
                 am, cm = 0.5 * (a + b), 0.5 * (c + d)
                 work.extend([(a, am, c, cm, depth + 1), (am, b, c, cm, depth + 1),
                              (a, am, cm, d, depth + 1), (am, b, cm, d, depth + 1)])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath.libmp import isprime
@@ -32,7 +32,6 @@ class PFiniteSeries:
 
     terms: tuple[tuple[int, complex], ...] = ()
     inverse_factors: tuple[tuple[int, tuple[complex, ...]], ...] = ()
-    description: str = field(default="", compare=False)
 
     def __post_init__(self):
         for n, _ in self.terms:
@@ -57,11 +56,11 @@ class PFiniteSeries:
     # --- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(c: complex, description: str = "") -> "PFiniteSeries":
+    def constant(c: complex) -> "PFiniteSeries":
         c = complex(c)
         if c == 0:
-            return PFiniteSeries((), (), description or "0")
-        return PFiniteSeries(((1, c),), (), description)
+            return PFiniteSeries()
+        return PFiniteSeries(((1, c),))
 
     @staticmethod
     def from_terms(terms: dict[int, complex]) -> "PFiniteSeries":
@@ -72,8 +71,7 @@ class PFiniteSeries:
     def times_inverse_factor(self, p: int, coeffs) -> "PFiniteSeries":
         base = self.terms if self.terms else ((1, 1.0 + 0.0j),)
         return PFiniteSeries(base,
-                             self.inverse_factors + ((int(p), tuple(map(complex, coeffs))),),
-                             self.description)
+                             self.inverse_factors + ((int(p), tuple(map(complex, coeffs))),))
 
     # --- structure ---------------------------------------------------------
 
@@ -121,17 +119,6 @@ class PFiniteSeries:
                 fac += c * xe
             total /= fac
         return total
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = [f"({a:.6g})/{n}^s" if n > 1 else f"({a:.6g})"
-                 for n, a in self.terms]
-        body = " + ".join(parts) if parts else "1"
-        for p, coeffs in self.inverse_factors:
-            cs = " + ".join(f"({c:.6g})*{p}^-{k + 1}s" for k, c in enumerate(coeffs))
-            body += f" / (1 + {cs})"
-        return body
 
 
 def _direct_term(n: int, a: complex, s: complex) -> complex:

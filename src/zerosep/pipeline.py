@@ -12,7 +12,8 @@ replicate run one routine, :func:`_locate_at`: locate at the approx height t,
 replicate at t + tau_k for each almost period tau_k of the aligned primes at
 ``approx_accuracy``.  It certifies from offset sigma on a disk of radius
 min(0.02, (sigma - 1)/2), and a replicated height counts as a success only
-when its zero is ``certified``.
+when its zero is ``certified``.  ``zerosep replicate`` reads t and the
+aligned primes from a run record instead (:func:`replicate_heights`).
 """
 
 from __future__ import annotations
@@ -301,9 +302,31 @@ def _locate_at(ev_f: CombEvaluator, t, sigma: float
     cert = refine_zero(anchored, complex(sigma, 0.0), min(0.02, (sigma - 1.0) / 2.0))
     gap = cert.gap()
     if gap:
-        raise MarginFailure(f"no certified zero: {gap}",
-                            margin=cert.boundary_min - cert.tail_budget)
+        raise MarginFailure(f"no certified zero: {gap}")
     return anchored, cert
+
+
+def replicate_heights(problem: SeparationProblem, config: PipelineConfig, t,
+                      top_prime: int, count: int) -> dict:
+    """Replicate's stage data: locate's routine at t + tau_k for ``count``
+    almost periods tau_k of the primes up to ``top_prime``, the top aligned
+    prime, at ``approx_accuracy``."""
+    taus = almost_periods(t, top_prime, config.approx_accuracy, count=count)
+    ev_f = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
+                         P=config.locate_cutoff)
+    outcomes = []
+    for tau in taus:
+        with mp.workprec(max(needed_bits(t), needed_bits(tau)) + 32):
+            t_new = mp.mpf(t) + mp.mpf(tau)
+        try:
+            _, cert = _locate_at(ev_f, t_new, config.sigma)
+            outcomes.append({"tau": tau, "status": cert.status,
+                             "center": cert.center,
+                             "abs_value": abs(cert.value_at_center)})
+        except ZerosepError as exc:
+            outcomes.append({"tau": tau, "status": "failed", "error": str(exc)})
+    return {"taus": taus, "outcomes": outcomes,
+            "successes": sum(1 for o in outcomes if o["status"] != "failed")}
 
 
 # --- the pipeline ----------------------------------------------------------------
@@ -461,32 +484,16 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
             cert, ev_g.anchored(anchored_f.t_anchor, bits=anchored_f.bits))
         gap = upgraded.gap()
         if gap:
-            raise MarginFailure(gap, margin=upgraded.g_min_on_disk - cert.tail_budget)
+            raise MarginFailure(gap)
         upgraded = replace(upgraded, meta=dict(cert.meta, partner="g"))
         record.certificates[-1] = upgraded
         state["certificate"] = upgraded
         return {"status": upgraded.status, "g_min_on_disk": upgraded.g_min_on_disk}
 
     def stage_replicate():
-        res = state["approx"]
-        taus = almost_periods(res.t, int(state["approx_primes"][-1]),
-                              config.approx_accuracy,
-                              count=config.replicate_count)
-        ev_f = state["ev_f_anchored"].ev
-        outcomes = []
-        for tau in taus:
-            with mp.workprec(max(needed_bits(res.t), needed_bits(tau)) + 32):
-                t_new = mp.mpf(res.t) + mp.mpf(tau)
-            try:
-                _, c2 = _locate_at(ev_f, t_new, config.sigma)
-                outcomes.append({"tau": tau, "status": c2.status,
-                                 "center": c2.center,
-                                 "abs_value": abs(c2.value_at_center)})
-            except ZerosepError as exc:
-                outcomes.append({"tau": tau, "status": "failed",
-                                 "error": str(exc)})
-        return {"taus": taus, "outcomes": outcomes,
-                "successes": sum(1 for o in outcomes if o["status"] != "failed")}
+        return replicate_heights(state["problem"], config, state["approx"].t,
+                                 int(state["approx_primes"][-1]),
+                                 config.replicate_count)
 
     run_stage("load", stage_load)
     run_stage("auxiliary", stage_auxiliary)

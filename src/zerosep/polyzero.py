@@ -162,11 +162,11 @@ def _random_annulus(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 ZERO_FLOOR = 1e-6  # smallest |x_j| a separating zero may have
+MAX_RETRIES = 200  # random lines find_separating_zero tries
 
 
 def find_separating_zero(f: ComplexPolynomial, g: ComplexPolynomial,
-                         g_margin: float = 1e-6, max_retries: int = 200,
-                         seed: int = 0) -> SeparatingZero:
+                         g_margin: float = 1e-6, seed: int = 0) -> SeparatingZero:
     """Zero of f with all |x_j| >= ``ZERO_FLOOR`` and |g| >= ``g_margin``.
 
     Restricts f to random complex lines and solves the univariate restriction;
@@ -182,7 +182,7 @@ def find_separating_zero(f: ComplexPolynomial, g: ComplexPolynomial,
     n = f.num_vars
     diag = {"attempts": 0, "degenerate_lines": 0, "rejected_floor": 0,
             "rejected_margin": 0, "rejected_residual": 0, "no_roots": 0}
-    for attempt in range(1, max_retries + 1):
+    for attempt in range(1, MAX_RETRIES + 1):
         diag["attempts"] = attempt
         y = _random_annulus(rng, n)
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -210,7 +210,7 @@ def find_separating_zero(f: ComplexPolynomial, g: ComplexPolynomial,
                 continue
             return SeparatingZero(x=x, base=y, direction=u, line_parameter=t)
     raise SearchExhausted(
-        f"no separating zero found in {max_retries} attempts", diagnostics=diag)
+        f"no separating zero found in {MAX_RETRIES} attempts", diagnostics=diag)
 
 
 # --- coefficient stability radius --------------------------------------------

@@ -27,6 +27,8 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
+from .errors import ParseError
+
 DEFAULT_BITS = 256
 FLOAT_SAFE_T = 1e6
 TWO_PI = 2.0 * math.pi
@@ -103,8 +105,18 @@ def circle_distances(a: np.ndarray, b: np.ndarray | float = 0.0) -> np.ndarray:
 
 
 def mpf_to_text(t: mp.mpf) -> str:
-    """Exact textual form of an mpf as mantissa*2^exponent (round trips)."""
-    sign, man, exp, _ = mp.mpf(t)._mpf_
+    """Exact textual form of an mpf as mantissa*2^exponent, at the mpf's own
+    precision; :func:`mpf_from_text` reads it back."""
+    sign, man, exp, _ = t._mpf_
     man = -int(man) if sign else int(man)
     return f"{man}*2^{int(exp)}"
 
+
+def mpf_from_text(text: str) -> mp.mpf:
+    """The mpf that :func:`mpf_to_text` wrote as ``text``, bit for bit."""
+    try:
+        man, exp = (int(part) for part in text.split("*2^"))
+    except (AttributeError, ValueError):
+        raise ParseError(f"bad height m*2^e: {text!r}") from None
+    with mp.workprec(max(53, abs(man).bit_length())):
+        return mp.mpf((man, exp))

@@ -47,14 +47,13 @@ class SteeringTarget:
 
 @dataclass(frozen=True, eq=False)
 class PhaseAssignment:
-    """Vertical shift per prime in (y, P], plus the fill value used below y.
+    """Vertical shift per prime in (y, P]; primes at or below y are unshifted.
 
     ``primes`` is sorted (int64) and ``shifts`` (float64) is aligned with it.
     """
 
     primes: np.ndarray
     shifts: np.ndarray
-    fill_value: float = 0.0
     y: int = 0
 
     def __post_init__(self):
@@ -66,8 +65,8 @@ class PhaseAssignment:
             raise DomainError(f"shift at p={int(self.primes[bad][0])} is not finite")
 
     def phases(self, ps: np.ndarray) -> np.ndarray:
-        """theta_p = t_p log p mod 2*pi at the primes ``ps``: the fill value at
-        p <= y, the assigned shift above."""
+        """theta_p = t_p log p mod 2*pi at the primes ``ps``: 0 at p <= y,
+        from the assigned shift above."""
         above = ps > self.y
         high = ps[above]
         idx = np.searchsorted(self.primes, high)
@@ -75,7 +74,7 @@ class PhaseAssignment:
         hit[hit] = self.primes[idx[hit]] == high[hit]
         if not np.all(hit):
             raise MissingPhase(f"no shift assigned for prime {int(high[~hit][0])}")
-        ts = np.full(len(ps), self.fill_value)
+        ts = np.zeros(len(ps))
         ts[above] = self.shifts[idx]
         return np.mod(ts * np.log(ps.astype(np.float64)), TWO_PI)
 

@@ -62,14 +62,48 @@ def test_failed_separate_writes_its_run_record(tmp_path):
     assert last["data"]["error"]
 
 
-def test_uncertified_zero_is_refused_at_locate(tmp_path):
-    # this seed finds a winding circle whose boundary minimum (-6.3e-5) does
-    # not clear the tail budget (0): a numeric-only zero is not a result
-    assert _separate(769888, tmp_path) == 27
+def _numeric_only(cert):
+    """The certificate with its tail budget raised to its boundary minimum,
+    so that it winds but does not certify."""
+    return replace(cert, status="numeric-only", tail_budget=cert.boundary_min)
+
+
+def test_uncertified_zero_is_refused_at_locate(tmp_path, monkeypatch):
+    # a winding circle whose boundary minimum does not clear the tail budget
+    # is a numeric-only zero, which is not a result
+    real = pipeline.refine_zero
+    monkeypatch.setattr(pipeline, "refine_zero",
+                        lambda H, s0, r0: _numeric_only(real(H, s0, r0)))
+    assert _separate(5, tmp_path) == 27
     last = _failed_stage(tmp_path)
     assert last["name"] == "locate"
-    assert "boundary minimum -6.338e-05 does not exceed tail budget" \
-        in last["data"]["error"]
+    assert re.fullmatch(r"no certified zero: boundary minimum (\S+) does not "
+                        r"exceed tail budget \1", last["data"]["error"])
+
+
+def test_zero_just_right_of_re_s_1_is_certified(tmp_path):
+    # Newton walks onto the zero at Re s = 1.00205, and the circle of radius
+    # r0 / 10 that fits there certifies it
+    assert _separate(769888, tmp_path) == 0
+    with open(tmp_path / "zero-00.cert") as fh:
+        rows = dict(line.split(" ", 1) for line in fh.read().splitlines())
+    assert rows["status"] == "certified" and rows["radius"] == "0.002"
+    re_c, im_c = (float(x) for x in rows["center"].split())
+    assert abs(re_c - 1.00205) < 1e-5 and abs(im_c - 0.02926) < 1e-5
+    assert float(rows["boundary_min"]) > 1e-4
+
+
+# exit code of ``separate --builtin toy-finite-pair --replicate 3`` per seed:
+# 0 certified, 24 refused at stability-steering, 27 refused at locate
+TOY_EXITS = {seed: 24 for seed in range(60)}
+TOY_EXITS.update({seed: 0 for seed in (0, 1, 2, 3, 5, 7, 12, 13, 17, 19, 20, 28,
+                                       32, 34, 36, 42, 43, 46, 49, 59, 769888)})
+TOY_EXITS[4] = 27
+
+
+def test_toy_outcome_table(tmp_path):
+    exits = {seed: _separate(seed, tmp_path / str(seed)) for seed in TOY_EXITS}
+    assert exits == TOY_EXITS
 
 
 def _reach(modulus, count=16, sigma=1.01):
@@ -124,7 +158,7 @@ def test_replicate_counts_only_certified_zeros(tmp_path, monkeypatch):
     def numeric_only_after_locate(H, s0, r0):
         cert = real(H, s0, r0)
         if certs:
-            cert = replace(cert, status="numeric-only", tail_budget=cert.boundary_min)
+            cert = _numeric_only(cert)
         certs.append(cert)
         return cert
 
@@ -149,6 +183,30 @@ def test_certificate_footer_names_the_locate_cutoff(tmp_path):
                 for line in (tmp_path / "zero-00.cert").read_text().splitlines()
                 if line.startswith(("meta.P ", "cutoff_P ")))
     assert rows["cutoff_P"] == rows["meta.P"] == "10"
+
+
+def test_replicate_reads_the_record_instead_of_rerunning_it(tmp_path, capsys,
+                                                            monkeypatch):
+    assert _separate(5, tmp_path) == 0
+    with open(tmp_path / "run_record.json") as fh:
+        recorded = json.load(fh)["stages"][-1]
+    assert recorded["name"] == "replicate"
+
+    def rerun(config):
+        raise AssertionError("replicate re-ran the pipeline")
+
+    monkeypatch.setattr(cli, "run_separation_pipeline", rerun)
+    capsys.readouterr()
+    assert cli.main(["replicate", "--record", str(tmp_path / "run_record.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == recorded["data"]
+
+
+def test_replicate_refuses_a_record_without_an_ok_approx_stage(tmp_path, capsys):
+    assert _separate(6, tmp_path) == 24  # refused at stability-steering
+    capsys.readouterr()
+    assert cli.main(["replicate", "--record", str(tmp_path / "run_record.json")]) == 1
+    assert capsys.readouterr().err == \
+        "error: run record has no ok 'approx' stage to replicate from\n"
 
 
 def test_replicate_refuses_record_with_unknown_config_key(tmp_path, capsys):

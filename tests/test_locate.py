@@ -7,8 +7,7 @@ import pytest
 
 from zerosep import locate
 from zerosep.combalg import CombPolynomial
-from zerosep.errors import (DomainError, MarginFailure, MissingPhase,
-                            NoZeroFound)
+from zerosep.errors import DomainError, MissingPhase, NoZeroFound
 from zerosep.euler import (EvalResult, eval_partial_euler, finite_euler_spec,
                            zeta_spec)
 from zerosep.locate import (CombEvaluator, ZeroCertificate,
@@ -29,7 +28,7 @@ def test_twisted_equals_pointwise_when_all_shifts_equal():
     f = CombPolynomial(1, ((c(1.0), (1,)), (c(-0.4), (0,))))
     sigma, t0, P = 1.4, 2.3, 2000
     ps = primes_up_to(P)
-    asg = PhaseAssignment(ps, np.full(len(ps), t0), fill_value=t0, y=0)
+    asg = PhaseAssignment(ps, np.full(len(ps), t0), y=0)
     tw = twisted_eval(f, [z], sigma, asg, P)
     pointwise = CombEvaluator(f, [z], P).at(complex(sigma, t0))
     assert abs(tw.value - pointwise.value) < 1e-10 * abs(pointwise.value)
@@ -44,7 +43,7 @@ def test_twisted_identity_two_ways():
     sigma, P, y = 1.5, 200, 0
     rng = np.random.default_rng(2)
     ps = primes_up_to(P)
-    asg = PhaseAssignment(ps, rng.uniform(0, 3, len(ps)), fill_value=0.0, y=y)
+    asg = PhaseAssignment(ps, rng.uniform(0, 3, len(ps)), y=y)
     tw = twisted_eval(f, [z], sigma, asg, P)
     direct = 1.0 + 0.0j
     for p, t in zip(ps, asg.shifts):
@@ -135,10 +134,9 @@ def test_refine_zero_stops_newton_when_the_zero_is_out_of_reach():
     assert newton == [s0, s0, s0 + 1e-6, s0 - 1e-6]
 
 
-def test_refine_zero_stops_at_the_clamp_when_newton_points_past_re_s_1():
-    # the zero at Re s = 0.99 lies outside the half-plane; three clipped
-    # steps reach the clamp at Re s = 1 + 0.3 * r0, and the next raw step
-    # points past Re s = 1 from there
+def test_refine_zero_stops_before_an_iterate_comes_within_fd_step_of_re_s_1():
+    # the zero at Re s = 0.99 lies outside the half-plane; two clipped steps
+    # reach Re s = 1.01, and the next would cross Re s = 1 + FD_STEP
     s0, r0, target = complex(1.05, 0.0), 0.02, complex(0.99, 0.0)
     calls = []
 
@@ -146,15 +144,25 @@ def test_refine_zero_stops_at_the_clamp_when_newton_points_past_re_s_1():
         calls.append(complex(s))
         return EvalResult(s - target, 0.0)
 
-    with pytest.raises(NoZeroFound, match=r"^Newton's step 0\.016 at \|H\| = "
-                       r"1\.6e-02 from the clamp at Re s = 1\.006 points past the "
+    with pytest.raises(NoZeroFound, match=r"^Newton's step 0\.02 at \|H\| = "
+                       r"2\.0e-02 would bring the next iterate within 1e-06 of the "
                        r"half-plane boundary Re s = 1, and no circle wound$"):
         refine_zero(H, s0, r0)
-    # one Newton iteration at the clamp, then the last iterate once; every
+    # one Newton iteration at the last iterate, then that point once; every
     # other call is on a scan circle of radius at least r0 / 10
-    clamp = complex(1.0 + 0.3 * r0, 0.0)
-    assert [z for z in calls if abs(z - clamp) < 1e-4] == \
-        [clamp, clamp + 1e-6, clamp - 1e-6, clamp]
+    last = complex(1.01, 0.0)
+    near = [z for z in calls if abs(z - last) < 1e-4]
+    assert near == pytest.approx([last, last + 1e-6, last - 1e-6, last], abs=1e-15)
+
+
+def test_refine_zero_centres_its_disk_on_a_zero_near_re_s_1():
+    # Newton walks onto the zero 0.003 right of Re s = 1; only the circle of
+    # radius r0 / 10 fits inside the half-plane there, and it certifies
+    target = complex(1.003, 0.01)
+    cert = refine_zero(lambda s: EvalResult(s - target, 0.0), 1.05, 0.02)
+    assert cert.status == "certified" and cert.winding == 1
+    assert abs(cert.center - target) < 1e-12
+    assert cert.radius == pytest.approx(0.002)
 
 
 def test_refine_zero_stops_its_circles_at_the_first_that_winds_0(monkeypatch):
@@ -192,12 +200,16 @@ def test_certify_noncoincidence_constant_partner():
 
 
 def test_certify_noncoincidence_same_function_fails():
+    # the partner vanishes at the zero, so the zero stays numeric-only and
+    # ZeroCertificate.gap names the partner minimum
     target = 1.2 + 1.0j
     Hf = lambda s: EvalResult(s - target, 0.0)
     cert = refine_zero(Hf, 1.2 + 1.01j, 0.05)
-    with pytest.raises(MarginFailure) as err:
-        certify_noncoincidence(cert, Hf)
-    assert err.value.margin <= 0
+    out = certify_noncoincidence(cert, Hf)
+    assert out.status == "numeric-only" and out.g_min_on_disk <= 0
+    assert out.gap() == (f"partner minimum on the disk {out.g_min_on_disk:.3e} "
+                         f"does not exceed tail budget {out.tail_budget:.3e}")
+    assert out.consistent()
 
 
 @pytest.mark.parametrize("changes, gap", [
@@ -262,10 +274,9 @@ def test_count_zeros_additive_under_subdivision():
 
 def test_zero_on_a_strip_corner_is_flagged():
     # the strip's corner stays a corner of one cell at every split, so that
-    # cell is split max_depth times and then flagged; the count goes on
+    # cell is split STRIP_MAX_DEPTH times and then flagged; the count goes on
     H = lambda s: s - (1.05 + 4.0j)
-    result = count_zeros_in_strip(H, (1.05, 1.6), (4.0, 8.0), subdivision=2,
-                                  max_depth=2)
+    result = count_zeros_in_strip(H, (1.05, 1.6), (4.0, 8.0), subdivision=2)
     assert result.total == 0
     assert result.cells == 4 + 4 + 4
     assert len(result.flagged) == 1
@@ -293,7 +304,7 @@ def test_evaluators_near_the_boundary_give_an_infinite_bound():
     f, order = problem.f_on_full_vars(), problem.variable_order
     sigma, t, P = 1.0001, 3.0, 5000
     ps = primes_up_to(P)
-    asg = PhaseAssignment(ps, np.full(len(ps), t), fill_value=t, y=0)
+    asg = PhaseAssignment(ps, np.full(len(ps), t), y=0)
     ev = CombEvaluator(f, order, P=P)
     results = [ev.at(complex(sigma, t)),
                ev.anchored(t)(complex(sigma, 0.0)),
@@ -312,7 +323,7 @@ def test_every_evaluator_refuses_a_spec_at_its_local_factor_radius():
     f = CombPolynomial(1, ((c(1.0), (1,)), (c(-1.0), (0,))))
     sigma, P = math.log2(3.0) - 1e-9, 10
     ev = CombEvaluator(f, [F], P)
-    asg = PhaseAssignment(primes_up_to(P), np.zeros(4), fill_value=0.0, y=0)
+    asg = PhaseAssignment(primes_up_to(P), np.zeros(4), y=0)
     calls = [lambda: eval_partial_euler(F, complex(sigma, 0.0), P),
              lambda: ev.at(complex(sigma, 0.0)),
              lambda: ev.anchored(100.0)(complex(sigma, 0.0)),

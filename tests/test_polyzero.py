@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zerosep import polyzero
 from zerosep.errors import (ContourTooClose, DegenerateInput,
                             MonomialDegenerate, SearchExhausted)
 from zerosep.euler import EvalResult
@@ -100,13 +101,14 @@ def test_separating_zero_monomial_rejected():
         find_separating_zero(f, g)
 
 
-def test_separating_zero_exhaustion_diagnostics():
+def test_separating_zero_exhaustion_diagnostics(monkeypatch):
     # f's zero set lies entirely on a coordinate hyperplane: x1 * (x1 + 1)
     # has zeros only at x1 = 0 and x1 = -1; forbid both via floor and margin
     f = ComplexPolynomial.from_dict(1, {(2,): 1, (1,): 1})
     g = ComplexPolynomial.from_dict(1, {(0,): 1, (1,): 1})  # 1 + x1
+    monkeypatch.setattr(polyzero, "MAX_RETRIES", 10)
     with pytest.raises(SearchExhausted) as err:
-        find_separating_zero(f, g, max_retries=10, seed=0)
+        find_separating_zero(f, g, seed=0)
     diag = err.value.diagnostics
     assert diag["attempts"] == 10
     assert diag["rejected_floor"] + diag["rejected_margin"] > 0

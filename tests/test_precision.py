@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from zerosep.lattice import simultaneous_approx
-from zerosep.precision import FLOAT_SAFE_T, needed_bits, phases_for_ints
+from zerosep.errors import ParseError
+from zerosep.precision import (FLOAT_SAFE_T, mpf_from_text, mpf_to_text,
+                               needed_bits, phases_for_ints)
 from zerosep.primes import primes_up_to
 
 TWO_PI = 2.0 * math.pi
@@ -95,3 +97,19 @@ def test_phases_for_ints_reduce_in_float_up_to_float_safe_t(t):
     ns = np.array([2, 3, 5, 7919])
     np.testing.assert_array_equal(phases_for_ints(t, ns),
                                   np.mod(t * np.log(ns.astype(np.float64)), TWO_PI))
+
+
+def test_height_text_keeps_every_bit_of_the_height():
+    # a 96-bit height from the lattice polish, as the toy pipeline's approx
+    # stage returns it: its text names that height, not its 53-bit rounding
+    with mp.workprec(256):
+        t = mp.mpf((59431180268052237827064970601, -63))
+    text = mpf_to_text(t)
+    assert text == "59431180268052237827064970601*2^-63"
+    again = mpf_from_text(text)
+    assert again._mpf_ == t._mpf_
+    assert mpf_to_text(mp.mpf(-0.375)) == "-3*2^-3"
+    assert mpf_from_text("-3*2^-3") == -0.375
+    for bad in ("3*2^", "1.5*2^3", "3"):
+        with pytest.raises(ParseError, match="bad height m"):
+            mpf_from_text(bad)

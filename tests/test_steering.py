@@ -29,10 +29,10 @@ def test_target_validation():
 
 
 def test_assignment_fill_and_missing():
-    asg = PhaseAssignment(np.array([7, 11]), np.array([0.5, -0.2]),
-                          fill_value=3.0, y=5)
+    # primes at or below y are unshifted
+    asg = PhaseAssignment(np.array([7, 11]), np.array([0.5, -0.2]), y=5)
     expected = [(t * math.log(p)) % (2 * math.pi)
-                for p, t in [(3, 3.0), (7, 0.5), (11, -0.2)]]
+                for p, t in [(3, 0.0), (7, 0.5), (11, -0.2)]]
     assert np.allclose(asg.phases(np.array([3, 7, 11])), expected,
                        rtol=0, atol=1e-14)
     with pytest.raises(MissingPhase, match="prime 13"):
@@ -42,8 +42,7 @@ def test_assignment_fill_and_missing():
 
 
 def test_assignment_csv_round_trip(tmp_path):
-    asg = PhaseAssignment(np.array([7, 11]), np.array([0.5, -0.25]),
-                          fill_value=1.5, y=5)
+    asg = PhaseAssignment(np.array([7, 11]), np.array([0.5, -0.25]), y=5)
     path = tmp_path / "phases.csv"
     asg.to_csv(str(path), meta={"sigma": 1.05, "y": 5, "P": 12,
                                 "seed": 0, "residuals": "1e-9"})
