@@ -20,14 +20,13 @@ from .euler import (EulerProductSpec, EvalResult, eval_dirichlet_sum,
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
 from .lattice import (ApproximationResult, almost_periods, simultaneous_approx)
 from .locate import (CombEvaluator, ZeroCertificate, certify_noncoincidence,
-                     count_zeros_in_strip, refine_zero, twisted_eval)
+                     refine_zero, twisted_eval)
 from .pfinite import PFiniteSeries
 from .pipeline import (PipelineConfig, RunRecord, builtin_config,
                        builtin_problem, export_certificate,
                        run_separation_pipeline)
 from .polyzero import (ComplexPolynomial, RoucheCertificate, SeparatingZero,
-                       find_separating_zero, rouche_delta, univariate_roots,
-                       winding_number)
+                       find_separating_zero, rouche_delta, univariate_roots)
 from .steering import (PhaseAssignment, SteeringResult, SteeringTarget,
                        SteerOptions, solve_phases, track_zero_in_sigma)
 
@@ -39,11 +38,11 @@ __all__ = [
     "finite_euler_spec", "lfunction_spec", "sparse_zeta_spec", "zeta_spec",
     "hurwitz_as_combination", "hurwitz_eval", "ApproximationResult",
     "almost_periods", "simultaneous_approx", "CombEvaluator", "ZeroCertificate",
-    "certify_noncoincidence", "count_zeros_in_strip", "refine_zero",
+    "certify_noncoincidence", "refine_zero",
     "twisted_eval", "PFiniteSeries", "PipelineConfig", "RunRecord",
     "builtin_config", "builtin_problem", "export_certificate",
     "run_separation_pipeline", "ComplexPolynomial", "RoucheCertificate",
     "SeparatingZero", "find_separating_zero", "rouche_delta",
-    "univariate_roots", "winding_number", "PhaseAssignment", "SteeringResult",
+    "univariate_roots", "PhaseAssignment", "SteeringResult",
     "SteeringTarget", "SteerOptions", "solve_phases", "track_zero_in_sigma",
 ]

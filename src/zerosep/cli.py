@@ -1,7 +1,7 @@
 """Command line front end.
 
-Subcommands: characters, hurwitz, steer, approx, separate, replicate,
-count.  ``replicate`` reads t and the aligned primes from a run record's
+Subcommands: characters, hurwitz, steer, approx, separate, replicate.
+``replicate`` reads t and the aligned primes from a run record's
 approx stage; it runs no stage again.  Pipeline failures exit with the
 failing stage's code (see ``zerosep separate --help``); other library
 errors exit 1.
@@ -20,7 +20,7 @@ from .combfile import read_text
 from .errors import EmptyRecord, ParseError, StageError, ZerosepError
 from .hurwitz import hurwitz_as_combination, hurwitz_eval
 from .lattice import simultaneous_approx
-from .locate import CombEvaluator, count_zeros_in_strip
+from .locate import CombEvaluator
 from .pipeline import (STAGE_EXIT_CODES, PipelineConfig, RunRecord,
                        builtin_config, export_certificate, replicate_heights,
                        run_separation_pipeline, _json_safe, _load_problem)
@@ -153,26 +153,14 @@ def cmd_replicate(args) -> int:
     approx = next((st for st in record.stages if st.name == "approx"), None)
     if approx is None or approx.status != "ok":
         raise EmptyRecord("run record has no ok 'approx' stage to replicate from")
+    if "t" not in approx.data:
+        raise ParseError("run record's approx stage has no 't' key")
+    if not approx.data.get("primes"):
+        raise ParseError("run record's approx stage has no aligned primes")
     data = replicate_heights(_load_problem(record.config), record.config,
                              mpf_from_text(approx.data["t"]),
                              approx.data["primes"][-1], args.count)
     print(json.dumps(_json_safe(data), indent=2, default=str))
-    return 0
-
-
-def cmd_count(args) -> int:
-    config = _config_from_args(args)
-    problem = _load_problem(config)
-    ev = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
-                       P=config.locate_cutoff)
-    s_range = _parse_fields(args.sigma_range, ":", (float, float), "range lo:hi")
-    t_range = _parse_fields(args.t_range, ":", (float, float), "range lo:hi")
-    result = count_zeros_in_strip(ev.at, s_range, t_range,
-                                  subdivision=args.subdivision)
-    print(f"zeros (with multiplicity): {result.total}")
-    print(f"cells evaluated: {result.cells}, flagged: {len(result.flagged)}")
-    for cell, reason in result.flagged:
-        print(f"  unresolved {cell}: {reason}")
     return 0
 
 
@@ -234,14 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", required=True)
     p.add_argument("--count", type=int, default=3)
     p.set_defaults(fn=cmd_replicate)
-
-    p = sub.add_parser("count", help="count zeros in a rectangle")
-    add_problem_args(p)
-    p.add_argument("--sigma-range", dest="sigma_range", required=True,
-                   help="lo:hi with lo > 1")
-    p.add_argument("--t-range", dest="t_range", required=True, help="lo:hi")
-    p.add_argument("--subdivision", type=int, default=4)
-    p.set_defaults(fn=cmd_count)
     return ap
 
 

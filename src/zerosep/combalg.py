@@ -288,7 +288,7 @@ def find_nonvanishing_t0(aux: AuxiliaryCombination) -> float:
     raise SearchFailure(
         f"no t in [{T0_MIN}, {T0_MAX}] reaches coefficient margin "
         f"{T0_MARGIN} (best {best_m:.3e} at t = {best_t:.6f})",
-        best_t=best_t, best_margin=best_m)
+        best_margin=best_m)
 
 
 SANITY_LINES = 3  # random lines coprimality_sanity restricts f and g to

@@ -16,16 +16,12 @@ class ArityMismatch(ZerosepError):
 
 
 class SearchFailure(ZerosepError):
-    """A grid search did not reach the requested margin.
+    """A grid search did not reach the requested margin.  ``best_margin`` is
+    the closest candidate's, whose height the message quotes, so the caller
+    can widen the range or lower the margin."""
 
-    ``best_t`` / ``best_margin`` describe the closest candidate found so the
-    caller can widen the range or lower the margin.
-    """
-
-    def __init__(self, message: str, best_t: float | None = None,
-                 best_margin: float | None = None):
+    def __init__(self, message: str, best_margin: float | None = None):
         super().__init__(message)
-        self.best_t = best_t
         self.best_margin = best_margin
 
 
@@ -61,12 +57,7 @@ class RefinementExhausted(ContourTooClose):
 
 
 class DriftTooLarge(ZerosepError):
-    """Coefficient drift between two evaluation points exceeds the stability radius."""
-
-    def __init__(self, message: str, drift: float = 0.0, delta: float = 0.0):
-        super().__init__(message)
-        self.drift = drift
-        self.delta = delta
+    """Coefficient drift exceeds the stability radius; the message quotes both."""
 
 
 class Infeasible(ZerosepError):
@@ -130,15 +121,14 @@ class EmptyRecord(ZerosepError):
 
 
 class StageError(ZerosepError):
-    """Pipeline stage failure wrapper; ``stage`` names the failing stage and
-    ``record`` holds the run record up to and including that stage."""
+    """Pipeline stage failure wrapper: ``stage`` names the failing stage,
+    ``record`` holds the run record up to it and ``__cause__`` is its error."""
 
     def __init__(self, stage: str, cause: Exception, record=None):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
-        self.cause = cause
         self.record = record
 
 
 class ParseError(ZerosepError):
-    """Malformed combination definition file or config."""
+    """Malformed combination file, config, run record or certificate."""

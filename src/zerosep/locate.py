@@ -1,7 +1,7 @@
 """Certified zero location for combinations of Euler products: twisted
 evaluation at a steered shift table (a check on steering that the pipeline
-does not run), Newton polishing with winding certification, non-coincidence
-margins and strip counts.  The pipeline's locate and replicate stages share
+does not run), Newton polishing with winding certification and
+non-coincidence margins.  The pipeline's locate and replicate stages share
 one routine around ``refine_zero``; replicate runs it at each height
 t + tau_k, for the almost periods tau_k of the aligned primes.
 
@@ -33,11 +33,9 @@ stops at once they are one point and one evaluation.
 callable that returns an :class:`zerosep.euler.EvalResult` (a closed form,
 ``CombEvaluator.at``) is called at every point.
 
-Zero certificates and strip counts both run on
-:func:`zerosep.polyzero.winding_scan`, the one argument-principle routine:
-``refine_zero`` scans circles and adds only the boundary minimum and the
-evaluation budget over the scan's samples; ``count_zeros_in_strip`` scans
-rectangles.
+Zero certificates run on :func:`zerosep.polyzero.winding_scan`, the one
+argument-principle routine: ``refine_zero`` scans circles and adds only the
+boundary minimum and the evaluation budget over the scan's samples.
 """
 
 from __future__ import annotations
@@ -51,11 +49,11 @@ import mpmath as mp
 import numpy as np
 
 from .combalg import CombPolynomial, combine
-from .errors import ArityMismatch, ContourTooClose, DomainError, NoZeroFound
+from .errors import (ArityMismatch, ContourTooClose, DomainError, NoZeroFound,
+                     ParseError)
 from .euler import (EPS, EulerProductSpec, EvalResult, local_log_model,
                     local_logs, truncated_exp)
-from .polyzero import (Circle, Rectangle, WindingParams, winding_number,
-                       winding_scan)
+from .polyzero import Circle, winding_scan
 from .precision import needed_bits, phases_for_ints
 from .steering import PhaseAssignment
 from .primes import log_primes, primes_up_to
@@ -297,34 +295,48 @@ class ZeroCertificate:
 
     @staticmethod
     def from_text(text: str) -> "ZeroCertificate":
+        """The certificate :meth:`to_text` wrote, or ``ParseError`` naming a
+        missing row, a line without a value or a value that does not parse."""
         lines = text.strip().splitlines()
         if not lines or lines[0] != "zerosep-zero-certificate v1":
-            raise DomainError("not a zero certificate record")
-        rows = {}
-        meta = {}
+            raise ParseError("not a zero certificate record")
+        rows, meta = {}, {}
         for ln in lines[1:]:
-            key, rest = ln.split(" ", 1)
+            key, sep, rest = ln.partition(" ")
+            if not sep:
+                raise ParseError(f"certificate line {ln!r} has no value")
             if key.startswith("meta."):
                 meta[key[5:]] = rest
             else:
                 rows[key] = rest
-        cr, ci = (float(x) for x in rows["center"].split())
-        vr, vi = (float(x) for x in rows["value_at_center"].split())
+
+        def row(key: str, kind: Callable = float, optional: bool = False):
+            if key not in rows:
+                raise ParseError(f"certificate has no {key!r} row")
+            if optional and rows[key] == "none":
+                return None
+            try:
+                if kind is complex:
+                    re_part, im_part = (float(x) for x in rows[key].split())
+                    return complex(re_part, im_part)
+                return kind(rows[key])
+            except ValueError:
+                raise ParseError(f"certificate row {key!r} does not parse: "
+                                 f"{rows[key]!r}") from None
+
         return ZeroCertificate(
-            center=complex(cr, ci), radius=float(rows["radius"]),
-            winding=int(rows["winding"]), boundary_min=float(rows["boundary_min"]),
-            tail_budget=float(rows["tail_budget"]),
-            g_min_on_disk=None if rows["g_min_on_disk"] == "none"
-            else float(rows["g_min_on_disk"]),
-            status=rows["status"],
-            value_at_center=complex(vr, vi),
-            anchor=None if rows["anchor"] == "none" else rows["anchor"],
-            precision_bits=int(rows["precision_bits"]), meta=meta)
+            center=row("center", complex), radius=row("radius"),
+            winding=row("winding", int), boundary_min=row("boundary_min"),
+            tail_budget=row("tail_budget"),
+            g_min_on_disk=row("g_min_on_disk", optional=True),
+            status=row("status", str),
+            value_at_center=row("value_at_center", complex),
+            anchor=row("anchor", str, optional=True),
+            precision_bits=row("precision_bits", int), meta=meta)
 
 
 NEWTON_ITERS = 40  # Newton iterations refine_zero takes at most
 FD_STEP = 1e-6  # Newton's central-difference step; iterates keep this far from Re s = 1
-CIRCLE_WINDING = WindingParams(initial_samples=48, max_samples=4096)  # per circle
 SHRINK = (1.0, 0.6, 0.35, 0.2, 0.1)  # circle radii of refine_zero, as fractions of r0
 
 
@@ -332,7 +344,7 @@ def _circle_scan(H: Callable, circle: Circle):
     """Winding count from :func:`winding_scan`, then, over its samples, the
     boundary minimum net of evaluation error and of a margin from sampled
     slopes, and the largest evaluation budget on the circle."""
-    winding, samples = winding_scan(H, circle, CIRCLE_WINDING)
+    winding, samples = winding_scan(H, circle)
     radius = circle.radius
     ts = sorted(samples)
     vs = [samples[t] for t in ts]
@@ -481,49 +493,3 @@ def certify_noncoincidence(cert: ZeroCertificate, g_comb: Callable) -> ZeroCerti
     out = replace(cert, g_min_on_disk=float(gmin))
     return replace(out, status="numeric-only" if out.gap() else "certified")
 
-
-# --- strip counting -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StripCount:
-    total: int
-    flagged: tuple  # ((sigma_lo, sigma_hi, t_lo, t_hi), reason) pairs
-    cells: int
-
-
-STRIP_WINDING = WindingParams(initial_samples=32, max_samples=8192)  # per cell
-STRIP_MAX_DEPTH = 2  # times a cell whose boundary cannot be resolved is split
-
-
-def count_zeros_in_strip(H: Callable, sigma_range: tuple, t_range: tuple,
-                         subdivision: int = 4) -> StripCount:
-    """Sum of winding numbers over a rectangle in Re(s) > 1, cut into
-    ``subdivision`` cells each way.
-
-    Cells whose boundary cannot be resolved are split up to
-    ``STRIP_MAX_DEPTH`` times and flagged (not fatal) if still unresolved.
-    """
-    s_lo, s_hi = float(sigma_range[0]), float(sigma_range[1])
-    if s_lo <= 1:
-        raise DomainError("strip must sit inside Re(s) > 1")
-    t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    n = subdivision
-    work = [(s_lo + (s_hi - s_lo) * i / n, s_lo + (s_hi - s_lo) * (i + 1) / n,
-             t_lo + (t_hi - t_lo) * j / n, t_lo + (t_hi - t_lo) * (j + 1) / n, 0)
-            for i in range(n) for j in range(n)]
-    total = cells = 0
-    flagged = []
-    while work:
-        a, b, c, d, depth = work.pop()
-        cells += 1
-        try:
-            total += winding_number(H, Rectangle(a, b, c, d), STRIP_WINDING)
-        except ContourTooClose as exc:
-            if depth < STRIP_MAX_DEPTH:
-                am, cm = 0.5 * (a + b), 0.5 * (c + d)
-                work.extend([(a, am, c, cm, depth + 1), (am, b, c, cm, depth + 1),
-                             (a, am, cm, d, depth + 1), (am, b, cm, d, depth + 1)])
-            else:
-                flagged.append(((a, b, c, d), str(exc)))
-    return StripCount(total=total, flagged=tuple(flagged), cells=cells)

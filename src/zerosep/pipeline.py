@@ -68,21 +68,25 @@ class PipelineConfig:
     replicate_count: int = 0
     out_dir: str = "."
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
         return PipelineConfig.from_dict(_json_object(text, "config"))
 
     @staticmethod
     def from_dict(obj) -> "PipelineConfig":
-        """Config from its JSON object; unknown keys raise ``ParseError``."""
+        """Config from its JSON object; an unknown key, a bool or a value not
+        of its field's type (an int counts as a float) raises ``ParseError``."""
         if not isinstance(obj, dict):
             raise ParseError("config is not a JSON object")
-        unknown = sorted(set(obj) - {f.name for f in fields(PipelineConfig)})
+        types = {f.name: f.type for f in fields(PipelineConfig)}
+        unknown = sorted(set(obj) - set(types))
         if unknown:
             raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in obj.items():
+            accepted = {"int": int, "float": (int, float), "str": str}[types[key]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ParseError(f"config key {key} must be of type {types[key]}, "
+                                 f"not {value!r}")
         return PipelineConfig(**obj)
 
     @property
@@ -99,7 +103,7 @@ class PipelineConfig:
             raise DomainError("approx_accuracy must lie in (0, pi)")
         if not self.steer_tol > 0:
             raise DomainError("steer_tol must be positive")
-        for name in ("replicate_count", "locate_P", "zero_margin"):
+        for name in ("replicate_count", "locate_P", "zero_margin", "seed"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must not be negative")
 
@@ -118,12 +122,6 @@ class RunRecord:
     stages: list
     certificates: list  # ZeroCertificate objects
     version: str = __version__
-
-    def stage(self, name: str) -> StageOutcome:
-        for st in self.stages:
-            if st.name == name:
-                return st
-        raise KeyError(name)
 
     def to_json(self) -> str:
         payload = {
@@ -146,9 +144,12 @@ class RunRecord:
                         certificates=[ZeroCertificate.from_text(t)
                                       for t in obj["certificates"]],
                         version=obj.get("version", "unknown"))
-        for s in obj["stages"]:
-            rec.stages.append(StageOutcome(s["name"], s["status"], s["seconds"],
-                                           s["data"]))
+        keys = ("name", "status", "seconds", "data")
+        for i, s in enumerate(obj["stages"]):
+            missing = [k for k in keys if not isinstance(s, dict) or k not in s]
+            if missing:
+                raise ParseError(f"run record stage {i} has no {missing[0]!r} key")
+            rec.stages.append(StageOutcome(*(s[k] for k in keys)))
         return rec
 
 

@@ -1,9 +1,8 @@
 """Complex multivariate polynomial machinery: witness zeros off the coordinate
-hyperplanes, coefficient-stability radii, and winding-number counts.
+hyperplanes, coefficient-stability radii, and winding numbers around circles.
 
-:func:`winding_scan` is the package's one argument-principle routine:
-``locate`` certifies zeros on its circle samples and counts zeros in strips
-with it on rectangles.
+:func:`winding_scan` is the package's one argument-principle routine, and
+``locate`` certifies zeros on the samples it takes around a :class:`Circle`.
 """
 
 from __future__ import annotations
@@ -146,12 +145,6 @@ class SeparatingZero:
     base: np.ndarray
     direction: np.ndarray
     line_parameter: complex
-
-    def __iter__(self):
-        return iter(self.x)
-
-    def __len__(self):
-        return len(self.x)
 
 
 def _random_annulus(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -341,47 +334,21 @@ class Circle:
         return self.center + self.radius * cmath.exp(2j * math.pi * t)
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-
-    def point(self, t: float) -> complex:
-        w, h = self.re_max - self.re_min, self.im_max - self.im_min
-        per = 2.0 * (w + h)
-        d = (t % 1.0) * per
-        if d < w:
-            return complex(self.re_min + d, self.im_min)
-        d -= w
-        if d < h:
-            return complex(self.re_max, self.im_min + d)
-        d -= h
-        if d < w:
-            return complex(self.re_max - d, self.im_max)
-        d -= w
-        return complex(self.re_min, self.im_max - d)
+WINDING_SAMPLES = 48  # evenly spaced samples a winding scan starts from
+WINDING_MAX_SAMPLES = 4096  # samples after which a winding scan gives up
 
 
-@dataclass(frozen=True)
-class WindingParams:
-    initial_samples: int = 64
-    max_samples: int = 65536
-
-
-def winding_scan(h: Callable, contour,
-                 refinement: WindingParams = WindingParams()) -> tuple[int, dict]:
+def winding_scan(h: Callable, contour) -> tuple[int, dict]:
     """Winding number of h around the contour, with every sample it took as
     ``{t: h(contour.point(t))}`` (h may return anything ``complex()`` accepts).
 
     The one adaptive argument-principle scan: it bisects until every
     successive phase step is under pi/2, so the integer count is
     unambiguous, and raises if h is exactly 0 at a sample or the sample cap
-    is hit first.
+    is hit first.  It starts from ``WINDING_SAMPLES`` samples and stops at
+    ``WINDING_MAX_SAMPLES``.
     """
-    m0 = max(refinement.initial_samples, 8)
-    params = [i / m0 for i in range(m0)] + [1.0]
+    params = [i / WINDING_SAMPLES for i in range(WINDING_SAMPLES)] + [1.0]
     samples = {}
 
     def val(t: float) -> complex:
@@ -406,10 +373,10 @@ def winding_scan(h: Callable, contour,
         if abs(cmath.phase(ratio)) < math.pi / 2:
             safe.append((a, b))
             continue
-        if len(samples) >= refinement.max_samples:
+        if len(samples) >= WINDING_MAX_SAMPLES:
             raise RefinementExhausted(
                 f"phase step at [{a:.6f},{b:.6f}] unresolved at "
-                f"{refinement.max_samples} samples")
+                f"{WINDING_MAX_SAMPLES} samples")
         mid = 0.5 * (a + b)
         val(mid)
         work.append((a, mid))
@@ -420,10 +387,3 @@ def winding_scan(h: Callable, contour,
     if abs(n - k) > 0.25:
         raise RefinementExhausted(f"argument sum {n:.4f} is not close to an integer")
     return int(k), samples
-
-
-def winding_number(h: Callable, contour,
-                   refinement: WindingParams = WindingParams()) -> int:
-    """Total argument change of h around the contour, divided by 2*pi
-    (see :func:`winding_scan`)."""
-    return winding_scan(h, contour, refinement)[0]

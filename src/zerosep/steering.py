@@ -337,7 +337,7 @@ def track_zero_in_sigma(aux: AuxiliaryCombination, x: SeparatingZero, R: float,
     if drift > cert.delta:
         raise DriftTooLarge(
             f"coefficient drift {drift:.3e} exceeds stability radius "
-            f"{cert.delta:.3e}; reduce sigma - 1", drift=drift, delta=cert.delta)
+            f"{cert.delta:.3e}; reduce sigma - 1")
     f2, g2 = aux.f_poly_at(s2), aux.g_poly_at(s2)
     roots = univariate_roots(f2.restrict(x.base, x.direction))
     if not roots:

@@ -9,6 +9,7 @@ import pytest
 
 from zerosep import cli, pipeline
 from zerosep.errors import ParseError
+from zerosep.locate import ZeroCertificate
 from zerosep.pipeline import (BUILTIN_DEFAULTS, STAGE_EXIT_CODES, PipelineConfig,
                               RunRecord)
 from zerosep.primes import primes_up_to
@@ -45,6 +46,19 @@ def test_separate_certifies_toy_pair(tmp_path):
     assert _separate(5, tmp_path) == 0
     with open(tmp_path / "zero-00.cert") as fh:
         assert "status certified\n" in fh.read()
+
+
+def test_toy_seed_5_certificate(tmp_path):
+    assert cli.main(["separate", "--builtin", "toy-finite-pair", "--seed", "5",
+                     "--out-dir", str(tmp_path)]) == 0
+    cert = ZeroCertificate.from_text((tmp_path / "zero-00.cert").read_text())
+    assert (cert.status, cert.winding, cert.radius) == ("certified", 1, 0.02)
+    assert cert.anchor == "59431180268052237827064970601*2^-63"
+    assert cert.center.real == pytest.approx(1.0445892597875908, rel=1e-9)
+    assert cert.center.imag == pytest.approx(0.004824365408548406, rel=1e-9)
+    assert cert.boundary_min == pytest.approx(0.013164005752152586, rel=1e-9)
+    assert cert.g_min_on_disk == pytest.approx(0.5092233509449235, rel=1e-9)
+    assert abs(cert.value_at_center) < 1e-12
 
 
 def test_exit_codes_name_exactly_the_stages_run(tmp_path):
@@ -268,6 +282,7 @@ def test_config_with_no_witness_draws_is_refused(tmp_path, capsys):
     ("replicate_count", -2, "replicate_count must not be negative"),
     ("locate_P", -1, "locate_P must not be negative"),
     ("zero_margin", -1e-3, "zero_margin must not be negative"),
+    ("seed", -1, "seed must not be negative"),
 ])
 def test_config_out_of_domain_is_refused_before_any_stage(tmp_path, capsys, field,
                                                           value, message):
@@ -308,6 +323,54 @@ def test_replicate_refuses_record_without_a_required_key(tmp_path, capsys,
     assert f"run record has no '{key}' key" in capsys.readouterr().err
 
 
+_CERT = ZeroCertificate(center=1.05 + 0.25j, radius=0.01, winding=1,
+                        boundary_min=1e-3, tail_budget=1e-7, g_min_on_disk=0.2,
+                        status="certified", value_at_center=1e-15 + 0j).to_text()
+
+
+def _approx_stage(data):
+    return {"name": "approx", "status": "ok", "seconds": 0.0, "data": data}
+
+
+@pytest.mark.parametrize("certificates, stages, message", [
+    (["zerosep-zero-certificate v1\nstatus certified\n"], [],
+     "certificate has no 'center' row"),
+    ([_CERT.replace("winding 1", "winding")], [],
+     "certificate line 'winding' has no value"),
+    ([_CERT.replace("radius 0.01", "radius 0.0l")], [],
+     "certificate row 'radius' does not parse: '0.0l'"),
+    ([], [{"name": "approx", "seconds": 0.0, "data": {}}],
+     "run record stage 0 has no 'status' key"),
+    ([], [_approx_stage({"primes": [11]})], "run record's approx stage has no 't' key"),
+    ([], [_approx_stage({"t": "1*2^0", "primes": []})],
+     "run record's approx stage has no aligned primes"),
+], ids=["certificate without center", "line without a value", "unparsable number",
+        "stage without status", "approx without t", "approx with no primes"])
+def test_replicate_refuses_a_malformed_record_naming_what_it_lacks(
+        tmp_path, capsys, certificates, stages, message):
+    record = json.loads(RunRecord(PipelineConfig(), [], []).to_json())
+    record.update(certificates=certificates, stages=stages)
+    path = tmp_path / "run_record.json"
+    path.write_text(json.dumps(record))
+    assert cli.main(["replicate", "--record", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"sigma": "abc"}, "config key sigma must be of type float, not 'abc'"),
+    ({"seed": None}, "config key seed must be of type int, not None"),
+    ({"P": 1.5e3}, "config key P must be of type int, not 1500.0"),
+], ids=["string sigma", "null seed", "float P"])
+def test_config_value_of_the_wrong_type_is_refused_naming_its_key(
+        tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["separate", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "run_record.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["separate", "--config"],
                                   ["replicate", "--record"]])
 def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
@@ -316,23 +379,24 @@ def test_missing_input_file_exits_1_naming_it(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
 
-def _count_file(spec_a):
-    """``count`` on the toy file with toyA declared as ``spec_a``; the test
-    writes the file text that stands in the argument list."""
-    return ["count", "--file", TOY_FILE.replace(TOY_A, spec_a),
-            "--sigma-range", "1.1:1.2", "--t-range", "0:1"]
+def _steer_file(spec_a):
+    """``steer`` on the toy file with toyA declared as ``spec_a``; the test
+    writes the file text that stands in the argument list.  ``steer`` loads
+    the file before it reads the targets."""
+    return ["steer", "--file", TOY_FILE.replace(TOY_A, spec_a),
+            "--targets", "1,0;1,0"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (_count_file("toyA = dirichlet_L modulus=5 index=9"),
+    (_steer_file("toyA = dirichlet_L modulus=5 index=9"),
      "character index 9 out of range mod 5"),
-    (_count_file("toyA = dirichlet_L modulus=5 index=-1"),
+    (_steer_file("toyA = dirichlet_L modulus=5 index=-1"),
      "character index -1 out of range mod 5"),
-    (_count_file("toyA = dirichlet_L modulus=five index=1"),
+    (_steer_file("toyA = dirichlet_L modulus=five index=1"),
      "line 3: 'toyA = dirichlet_L modulus=five index=1': invalid literal for int()"),
     (["approx", "--phases", "2:1.0,3"], "bad phase p:theta: '3'"),
-    (["count", "--builtin", "toy-finite-pair", "--sigma-range", "1.1",
-      "--t-range", "0:1"], "bad range lo:hi: '1.1'"),
+    (["steer", "--builtin", "toy-finite-pair", "--targets", "1,0;1,x"],
+     "bad complex value re[,im]: '1,x'"),
     (["hurwitz", "--a", "1", "--q", "3", "--s", "2,x"], "bad complex value re[,im]: '2,x'"),
     (["approx", "--phases", "1:1.0,2:2.0"], "phase key 1 is not a prime"),
     (["approx", "--phases=-3:1.0,2:2.0"], "phase key -3 is not a prime"),
@@ -343,7 +407,7 @@ def _count_file(spec_a):
 ])
 def test_malformed_cli_value_exits_1_with_an_error_line(tmp_path, capsys, argv,
                                                         message):
-    if argv[:2] == ["count", "--file"]:
+    if argv[:2] == ["steer", "--file"]:
         (tmp_path / "x.comb").write_text(argv[2])
         argv = argv[:2] + [str(tmp_path / "x.comb")] + argv[3:]
     assert cli.main(argv) == 1

@@ -11,8 +11,7 @@ from zerosep.errors import DomainError, MissingPhase, NoZeroFound
 from zerosep.euler import (EvalResult, eval_partial_euler, finite_euler_spec,
                            zeta_spec)
 from zerosep.locate import (CombEvaluator, ZeroCertificate,
-                            certify_noncoincidence, count_zeros_in_strip,
-                            refine_zero, twisted_eval)
+                            certify_noncoincidence, refine_zero, twisted_eval)
 from zerosep.pfinite import PFiniteSeries
 from zerosep.pipeline import builtin_problem
 from zerosep.primes import primes_up_to
@@ -245,56 +244,6 @@ def test_certificate_text_round_trip():
     assert again == cert
     # byte stability
     assert cert.to_text() == again.to_text()
-
-
-def test_count_zeros_polynomial():
-    H = lambda s: (s - (1.2 + 5j)) * (s - (1.3 + 7j))
-    result = count_zeros_in_strip(H, (1.05, 1.6), (4.0, 8.0), subdivision=3)
-    assert result.total == 2
-    assert result.flagged == ()
-
-
-def test_count_zeros_euler_product_region():
-    z = zeta_spec()
-    f = CombPolynomial(1, ((c(1.0), (1,)),))
-    ev = CombEvaluator(f, [z], P=1000)
-    result = count_zeros_in_strip(ev.at, (1.2, 2.0), (0.0, 8.0), subdivision=2)
-    assert result.total == 0
-    assert result.flagged == ()
-
-
-def test_count_zeros_additive_under_subdivision():
-    # zeros placed away from every subdivision boundary
-    H = lambda s: (s - (1.21 + 4.9j)) * (s - (1.33 + 7.3j))
-    r1 = count_zeros_in_strip(H, (1.05, 1.6), (4.0, 8.0), subdivision=1)
-    r2 = count_zeros_in_strip(H, (1.05, 1.6), (4.0, 8.0), subdivision=4)
-    assert r1.flagged == () and r2.flagged == ()
-    assert r1.total == r2.total == 2
-
-
-def test_zero_on_a_strip_corner_is_flagged():
-    # the strip's corner stays a corner of one cell at every split, so that
-    # cell is split STRIP_MAX_DEPTH times and then flagged; the count goes on
-    H = lambda s: s - (1.05 + 4.0j)
-    result = count_zeros_in_strip(H, (1.05, 1.6), (4.0, 8.0), subdivision=2)
-    assert result.total == 0
-    assert result.cells == 4 + 4 + 4
-    assert len(result.flagged) == 1
-    (a, b, c, d), reason = result.flagged[0]
-    assert (a, c) == (1.05, 4.0) and b - a < 0.1 and d - c < 1.0
-    assert reason.endswith("the contour passes through a zero")
-
-
-def test_elongated_cell_counts_both_zeros():
-    H = lambda s: (s - (1.07 + 5.0j)) * (s - (1.08 + 13.0j))
-    result = count_zeros_in_strip(H, (1.05, 1.1), (0.0, 20.0), subdivision=1)
-    assert result.flagged == ()
-    assert result.total == 2
-
-
-def test_strip_domain():
-    with pytest.raises(DomainError):
-        count_zeros_in_strip(lambda s: s, (0.9, 2.0), (0.0, 1.0))
 
 
 def test_evaluators_near_the_boundary_give_an_infinite_bound():

@@ -6,12 +6,11 @@ import pytest
 
 from zerosep import polyzero
 from zerosep.errors import (ContourTooClose, DegenerateInput,
-                            MonomialDegenerate, SearchExhausted)
+                            MonomialDegenerate, RefinementExhausted,
+                            SearchExhausted)
 from zerosep.euler import EvalResult
-from zerosep.polyzero import (Circle, ComplexPolynomial, Rectangle,
-                              WindingParams, find_separating_zero,
-                              rouche_delta, univariate_roots, winding_number,
-                              winding_scan)
+from zerosep.polyzero import (Circle, ComplexPolynomial, find_separating_zero,
+                              rouche_delta, univariate_roots, winding_scan)
 
 
 # --- univariate roots ---------------------------------------------------------
@@ -208,8 +207,8 @@ def test_rouche_perturbation_trials():
             * rng.uniform(size=2)
         ft = f.perturbed(df)
         gt = g.perturbed(dg)
-        w = winding_number(lambda t: ft.evaluate(yv + t * uv),
-                           Circle(0.0, cert.inner_radius))
+        w = winding_scan(lambda t: ft.evaluate(yv + t * uv),
+                         Circle(0.0, cert.inner_radius))[0]
         assert w >= 1
         # perturbed partner nonvanishing on the sampled disk
         for rr in np.linspace(0, cert.inner_radius, 6):
@@ -221,36 +220,39 @@ def test_rouche_perturbation_trials():
 
 
 def test_winding_basic():
-    assert winding_number(lambda z: z * z, Circle(0, 1)) == 2
-    assert winding_number(lambda z: (z - 0.5) * (z + 2), Circle(0, 1)) == 1
-    assert winding_number(lambda z: cmath.exp(z), Circle(0, 1)) == 0
+    assert winding_scan(lambda z: z * z, Circle(0, 1))[0] == 2
+    assert winding_scan(lambda z: (z - 0.5) * (z + 2), Circle(0, 1))[0] == 1
+    assert winding_scan(lambda z: cmath.exp(z), Circle(0, 1))[0] == 0
 
 
-def test_winding_rectangle():
-    rect = Rectangle(-1, 1, -1, 1)
-    assert winding_number(lambda z: z - 0.2, rect) == 1
-    assert winding_number(lambda z: z - 2.0, rect) == 0
-
-
-def test_winding_refinement_invariance():
+@pytest.mark.parametrize("initial_samples", [16, 32, 512])
+def test_winding_refinement_invariance(monkeypatch, initial_samples):
+    monkeypatch.setattr(polyzero, "WINDING_SAMPLES", initial_samples)
     h = lambda z: (z - 0.3) ** 2 * (z + 0.4 + 0.1j)
-    w1 = winding_number(h, Circle(0, 1), WindingParams(initial_samples=16))
-    w2 = winding_number(h, Circle(0, 1), WindingParams(initial_samples=32))
-    w3 = winding_number(h, Circle(0, 1), WindingParams(initial_samples=512))
-    assert w1 == w2 == w3 == 3
+    assert winding_scan(h, Circle(0, 1))[0] == 3
 
 
 def test_winding_scan_returns_its_samples():
     # values that convert with complex(), such as EvalResult, come back as is
     circle = Circle(0.1j, 1.0)
-    w, samples = winding_scan(lambda z: EvalResult(z * z, 0.5), circle,
-                              WindingParams(initial_samples=16))
+    w, samples = winding_scan(lambda z: EvalResult(z * z, 0.5), circle)
     assert w == 2
-    assert len(samples) >= 17 and 0.0 in samples and 1.0 in samples
+    assert len(samples) >= 49 and 0.0 in samples and 1.0 in samples
     for t, v in samples.items():
         assert v.value == circle.point(t) ** 2 and v.abs_error_bound == 0.5
 
 
+def test_winding_scan_bisects_large_phase_steps_up_to_its_cap(monkeypatch):
+    # z^6 turns by 3 pi / 4 between 16 evenly spaced samples, so the scan
+    # bisects every step once
+    monkeypatch.setattr(polyzero, "WINDING_SAMPLES", 16)
+    w, samples = winding_scan(lambda z: z ** 6, Circle(0, 1))
+    assert w == 6 and len(samples) == 33
+    monkeypatch.setattr(polyzero, "WINDING_MAX_SAMPLES", 24)
+    with pytest.raises(RefinementExhausted, match="unresolved at 24 samples"):
+        winding_scan(lambda z: z ** 6, Circle(0, 1))
+
+
 def test_winding_too_close():
-    with pytest.raises(ContourTooClose):
-        winding_number(lambda z: z - 1.0, Circle(0, 1))
+    with pytest.raises(ContourTooClose, match="the contour passes through a zero"):
+        winding_scan(lambda z: z - 1.0, Circle(0, 1))
