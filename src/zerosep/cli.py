@@ -141,9 +141,7 @@ def cmd_separate(args) -> int:
         _write_record(exc.record)
         raise
     _write_record(record)
-    paths = export_certificate(record, "text")
-    paths += export_certificate(record, "csv")
-    for p in paths:
+    for p in export_certificate(record):
         print(f"wrote {p}")
     return 0
 
@@ -155,11 +153,16 @@ def cmd_replicate(args) -> int:
         raise EmptyRecord("run record has no ok 'approx' stage to replicate from")
     if "t" not in approx.data:
         raise ParseError("run record's approx stage has no 't' key")
-    if not approx.data.get("primes"):
+    primes = approx.data.get("primes")
+    if not primes:
         raise ParseError("run record's approx stage has no aligned primes")
+    if not isinstance(primes, list) or any(
+            isinstance(p, bool) or not isinstance(p, int) for p in primes):
+        raise ParseError(f"run record's aligned primes must be a list of "
+                         f"integers, not {primes!r}")
     data = replicate_heights(_load_problem(record.config), record.config,
                              mpf_from_text(approx.data["t"]),
-                             approx.data["primes"][-1], args.count)
+                             primes[-1], args.count)
     print(json.dumps(_json_safe(data), indent=2, default=str))
     return 0
 

@@ -111,86 +111,76 @@ def combine(f: CombPolynomial, spec_evals: Sequence[EvalResult],
     return EvalResult(total, bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeparationProblem:
-    """Two combinations sharing some of their Euler products.
+    """Two combinations sharing some of their Euler products, both on one
+    variable order.
 
-    The canonical variable order places the shared specs first, then the
-    f-only specs, then the g-only specs; both polynomials are re-indexed onto
-    the full variable list (each simply never touches the other's private
-    slots).
+    Made from each polynomial on its own specs (``specs_f`` for f's
+    variables, ``specs_g`` for g's).  ``variable_order`` places the shared
+    specs first, then the f-only specs, then the g-only specs, and ``f`` and
+    ``g`` are stored re-indexed onto it (each never touches the other's
+    private slots).
     """
 
     f: CombPolynomial
     g: CombPolynomial
-    specs_f: tuple[EulerProductSpec, ...]
-    specs_g: tuple[EulerProductSpec, ...]
+    variable_order: tuple[EulerProductSpec, ...]
+    shared_count: int
 
-    def __post_init__(self):
-        if len(self.specs_f) != self.f.num_vars:
+    def __init__(self, f: CombPolynomial, g: CombPolynomial,
+                 specs_f: Sequence[EulerProductSpec],
+                 specs_g: Sequence[EulerProductSpec]):
+        if len(specs_f) != f.num_vars:
             raise ArityMismatch("f arity does not match specs_f")
-        if len(self.specs_g) != self.g.num_vars:
+        if len(specs_g) != g.num_vars:
             raise ArityMismatch("g arity does not match specs_g")
-        for specs in (self.specs_f, self.specs_g):
+        for specs in (specs_f, specs_g):
             if len(set(specs)) != len(specs):
                 raise DomainError("specs within one combination must be distinct")
-        if self.f.is_monomial or self.g.is_monomial:
+        if f.is_monomial or g.is_monomial:
             raise DomainError("monomial combinations are excluded: every zero "
                               "of a monomial has a vanishing coordinate")
+        shared = [F for F in specs_f if F in specs_g]
+        order = tuple(shared + [F for F in specs_f if F not in shared]
+                      + [G for G in specs_g if G not in shared])
+        for name, value in (("f", _reindex(f, specs_f, order)),
+                            ("g", _reindex(g, specs_g, order)),
+                            ("variable_order", order), ("shared_count", len(shared))):
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
-    @property
-    def shared_count(self) -> int:
-        return sum(1 for F in self.specs_f if F in self.specs_g)
-
-    @property
-    def total_vars(self) -> int:
-        return len(self.specs_f) + len(self.specs_g) - self.shared_count
-
-    @property
-    def variable_order(self) -> tuple[EulerProductSpec, ...]:
-        shared = [F for F in self.specs_f if F in self.specs_g]
-        out = shared + [F for F in self.specs_f if F not in shared]
-        out += [G for G in self.specs_g if G not in shared]
-        return tuple(out)
-
-    def _slot_maps(self) -> tuple[list[int], list[int]]:
-        """Positions of f's and g's own variables inside the canonical order."""
-        order = self.variable_order
-        f_slots = [order.index(F) for F in self.specs_f]
-        g_slots = [order.index(G) for G in self.specs_g]
-        return f_slots, g_slots
-
+    # f and g under the names zsbench's workloads read them by
     def f_on_full_vars(self) -> CombPolynomial:
-        f_slots, _ = self._slot_maps()
-        return _reindex(self.f, f_slots, self.total_vars)
+        return self.f
 
     def g_on_full_vars(self) -> CombPolynomial:
-        _, g_slots = self._slot_maps()
-        return _reindex(self.g, g_slots, self.total_vars)
+        return self.g
 
 
-def _reindex(poly: CombPolynomial, slots: list[int], total: int) -> CombPolynomial:
+def _reindex(poly: CombPolynomial, specs: Sequence[EulerProductSpec],
+             order: tuple[EulerProductSpec, ...]) -> CombPolynomial:
+    """``poly`` on ``specs`` re-indexed onto the variables ``order``."""
+    slots = [order.index(F) for F in specs]
     mono = []
     for coeff, exps in poly.monomials:
-        full = [0] * total
+        full = [0] * len(order)
         for pos, e in zip(slots, exps):
             full[pos] = e
         mono.append((coeff, tuple(full)))
-    return CombPolynomial(total, tuple(mono))
+    return CombPolynomial(len(order), tuple(mono))
 
 
 @dataclass(frozen=True)
 class AuxiliaryCombination:
     """The pair of rewritten polynomials whose variables stand for the tail
-    products over primes beyond the cutoff.  ``f`` and ``g`` are on the full
-    variable list; ``head_primes[j]`` holds spec j's primes up to the cutoff
-    (no entries when the cutoff is below 2)."""
+    products over primes beyond the cutoff.  They are ``base.f`` and
+    ``base.g`` with coefficients that absorb the head factors;
+    ``head_primes[j]`` holds the primes up to the cutoff of spec j of
+    ``base.variable_order`` (no entries when the cutoff is below 2)."""
 
     base: SeparationProblem
     cutoff_prime: int
     t0: Optional[float]
-    f: CombPolynomial
-    g: CombPolynomial
     head_primes: tuple[np.ndarray, ...]
 
     def with_t0(self, t0: float) -> "AuxiliaryCombination":
@@ -219,14 +209,14 @@ class AuxiliaryCombination:
             (v, exps) for v, (_, exps) in zip(vals, poly.monomials) if v != 0))
 
     def f_poly_at(self, s: complex) -> ComplexPolynomial:
-        return self._poly_at(self.f, s)
+        return self._poly_at(self.base.f, s)
 
     def g_poly_at(self, s: complex) -> ComplexPolynomial:
-        return self._poly_at(self.g, s)
+        return self._poly_at(self.base.g, s)
 
     def coefficient_values(self, s: complex) -> list[complex]:
         """Coefficients of f, then of g, at s."""
-        return self._coefficients((self.f, self.g), s)
+        return self._coefficients((self.base.f, self.base.g), s)
 
     def coefficient_drift(self, s1: complex, s2: complex) -> float:
         """Largest coefficient displacement between two evaluation points."""
@@ -237,14 +227,13 @@ class AuxiliaryCombination:
 
 def build_auxiliary(problem: SeparationProblem) -> AuxiliaryCombination:
     """Absorb the local factors at primes up to the coefficient support prime
-    into each monomial's coefficient and pad variables onto the shared order."""
+    into each monomial's coefficient."""
     p_fg = support_prime(problem.f, problem.g)
     heads: tuple = ()
     if p_fg >= 2:
         ps = primes_up_to(p_fg)
         heads = tuple(ps[F.support_mask(ps)] for F in problem.variable_order)
-    return AuxiliaryCombination(problem, p_fg, None, problem.f_on_full_vars(),
-                                problem.g_on_full_vars(), heads)
+    return AuxiliaryCombination(problem, p_fg, None, heads)
 
 
 # heights t0 is searched on along Re(s) = 1, and the coefficient margin to meet
@@ -296,7 +285,8 @@ SANITY_ROOT_TOL = 1e-7  # relative distance at which two roots count as shared
 
 
 def coprimality_sanity(f: CombPolynomial, g: CombPolynomial, seed: int = 0) -> bool:
-    """Heuristic coprimality check for constant-coefficient polynomials.
+    """Heuristic coprimality check for constant-coefficient polynomials on
+    the same variables.
 
     Restricts both polynomials to random lines and looks for shared roots; a
     common factor forces a shared root on every line.  Non-constant
@@ -306,8 +296,6 @@ def coprimality_sanity(f: CombPolynomial, g: CombPolynomial, seed: int = 0) -> b
         return True
     fc = f.complex_at(2.0)
     gc = g.complex_at(2.0)
-    if fc.num_vars != gc.num_vars:
-        return True
     rng = np.random.default_rng(seed)
     shared_lines = 0
     for _ in range(SANITY_LINES):

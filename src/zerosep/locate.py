@@ -296,7 +296,8 @@ class ZeroCertificate:
     @staticmethod
     def from_text(text: str) -> "ZeroCertificate":
         """The certificate :meth:`to_text` wrote, or ``ParseError`` naming a
-        missing row, a line without a value or a value that does not parse."""
+        missing or unknown row, a line without a value or a value that does
+        not parse.  A ``.cert`` file is exactly this text."""
         lines = text.strip().splitlines()
         if not lines or lines[0] != "zerosep-zero-certificate v1":
             raise ParseError("not a zero certificate record")
@@ -313,18 +314,19 @@ class ZeroCertificate:
         def row(key: str, kind: Callable = float, optional: bool = False):
             if key not in rows:
                 raise ParseError(f"certificate has no {key!r} row")
-            if optional and rows[key] == "none":
+            value = rows.pop(key)
+            if optional and value == "none":
                 return None
             try:
                 if kind is complex:
-                    re_part, im_part = (float(x) for x in rows[key].split())
+                    re_part, im_part = (float(x) for x in value.split())
                     return complex(re_part, im_part)
-                return kind(rows[key])
+                return kind(value)
             except ValueError:
                 raise ParseError(f"certificate row {key!r} does not parse: "
-                                 f"{rows[key]!r}") from None
+                                 f"{value!r}") from None
 
-        return ZeroCertificate(
+        cert = ZeroCertificate(
             center=row("center", complex), radius=row("radius"),
             winding=row("winding", int), boundary_min=row("boundary_min"),
             tail_budget=row("tail_budget"),
@@ -333,6 +335,9 @@ class ZeroCertificate:
             value_at_center=row("value_at_center", complex),
             anchor=row("anchor", str, optional=True),
             precision_bits=row("precision_bits", int), meta=meta)
+        if rows:  # every row the certificate reads is popped
+            raise ParseError(f"certificate has an unknown row {next(iter(rows))!r}")
+        return cert
 
 
 NEWTON_ITERS = 40  # Newton iterations refine_zero takes at most

@@ -106,6 +106,8 @@ class PipelineConfig:
         for name in ("replicate_count", "locate_P", "zero_margin", "seed"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must not be negative")
+        if not self.out_dir:
+            raise DomainError("out_dir must not be empty")
 
 
 @dataclass
@@ -136,20 +138,32 @@ class RunRecord:
 
     @staticmethod
     def from_json(text: str) -> "RunRecord":
+        """The record :meth:`to_json` wrote, or ``ParseError`` naming a
+        missing key or a value of the wrong type."""
         obj = _json_object(text, "run record")
         for key in ("certificates", "stages"):
             if key not in obj:
                 raise ParseError(f"run record has no {key!r} key")
+            if not isinstance(obj[key], list):
+                raise ParseError(f"run record key {key!r} must be a list, "
+                                 f"not {obj[key]!r}")
+        for i, t in enumerate(obj["certificates"]):
+            if not isinstance(t, str):
+                raise ParseError(f"run record certificate {i} must be a string, "
+                                 f"not {t!r}")
         rec = RunRecord(config=PipelineConfig.from_dict(obj.get("config")), stages=[],
                         certificates=[ZeroCertificate.from_text(t)
                                       for t in obj["certificates"]],
                         version=obj.get("version", "unknown"))
-        keys = ("name", "status", "seconds", "data")
+        types = {"name": str, "status": str, "seconds": (int, float), "data": dict}
         for i, s in enumerate(obj["stages"]):
-            missing = [k for k in keys if not isinstance(s, dict) or k not in s]
-            if missing:
-                raise ParseError(f"run record stage {i} has no {missing[0]!r} key")
-            rec.stages.append(StageOutcome(*(s[k] for k in keys)))
+            for k, kind in types.items():
+                if not isinstance(s, dict) or k not in s:
+                    raise ParseError(f"run record stage {i} has no {k!r} key")
+                if isinstance(s[k], bool) or not isinstance(s[k], kind):
+                    raise ParseError(f"run record stage {i} key {k!r} has the "
+                                     f"wrong type: {s[k]!r}")
+            rec.stages.append(StageOutcome(*(s[k] for k in types)))
         return rec
 
 
@@ -249,8 +263,9 @@ def builtin_problem(name: str) -> CombinationFile:
     key = name.strip().lower().replace(" ", "-").replace("/", "-")
     if key.startswith("hurwitz"):
         parts = [p for p in key.replace("hurwitz", "").split("-") if p]
-        if len(parts) == 5 and parts[2] == "vs":
-            a1, q1, a2, q2 = int(parts[0]), int(parts[1]), int(parts[3]), int(parts[4])
+        nums = parts[:2] + parts[3:]
+        if len(parts) == 5 and parts[2] == "vs" and all(p.isdecimal() for p in nums):
+            a1, q1, a2, q2 = map(int, nums)
             if q1 != q2:
                 raise ParseError("builtin hurwitz pairs share one modulus")
             return _hurwitz_problem(a1, a2, q1)
@@ -313,8 +328,7 @@ def replicate_heights(problem: SeparationProblem, config: PipelineConfig, t,
     almost periods tau_k of the primes up to ``top_prime``, the top aligned
     prime, at ``approx_accuracy``."""
     taus = almost_periods(t, top_prime, config.approx_accuracy, count=count)
-    ev_f = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
-                         P=config.locate_cutoff)
+    ev_f = CombEvaluator(problem.f, problem.variable_order, P=config.locate_cutoff)
     outcomes = []
     for tau in taus:
         with mp.workprec(max(needed_bits(t), needed_bits(tau)) + 32):
@@ -362,7 +376,8 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
             raise DomainError("combinations failed the coprimality sanity check "
                               "(shared zero locus on random lines)")
         state["problem"] = problem
-        return {"shared": problem.shared_count, "total_vars": problem.total_vars,
+        return {"shared": problem.shared_count,
+                "total_vars": len(problem.variable_order),
                 "support_prime": support_prime(problem.f, problem.g)}
 
     def stage_auxiliary():
@@ -459,8 +474,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     def stage_locate():
         problem = state["problem"]
         res = state["approx"]
-        ev_f = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
-                             P=config.locate_cutoff)
+        ev_f = CombEvaluator(problem.f, problem.variable_order, P=config.locate_cutoff)
         anchored, cert = _locate_at(ev_f, res.t, config.sigma)
         state["ev_f_anchored"] = anchored
         cert = replace(cert, anchor=mpf_to_text(anchored.t_anchor),
@@ -478,8 +492,7 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
     def stage_noncoincidence():
         problem = state["problem"]
         cert = state["certificate"]
-        ev_g = CombEvaluator(problem.g_on_full_vars(), problem.variable_order,
-                             P=config.locate_cutoff)
+        ev_g = CombEvaluator(problem.g, problem.variable_order, P=config.locate_cutoff)
         anchored_f = state["ev_f_anchored"]
         upgraded = certify_noncoincidence(
             cert, ev_g.anchored(anchored_f.t_anchor, bits=anchored_f.bits))
@@ -522,43 +535,17 @@ STAGE_EXIT_CODES = {
 # --- export ----------------------------------------------------------------------
 
 
-def export_certificate(record: RunRecord, fmt: str = "text") -> list[str]:
-    """Write certificates (structured text) or a CSV summary into the run's
-    ``out_dir``; deterministic bytes for identical records."""
+def export_certificate(record: RunRecord) -> list[str]:
+    """Write each certificate to ``zero-NN.cert`` in the run's ``out_dir`` as
+    exactly its :meth:`ZeroCertificate.to_text`; returns the paths."""
     if not record.certificates:
         raise EmptyRecord("record holds no certificate")
     out_dir = record.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    if fmt == "text":
-        for i, cert in enumerate(record.certificates):
-            path = os.path.join(out_dir, f"zero-{i:02d}.cert")
-            body = cert.to_text()
-            body += ("re-verify: rebuild the combination from the recorded "
-                     "problem, anchor the evaluator at the exact height above, "
-                     "and re-run the winding scan at the stated radius\n")
-            body += f"problem {record.config.problem}\n"
-            body += f"seed {record.config.seed}\n"
-            body += f"cutoff_P {record.config.locate_cutoff}\n"
-            with open(path, "w") as fh:
-                fh.write(body)
-            paths.append(path)
-    elif fmt == "csv":
-        path = os.path.join(out_dir, "certificates.csv")
+    for i, cert in enumerate(record.certificates):
+        path = os.path.join(out_dir, f"zero-{i:02d}.cert")
         with open(path, "w") as fh:
-            fh.write("index,status,center_re,center_im_offset,anchor,radius,"
-                     "winding,boundary_min,tail_budget,g_min_on_disk,abs_value\n")
-            for i, cert in enumerate(record.certificates):
-                fh.write(",".join([
-                    str(i), cert.status, repr(float(cert.center.real)),
-                    repr(float(cert.center.imag)), cert.anchor or "0",
-                    repr(float(cert.radius)), str(int(cert.winding)),
-                    repr(float(cert.boundary_min)), repr(float(cert.tail_budget)),
-                    "none" if cert.g_min_on_disk is None
-                    else repr(float(cert.g_min_on_disk)),
-                    repr(float(abs(cert.value_at_center))),
-                ]) + "\n")
+            fh.write(cert.to_text())
         paths.append(path)
-    else:
-        raise DomainError(f"unknown export format {fmt!r}")
     return paths

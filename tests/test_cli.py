@@ -118,6 +118,15 @@ TOY_EXITS[4] = 27
 def test_toy_outcome_table(tmp_path):
     exits = {seed: _separate(seed, tmp_path / str(seed)) for seed in TOY_EXITS}
     assert exits == TOY_EXITS
+    # a certified run writes its record and one file per certificate, each
+    # exactly the certificate's text as the record holds it
+    for seed in (seed for seed, rc in exits.items() if rc == 0):
+        out_dir = tmp_path / str(seed)
+        assert sorted(os.listdir(out_dir)) == ["run_record.json", "zero-00.cert"]
+        text = (out_dir / "zero-00.cert").read_text()
+        assert ZeroCertificate.from_text(text).to_text() == text
+        assert json.loads((out_dir / "run_record.json").read_text())["certificates"] \
+            == [text]
 
 
 def _reach(modulus, count=16, sigma=1.01):
@@ -189,14 +198,13 @@ def test_replicate_counts_only_certified_zeros(tmp_path, monkeypatch):
                             r"exceed tail budget \1", outcome["error"])
 
 
-def test_certificate_footer_names_the_locate_cutoff(tmp_path):
+def test_certificate_meta_names_the_locate_cutoff(tmp_path):
     # --P moves the steering cutoff only; locate keeps the builtin's locate_P
     assert cli.main(["separate", "--builtin", "toy-finite-pair", "--seed", "5",
                      "--replicate", "3", "--P", "20", "--out-dir", str(tmp_path)]) == 0
-    rows = dict(line.split(" ", 1)
-                for line in (tmp_path / "zero-00.cert").read_text().splitlines()
-                if line.startswith(("meta.P ", "cutoff_P ")))
-    assert rows["cutoff_P"] == rows["meta.P"] == "10"
+    cert = ZeroCertificate.from_text((tmp_path / "zero-00.cert").read_text())
+    assert cert.meta == {"P": "10", "partner": "g", "seed": "5", "sigma": "1.05",
+                         "problem": "builtin:toy-finite-pair"}
 
 
 def test_replicate_reads_the_record_instead_of_rerunning_it(tmp_path, capsys,
@@ -344,8 +352,17 @@ def _approx_stage(data):
     ([], [_approx_stage({"primes": [11]})], "run record's approx stage has no 't' key"),
     ([], [_approx_stage({"t": "1*2^0", "primes": []})],
      "run record's approx stage has no aligned primes"),
+    ([_CERT + "cutoff_P 10\n"], [], "certificate has an unknown row 'cutoff_P'"),
+    ([], 5, "run record key 'stages' must be a list, not 5"),
+    ([5], [], "run record certificate 0 must be a string, not 5"),
+    ([], [_approx_stage(5)], "run record stage 0 key 'data' has the wrong type: 5"),
+    ([], [_approx_stage({"t": "1*2^0", "primes": ["x"]})],
+     "run record's aligned primes must be a list of integers, not ['x']"),
 ], ids=["certificate without center", "line without a value", "unparsable number",
-        "stage without status", "approx without t", "approx with no primes"])
+        "stage without status", "approx without t", "approx with no primes",
+        "certificate with an unknown row", "stages not a list",
+        "certificate not a string", "approx data not an object",
+        "aligned prime not an integer"])
 def test_replicate_refuses_a_malformed_record_naming_what_it_lacks(
         tmp_path, capsys, certificates, stages, message):
     record = json.loads(RunRecord(PipelineConfig(), [], []).to_json())
@@ -354,6 +371,19 @@ def test_replicate_refuses_a_malformed_record_naming_what_it_lacks(
     path.write_text(json.dumps(record))
     assert cli.main(["replicate", "--record", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "config.json"],
+    ["--builtin", "toy-finite-pair", "--out-dir", ""],
+], ids=["config", "flag"])
+def test_empty_out_dir_is_refused_before_any_stage(tmp_path, capsys, monkeypatch,
+                                                   argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"out_dir": ""}))
+    assert cli.main(["separate"] + argv) == 1
+    assert capsys.readouterr() == ("", "error: out_dir must not be empty\n")
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 @pytest.mark.parametrize("config, message", [
@@ -450,6 +480,36 @@ def test_malformed_or_missing_combination_file_is_refused_at_load(tmp_path, old,
     last = _failed_stage(tmp_path)
     assert last["name"] == "load"
     assert last["data"]["error"] == message.format(path=path)
+
+
+def test_malformed_hurwitz_builtin_name_is_refused_at_load(tmp_path):
+    assert cli.main(["separate", "--builtin", "hurwitz-a-3-vs-2-3",
+                     "--out-dir", str(tmp_path)]) == 20
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "load"
+    assert last["data"]["error"].startswith(
+        "unknown builtin problem 'hurwitz-a-3-vs-2-3'; known: ")
+
+
+def test_common_factor_across_variable_lists_is_refused_at_load(tmp_path):
+    # f = x_A - x_B on (A, B) divides g = x_A x_C - x_B x_C on (A, B, C); the
+    # check sees it because both polynomials stand on the shared order
+    path = tmp_path / "shared.comb"
+    path.write_text("# zerosep combination file v1\n[specs]\n"
+                    "A = finite_euler primes=2:1.0:0.0\n"
+                    "B = finite_euler primes=3:1.0:0.0\n"
+                    "C = finite_euler primes=5:1.0:0.0\n"
+                    "[poly f]\nvars = A B\n"
+                    "mono exps=1,0 coeff=1:1.0:0.0\nmono exps=0,1 coeff=1:-1.0:0.0\n"
+                    "[poly g]\nvars = A B C\n"
+                    "mono exps=1,0,1 coeff=1:1.0:0.0\n"
+                    "mono exps=0,1,1 coeff=1:-1.0:0.0\n")
+    assert cli.main(["separate", "--file", str(path),
+                     "--out-dir", str(tmp_path)]) == 20
+    last = _failed_stage(tmp_path)
+    assert last["name"] == "load"
+    assert last["data"]["error"].startswith(
+        "combinations failed the coprimality sanity check")
 
 
 def test_hurwitz_prints_the_combination_value(capsys):

@@ -93,7 +93,7 @@ def _toy_problem():
 def test_separation_problem_structure():
     prob = _toy_problem()
     assert prob.shared_count == 2
-    assert prob.total_vars == 2
+    assert len(prob.variable_order) == 2
     labels = [F.label for F in prob.variable_order]
     assert labels == ["tA", "tB"]
 
@@ -107,14 +107,14 @@ def test_separation_problem_disjoint_specs():
     g = CombPolynomial(2, ((c(1.0), (1, 0)), (c(-1.0), (0, 1))))
     prob = SeparationProblem(f, g, (F1, F2), (G1, G2))
     assert prob.shared_count == 1
-    assert prob.total_vars == 3
+    assert len(prob.variable_order) == 3
     assert [F.label for F in prob.variable_order] == ["a1", "a2", "b2"]
-    # structural separation: g never reads the f-only slot and vice versa
-    g_full = prob.g_on_full_vars()
-    for _, exps in g_full.monomials:
+    # both polynomials are stored on the shared order, and g never reads
+    # the f-only slot nor f the g-only slot
+    assert prob.f.num_vars == prob.g.num_vars == 3
+    for _, exps in prob.g.monomials:
         assert exps[1] == 0
-    f_full = prob.f_on_full_vars()
-    for _, exps in f_full.monomials:
+    for _, exps in prob.f.monomials:
         assert exps[2] == 0
 
 
@@ -178,7 +178,7 @@ def test_auxiliary_reproduces_comb_eval():
         tails.append(cmath.exp(complex(np.sum(local_logs(F, tail_ps, s.real, th)))))
     # f's coefficients come first in coefficient_values
     rebuilt = sum(v * tails[0] ** exps[0] * tails[1] ** exps[1]
-                  for v, (_, exps) in zip(aux.coefficient_values(s), aux.f.monomials))
+                  for v, (_, exps) in zip(aux.coefficient_values(s), aux.base.f.monomials))
     assert abs(rebuilt - full.value) < 1e-8 * max(1.0, abs(full.value))
 
 

@@ -114,4 +114,4 @@ def test_specs_with_colliding_labels_build():
     ]) + "\n"
     prob = parse_combination(text).build_problem()
     assert prob.shared_count == 2
-    assert prob.total_vars == 2
+    assert len(prob.variable_order) == 2

@@ -250,7 +250,7 @@ def test_evaluators_near_the_boundary_give_an_infinite_bound():
     # at Re(s) = 1.0001 the prime tail beyond P = 5000 exceeds the overflow
     # guard: every evaluator returns a finite value with an infinite bound
     problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
-    f, order = problem.f_on_full_vars(), problem.variable_order
+    f, order = problem.f, problem.variable_order
     sigma, t, P = 1.0001, 3.0, 5000
     ps = primes_up_to(P)
     asg = PhaseAssignment(ps, np.full(len(ps), t), y=0)
@@ -351,7 +351,7 @@ def test_refine_zero_from_disk_models_matches_the_direct_path():
     assert m_nc.status == d_nc.status
     # without a zero nearby both paths refuse with the same text
     problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
-    bare = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
+    bare = CombEvaluator(problem.f, problem.variable_order,
                          500).anchored(123456789012.5)
     texts = []
     for H in (bare, lambda s: bare(s)):
@@ -364,7 +364,7 @@ def test_refine_zero_from_disk_models_matches_the_direct_path():
 
 def test_refine_zero_evaluates_a_start_it_never_leaves_once(monkeypatch):
     problem = builtin_problem("hurwitz-1-3-vs-2-3").build_problem()
-    bare = CombEvaluator(problem.f_on_full_vars(), problem.variable_order,
+    bare = CombEvaluator(problem.f, problem.variable_order,
                          500).anchored(123456789012.5)
     points = []
     direct = locate.AnchoredCombEvaluator.__call__
