@@ -13,8 +13,8 @@ local logs up to the cutoff once and folds them into every coefficient.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -176,24 +176,21 @@ class AuxiliaryCombination:
     products over primes beyond the cutoff.  They are ``base.f`` and
     ``base.g`` with coefficients that absorb the head factors;
     ``head_primes[j]`` holds the primes up to the cutoff of spec j of
-    ``base.variable_order`` (no entries when the cutoff is below 2)."""
+    ``base.variable_order`` (no entries when the cutoff is below 2).
+    :meth:`pair_at` freezes both at one point from one coefficient pass."""
 
     base: SeparationProblem
     cutoff_prime: int
-    t0: Optional[float]
     head_primes: tuple[np.ndarray, ...]
 
-    def with_t0(self, t0: float) -> "AuxiliaryCombination":
-        return replace(self, t0=t0)
-
-    def _coefficients(self, polys: Sequence[CombPolynomial], s: complex) -> list[complex]:
-        """Coefficients of ``polys`` in order at s: each series value times
+    def coefficient_values(self, s: complex) -> list[complex]:
+        """Coefficients of f, then of g, at s: each series value times
         exp(e_j L_j) over the head log-sums L_j, each summed once."""
         s = complex(s)
         heads = [complex(np.sum(local_logs(F, ps, s.real, phases_for_ints(s.imag, ps))))
                  for F, ps in zip(self.base.variable_order, self.head_primes)]
         out = []
-        for poly in polys:
+        for poly in (self.base.f, self.base.g):
             for coeff, exps in poly.monomials:
                 v = coeff.value(s)
                 if v != 0:
@@ -203,20 +200,13 @@ class AuxiliaryCombination:
                 out.append(v)
         return out
 
-    def _poly_at(self, poly: CombPolynomial, s: complex) -> ComplexPolynomial:
-        vals = self._coefficients((poly,), s)
-        return ComplexPolynomial(poly.num_vars, tuple(
-            (v, exps) for v, (_, exps) in zip(vals, poly.monomials) if v != 0))
-
-    def f_poly_at(self, s: complex) -> ComplexPolynomial:
-        return self._poly_at(self.base.f, s)
-
-    def g_poly_at(self, s: complex) -> ComplexPolynomial:
-        return self._poly_at(self.base.g, s)
-
-    def coefficient_values(self, s: complex) -> list[complex]:
-        """Coefficients of f, then of g, at s."""
-        return self._coefficients((self.base.f, self.base.g), s)
+    def pair_at(self, s: complex) -> tuple[ComplexPolynomial, ComplexPolynomial]:
+        """f and g with their coefficients frozen at s."""
+        vals = iter(self.coefficient_values(s))
+        f, g = (ComplexPolynomial(poly.num_vars, tuple(
+            (v, exps) for (_, exps), v in zip(poly.monomials, vals) if v != 0))
+            for poly in (self.base.f, self.base.g))
+        return f, g
 
     def coefficient_drift(self, s1: complex, s2: complex) -> float:
         """Largest coefficient displacement between two evaluation points."""
@@ -233,7 +223,7 @@ def build_auxiliary(problem: SeparationProblem) -> AuxiliaryCombination:
     if p_fg >= 2:
         ps = primes_up_to(p_fg)
         heads = tuple(ps[F.support_mask(ps)] for F in problem.variable_order)
-    return AuxiliaryCombination(problem, p_fg, None, heads)
+    return AuxiliaryCombination(problem, p_fg, heads)
 
 
 # heights t0 is searched on along Re(s) = 1, and the coefficient margin to meet
@@ -242,9 +232,9 @@ T0_GRID = 400
 T0_MARGIN = 1e-3
 
 
-def find_nonvanishing_t0(aux: AuxiliaryCombination) -> float:
+def find_nonvanishing_t0(aux: AuxiliaryCombination) -> tuple[float, float]:
     """Height t0 at which every auxiliary coefficient stays off zero on the
-    boundary line Re(s) = 1.
+    boundary line Re(s) = 1, with the smallest coefficient modulus there.
 
     Scans the grid, keeps the best minimum-modulus point, refines locally,
     and fails loudly when the margin is unreachable.
@@ -259,7 +249,7 @@ def find_nonvanishing_t0(aux: AuxiliaryCombination) -> float:
         m = min_modulus(float(t))
         if m >= T0_MARGIN:
             # first grid point meeting the margin wins
-            return float(t)
+            return float(t), m
         if m > best_m:
             best_t, best_m = float(t), m
     # local refinement around the best grid point
@@ -273,7 +263,7 @@ def find_nonvanishing_t0(aux: AuxiliaryCombination) -> float:
                 t_center, best_m = float(t), m
         step /= 10.0
     if best_m >= T0_MARGIN:
-        return t_center
+        return t_center, best_m
     raise SearchFailure(
         f"no t in [{T0_MIN}, {T0_MAX}] reaches coefficient margin "
         f"{T0_MARGIN} (best {best_m:.3e} at t = {best_t:.6f})",

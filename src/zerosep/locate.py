@@ -296,20 +296,26 @@ class ZeroCertificate:
     @staticmethod
     def from_text(text: str) -> "ZeroCertificate":
         """The certificate :meth:`to_text` wrote, or ``ParseError`` naming a
-        missing or unknown row, a line without a value or a value that does
-        not parse.  A ``.cert`` file is exactly this text."""
+        missing, repeated or unknown row, a line without a value or a value
+        that does not parse (a status other than ``certified`` or
+        ``numeric-only`` among them).  A ``.cert`` file is exactly this text."""
         lines = text.strip().splitlines()
         if not lines or lines[0] != "zerosep-zero-certificate v1":
             raise ParseError("not a zero certificate record")
-        rows, meta = {}, {}
+        rows = {}
         for ln in lines[1:]:
             key, sep, rest = ln.partition(" ")
             if not sep:
                 raise ParseError(f"certificate line {ln!r} has no value")
-            if key.startswith("meta."):
-                meta[key[5:]] = rest
-            else:
-                rows[key] = rest
+            if key in rows:
+                raise ParseError(f"certificate has a repeated row {key!r}")
+            rows[key] = rest
+        meta = {key[5:]: rows.pop(key) for key in list(rows) if key.startswith("meta.")}
+
+        def status(value: str) -> str:
+            if value not in ("certified", "numeric-only"):
+                raise ValueError(value)
+            return value
 
         def row(key: str, kind: Callable = float, optional: bool = False):
             if key not in rows:
@@ -331,7 +337,7 @@ class ZeroCertificate:
             winding=row("winding", int), boundary_min=row("boundary_min"),
             tail_budget=row("tail_budget"),
             g_min_on_disk=row("g_min_on_disk", optional=True),
-            status=row("status", str),
+            status=row("status", status),
             value_at_center=row("value_at_center", complex),
             anchor=row("anchor", str, optional=True),
             precision_bits=row("precision_bits", int), meta=meta)

@@ -3,8 +3,12 @@
 Stage order: load -> auxiliary -> t0 -> witness -> stability-steering ->
 approx -> locate -> noncoincidence -> replicate (optional).  Every
 stage failure surfaces as a StageError naming the stage; run records are
-replayable from their embedded config and seeds.  Stability-steering moves
-exactly the primes that approx aligns, picked by :func:`_aligned_primes`.
+replayable from their embedded config and seeds.  The t0 stage returns its
+height with the coefficient margin there; the witness stage builds the
+auxiliary pair at 1 + i t0, and stability-steering builds it at sigma + i t0,
+with the coefficient drift between the two, once before its candidate loop.
+Stability-steering moves exactly the primes that approx aligns, picked by
+:func:`_aligned_primes`.
 Values no run varies (the t0 search, the witness floor, steering limits and
 ``refine_zero``'s Newton and circle settings) are constants or defaults of
 the layer that reads them, not :class:`PipelineConfig` fields.  Locate and
@@ -385,16 +389,11 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
         return {"cutoff_prime": aux.cutoff_prime}
 
     def stage_t0():
-        aux = state["aux"]
-        t0 = find_nonvanishing_t0(aux)
-        state["aux"] = aux.with_t0(t0)
-        vals = state["aux"].coefficient_values(complex(1.0, t0))
-        return {"t0": t0, "coefficient_margin": min(abs(v) for v in vals)}
+        state["t0"], margin = find_nonvanishing_t0(state["aux"])
+        return {"t0": state["t0"], "coefficient_margin": margin}
 
     def stage_witness():
-        aux = state["aux"]
-        s1 = complex(1.0, aux.t0)
-        fp, gp = aux.f_poly_at(s1), aux.g_poly_at(s1)
+        state["boundary"] = fp, gp = state["aux"].pair_at(complex(1.0, state["t0"]))
         cands, errors = [], []
         for i in range(config.zero_candidates):
             try:
@@ -424,13 +423,16 @@ def run_separation_pipeline(config: PipelineConfig) -> RunRecord:
             problem.variable_order, aux.cutoff_prime, config.P, config.approx_max_primes)
         full = len(aligned) == config.approx_max_primes
         P_steer = int(aligned[-1]) if full else config.P
+        s1, s2 = complex(1.0, state["t0"]), complex(config.sigma, state["t0"])
+        shifted = aux.pair_at(s2)
+        drift = aux.coefficient_drift(s1, s2)
         errors = []
         for idx, cand in enumerate(state["candidates"]):
             mods = np.abs(cand.x)
             R = max(2.0, 2.0 * float(np.max(mods)), 2.0 / float(np.min(mods)))
             try:
-                tracked = track_zero_in_sigma(aux, cand, R, config.sigma,
-                                              seed=config.seed + idx)
+                tracked = track_zero_in_sigma(state["boundary"], shifted, drift,
+                                              cand, R, seed=config.seed + idx)
                 target = SteeringTarget(tuple(tracked.z), R=R, sigma=config.sigma,
                                         eta=config.sigma - 1.0,
                                         y=aux.cutoff_prime, P=P_steer)

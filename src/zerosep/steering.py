@@ -11,11 +11,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .combalg import AuxiliaryCombination
 from .errors import (CertificateFailure, DomainError, DriftTooLarge,
                      Infeasible, MissingPhase, NonConvergence)
 from .euler import EulerProductSpec, local_logs
-from .polyzero import SeparatingZero, rouche_delta, univariate_roots
+from .polyzero import (ComplexPolynomial, SeparatingZero, rouche_delta,
+                       univariate_roots)
 from .primes import log_primes, primes_up_to
 
 TWO_PI = 2.0 * math.pi
@@ -100,7 +100,6 @@ class SteeringResult:
 
 
 INIT_NOISE = 0.3  # half-width of the uniform noise on each restart's start
-BRANCH_TRIES = 9  # branch integer vectors tried, smallest offset first
 
 
 @dataclass(frozen=True)
@@ -176,14 +175,6 @@ def _gauss_newton(C, w, theta0, exact, max_iter, tol_log):
     return theta, max_iter, total
 
 
-def _branch_candidates(n: int, tries: int):
-    """Branch integer vectors ordered by total offset, zero vector first."""
-    from itertools import product
-    cands = sorted(product(range(-2, 3), repeat=n),
-                   key=lambda k: (sum(abs(x) for x in k), k))
-    return cands[:tries]
-
-
 def _assignment(ps: np.ndarray, active: np.ndarray, theta: np.ndarray,
                 y: int) -> PhaseAssignment:
     """Shifts (theta_p mod 2*pi) / log(p) on the active primes of ps, zero on
@@ -198,9 +189,10 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
     """Find shifts t_p for y < p <= P putting the partial tail products on the
     targets.
 
-    Works in the log domain with explicit branch integers: stage A runs
-    Gauss-Newton on the first-order phase model, stage B re-runs it on the
-    closed-form local logs.  Raises ``Infeasible`` when a target's log norm
+    Works in the log domain on the principal branch of each target's log:
+    stage A runs Gauss-Newton on the first-order phase model, stage B re-runs
+    it on the closed-form local logs, from each of ``options.restarts``
+    noisy starts.  Raises ``Infeasible`` when a target's log norm
     exceeds its reachability budget, the largest |sum of local logs| its
     spec attains along one ray, and
     ``NonConvergence`` (carrying the best attempt) when iteration stalls.
@@ -229,14 +221,14 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
                     for j in range(N))
 
     z = np.array(target.targets, dtype=np.complex128)
-    w_base = np.log(z)  # principal branch
+    w = np.log(z)  # principal branch
     for j in range(N):
-        if abs(w_base[j]) > budgets[j] * (1.0 + 1e-9) + 1e-12:
+        if abs(w[j]) > budgets[j] * (1.0 + 1e-9) + 1e-12:
             raise Infeasible(
-                f"target {j} demands log norm {abs(w_base[j]):.4f} beyond its "
+                f"target {j} demands log norm {abs(w[j]):.4f} beyond its "
                 f"reachability budget {budgets[j]:.4f}; "
                 f"steer more primes or move sigma toward 1",
-                budget=budgets[j], demand=float(abs(w_base[j])))
+                budget=budgets[j], demand=float(abs(w[j])))
 
     def fit_of(total):
         """Achieved products and relative residuals from summed exact logs."""
@@ -258,30 +250,26 @@ def solve_phases(specs: Sequence[EulerProductSpec], target: SteeringTarget,
     rng = np.random.default_rng(options.seed)
     tol_log = 0.5 * options.tol
     best = None  # (max_resid, theta, fit, iters)
-    for branch in _branch_candidates(N, BRANCH_TRIES):
-        w = w_base + TWO_PI * 1j * np.array(branch)
-        if float(np.max(np.abs(w))) > max(budgets) * 1.05:
-            continue
-        jstar_order = np.argsort(-np.abs(w))
-        for restart in range(options.restarts):
-            theta0 = np.zeros(len(psa))
-            for jstar in jstar_order:
-                rows = absA[jstar] > 0
-                if np.any(rows):
-                    theta0[rows] = np.angle(A[jstar, rows]) - np.angle(w[jstar]) \
-                        if abs(w[jstar]) > 0 else 0.0
-                    break
-            theta0 += rng.uniform(-INIT_NOISE, INIT_NOISE, len(psa))
-            theta_a, it_a, _ = _gauss_newton(C, w, theta0, False,
+    jstar_order = np.argsort(-np.abs(w))
+    for restart in range(options.restarts):
+        theta0 = np.zeros(len(psa))
+        for jstar in jstar_order:
+            rows = absA[jstar] > 0
+            if np.any(rows):
+                theta0[rows] = np.angle(A[jstar, rows]) - np.angle(w[jstar]) \
+                    if abs(w[jstar]) > 0 else 0.0
+                break
+        theta0 += rng.uniform(-INIT_NOISE, INIT_NOISE, len(psa))
+        theta_a, it_a, _ = _gauss_newton(C, w, theta0, False,
+                                         options.max_iter, tol_log)
+        theta_b, it_b, total = _gauss_newton(C, w, theta_a, True,
                                              options.max_iter, tol_log)
-            theta_b, it_b, total = _gauss_newton(C, w, theta_a, True,
-                                                 options.max_iter, tol_log)
-            fit = fit_of(total)
-            mres = float(np.max(fit[1]))
-            if best is None or mres < best[0]:
-                best = (mres, theta_b, fit, it_a + it_b)
-            if mres <= options.tol:
-                return result(theta_b, fit, it_a + it_b, True)
+        fit = fit_of(total)
+        mres = float(np.max(fit[1]))
+        if best is None or mres < best[0]:
+            best = (mres, theta_b, fit, it_a + it_b)
+        if mres <= options.tol:
+            return result(theta_b, fit, it_a + it_b, True)
     mres, theta_b, fit, iters = best
     raise NonConvergence(
         f"steering stalled at max residual {mres:.3e} (tol {options.tol:.1e})",
@@ -312,33 +300,33 @@ class TrackedZero:
     moved: float
 
 
-def track_zero_in_sigma(aux: AuxiliaryCombination, x: SeparatingZero, R: float,
-                        sigma: float, seed: int = 0) -> TrackedZero:
+def track_zero_in_sigma(boundary: tuple[ComplexPolynomial, ComplexPolynomial],
+                        shifted: tuple[ComplexPolynomial, ComplexPolynomial],
+                        drift: float, x: SeparatingZero, R: float,
+                        seed: int = 0) -> TrackedZero:
     """Move the boundary-line witness zero to sigma > 1 along its own line.
 
-    Verifies that the coefficient drift between the two evaluation heights
-    stays below the stability radius of the boundary pair, then re-solves the
-    restricted polynomial seeded at the witness and checks the annulus and
-    non-vanishing constraints.
+    ``boundary`` and ``shifted`` are the auxiliary pair (f, g) at 1 + i t0 and
+    at sigma + i t0, and ``drift`` the largest coefficient displacement
+    between them (:meth:`AuxiliaryCombination.pair_at` and
+    :meth:`~AuxiliaryCombination.coefficient_drift`).  Verifies that the
+    drift stays below the stability radius of the boundary pair at x, then
+    re-solves the shifted f restricted to the witness line, seeded at the
+    witness, and checks the annulus and non-vanishing constraints.
     """
-    if aux.t0 is None:
-        raise DomainError("auxiliary combination has no t0 set")
     xs = np.asarray(x.x, dtype=np.complex128)
     if R < 2:
         raise DomainError("R must be at least 2")
     mods = np.abs(xs)
     if np.min(mods) < 2.0 / R - 1e-12 or np.max(mods) > R / 2.0 + 1e-12:
         raise DomainError("witness coordinates must satisfy 2/R <= |x_n| <= R/2")
-    s1 = complex(1.0, aux.t0)
-    s2 = complex(sigma, aux.t0)
-    f1, g1 = aux.f_poly_at(s1), aux.g_poly_at(s1)
+    f1, g1 = boundary
     cert = rouche_delta(f1, g1, xs, eps=1.0 / R, seed=seed)
-    drift = aux.coefficient_drift(s1, s2)
     if drift > cert.delta:
         raise DriftTooLarge(
             f"coefficient drift {drift:.3e} exceeds stability radius "
             f"{cert.delta:.3e}; reduce sigma - 1")
-    f2, g2 = aux.f_poly_at(s2), aux.g_poly_at(s2)
+    f2, g2 = shifted
     roots = univariate_roots(f2.restrict(x.base, x.direction))
     if not roots:
         raise CertificateFailure("restriction of the shifted polynomial has no roots")

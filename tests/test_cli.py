@@ -8,6 +8,7 @@ from dataclasses import fields, replace
 import pytest
 
 from zerosep import cli, pipeline
+from zerosep.combalg import AuxiliaryCombination
 from zerosep.errors import ParseError
 from zerosep.locate import ZeroCertificate
 from zerosep.pipeline import (BUILTIN_DEFAULTS, STAGE_EXIT_CODES, PipelineConfig,
@@ -127,6 +128,24 @@ def test_toy_outcome_table(tmp_path):
         assert ZeroCertificate.from_text(text).to_text() == text
         assert json.loads((out_dir / "run_record.json").read_text())["certificates"] \
             == [text]
+
+
+@pytest.mark.parametrize("seed, rc", [(6, 24), (5, 0)])
+def test_auxiliary_coefficients_are_built_once_per_height(tmp_path, monkeypatch,
+                                                          seed, rc):
+    # one pass at t0's grid height, one for the boundary pair, and the
+    # shifted pair plus the drift's two, however many witnesses steering
+    # tries (all 40 for seed 6)
+    calls = []
+    coefficient_values = AuxiliaryCombination.coefficient_values
+
+    def counting(self, s):
+        calls.append(s)
+        return coefficient_values(self, s)
+
+    monkeypatch.setattr(AuxiliaryCombination, "coefficient_values", counting)
+    assert _separate(seed, tmp_path) == rc
+    assert len(calls) == 5
 
 
 def _reach(modulus, count=16, sigma=1.01):
@@ -358,11 +377,16 @@ def _approx_stage(data):
     ([], [_approx_stage(5)], "run record stage 0 key 'data' has the wrong type: 5"),
     ([], [_approx_stage({"t": "1*2^0", "primes": ["x"]})],
      "run record's aligned primes must be a list of integers, not ['x']"),
+    ([_CERT.replace("status certified", "status numeric-only\nstatus certified")], [],
+     "certificate has a repeated row 'status'"),
+    ([_CERT.replace("status certified", "status proven")], [],
+     "certificate row 'status' does not parse: 'proven'"),
 ], ids=["certificate without center", "line without a value", "unparsable number",
         "stage without status", "approx without t", "approx with no primes",
         "certificate with an unknown row", "stages not a list",
         "certificate not a string", "approx data not an object",
-        "aligned prime not an integer"])
+        "aligned prime not an integer", "certificate with a repeated row",
+        "certificate with an unknown status"])
 def test_replicate_refuses_a_malformed_record_naming_what_it_lacks(
         tmp_path, capsys, certificates, stages, message):
     record = json.loads(RunRecord(PipelineConfig(), [], []).to_json())

@@ -202,8 +202,8 @@ def test_charpair_t0_search_is_pinned():
     # the only builtin whose auxiliary cutoff is 2: its t0 and coefficient
     # margin as the separation pipeline records them
     aux = build_auxiliary(builtin_problem("charpair-mod5").build_problem())
-    t0 = find_nonvanishing_t0(aux)
-    margin = min(abs(v) for v in aux.coefficient_values(complex(1.0, t0)))
+    t0, margin = find_nonvanishing_t0(aux)
+    assert margin == min(abs(v) for v in aux.coefficient_values(complex(1.0, t0)))
     assert t0 == pytest.approx(0.10025062656641603, rel=1e-12)
     assert margin == pytest.approx(0.06947445937780052, rel=1e-12)
 
@@ -218,8 +218,7 @@ def test_find_t0_constant_coefficients(monkeypatch):
     prob = _toy_problem()
     aux = build_auxiliary(prob)
     _t0_search(monkeypatch, 10.0, 50, 0.5)
-    t0 = find_nonvanishing_t0(aux)
-    assert t0 == 0.0
+    assert find_nonvanishing_t0(aux) == (0.0, 1.0)
 
 
 def test_find_t0_avoids_coefficient_zeros(monkeypatch):
@@ -232,11 +231,11 @@ def test_find_t0_avoids_coefficient_zeros(monkeypatch):
     prob = SeparationProblem(f, g, (z, oth), (z, oth))
     aux = build_auxiliary(prob)
     _t0_search(monkeypatch, 12.0, 300, 0.4)
-    t0 = find_nonvanishing_t0(aux)
+    t0, margin = find_nonvanishing_t0(aux)
     zeros = [2 * math.pi * k / math.log(2) for k in (0, 1)]
     assert all(abs(t0 - tz) > 0.2 for tz in zeros)
     vals = aux.coefficient_values(complex(1.0, t0))
-    assert min(abs(v) for v in vals) >= 0.4
+    assert margin == min(abs(v) for v in vals) >= 0.4
 
 
 def test_find_t0_failure_reports_best(monkeypatch):

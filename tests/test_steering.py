@@ -209,6 +209,26 @@ def test_reachability_gate():
     assert err.value.budget < err.value.demand
 
 
+def test_steering_runs_each_restart_on_the_principal_branch_only(monkeypatch):
+    # arg 3 lies beyond the reach of p = 2, 3, so steering stalls; it runs
+    # stage A and stage B once per restart, on log z alone
+    calls = []
+    gauss_newton = steering._gauss_newton
+
+    def counting(C, w, theta0, exact, max_iter, tol_log):
+        calls.append((w.copy(), exact))
+        return gauss_newton(C, w, theta0, exact, max_iter, tol_log)
+
+    monkeypatch.setattr(steering, "_gauss_newton", counting)
+    F = finite_euler_spec("sq", {2: 1.9, 3: 1.9})
+    goal = complex(np.exp(0.5 + 3j))
+    target = SteeringTarget((goal,), R=2.0, sigma=1.01, eta=0.01, y=1, P=3)
+    with pytest.raises(NonConvergence, match=r"max residual 1\.230e\+00"):
+        solve_phases([F], target)
+    assert [exact for _, exact in calls] == [False, True] * SteerOptions().restarts
+    assert all(np.array_equal(w, [np.log(goal)]) for w, _ in calls)
+
+
 def test_periodicity_of_achieved():
     z = zeta_spec()
     sigma, y, P = 1.2, 5, 100
@@ -263,6 +283,7 @@ def test_monotone_feasibility_in_P():
 
 
 def _tracked_setup():
+    """The toy pair's auxiliary combination, which has constant coefficients."""
     F1 = finite_euler_spec("sA", {2: 1.0, 3: 1.0})
     F2 = finite_euler_spec("sB", {5: 1.0, 7: 1.0})
     mu = 1.2349469153094004
@@ -271,18 +292,24 @@ def _tracked_setup():
     g = CombPolynomial(2, ((PFiniteSeries.constant(1.0), (1, 0)),
                            (PFiniteSeries.constant(-1.0), (0, 1))))
     prob = SeparationProblem(f, g, (F1, F2), (F1, F2))
-    aux = build_auxiliary(prob).with_t0(0.0)
-    return aux
+    return build_auxiliary(prob)
+
+
+def _track(aux, x, R, t0, sigma, seed=0):
+    """``track_zero_in_sigma`` from the auxiliary pair at 1 + i t0 and at
+    sigma + i t0, as the stability-steering stage calls it."""
+    s1, s2 = complex(1.0, t0), complex(sigma, t0)
+    return track_zero_in_sigma(aux.pair_at(s1), aux.pair_at(s2),
+                               aux.coefficient_drift(s1, s2), x, R, seed=seed)
 
 
 def test_track_zero_constant_coefficients_is_identity():
     aux = _tracked_setup()
-    s1 = complex(1.0, 0.0)
-    fp, gp = aux.f_poly_at(s1), aux.g_poly_at(s1)
+    fp, gp = aux.pair_at(complex(1.0, 0.0))
     sz = find_separating_zero(fp, gp, seed=5, g_margin=1e-3)
     mods = np.abs(sz.x)
     R = max(2.0, 2 * float(np.max(mods)), 2 / float(np.min(mods)))
-    tz = track_zero_in_sigma(aux, sz, R, 1.05)
+    tz = _track(aux, sz, R, 0.0, 1.05)
     assert tz.drift == 0.0
     assert np.max(np.abs(tz.z - sz.x)) < 1e-9
 
@@ -293,7 +320,7 @@ def test_track_zero_annulus_precondition():
     bad = SeparatingZero(x=x, base=x, direction=np.array([1.0 + 0j, 0j]),
                          line_parameter=0j)
     with pytest.raises(DomainError, match="witness coordinates must satisfy"):
-        track_zero_in_sigma(aux, bad, 2.0, 1.05)
+        _track(aux, bad, 2.0, 0.0, 1.05)
 
 
 def test_track_zero_drift_shrinks_with_sigma():
@@ -306,9 +333,9 @@ def test_track_zero_drift_shrinks_with_sigma():
     g = CombPolynomial(2, ((PFiniteSeries.constant(1.0), (1, 0)),
                            (PFiniteSeries.constant(1.0), (0, 1))))
     prob = SeparationProblem(f, g, (z, oth), (z, oth))
-    aux = build_auxiliary(prob).with_t0(math.pi / math.log(2))
-    s1 = complex(1.0, aux.t0)
-    fp, gp = aux.f_poly_at(s1), aux.g_poly_at(s1)
+    aux = build_auxiliary(prob)
+    t0 = math.pi / math.log(2)
+    fp, gp = aux.pair_at(complex(1.0, t0))
     sz = None
     for seed in range(60):
         try:
@@ -325,7 +352,7 @@ def test_track_zero_drift_shrinks_with_sigma():
     moves = []
     for sigma in (1.1, 1.01, 1.001):
         try:
-            tz = track_zero_in_sigma(aux, sz, R, sigma, seed=1)
+            tz = _track(aux, sz, R, t0, sigma, seed=1)
             moves.append(tz.moved)
             assert tz.moved < 1.0 / R
             assert tz.drift <= tz.delta
